@@ -9,7 +9,14 @@ states and is the reference implementation, capped at 20 crossings.
 ``bracket_tangle_sweep`` processes crossings one at a time, carrying a weight
 for every way the processed part can connect the dangling arc ends; the
 states collapse to perfect matchings of the open ends, so its cost is
-governed by the frontier width rather than the crossing count.
+governed by the frontier width rather than the crossing count.  A plain
+diagram's bracket lies in Z[A, A^-1], so arcs are relabelled to ints, a
+state is keyed by its sorted (min, max) arc pairs and weighted by an
+{exponent: int} dict, and the result becomes a LaurentPoly once, at the
+end.  The update is local to the crossing: each corner leads on to
+another corner (an arc with both ends there, or two open arcs the state
+joins) or ends at an open arc, and walking the corner pairs of each
+smoothing gives the new pairs and the number of closed loops.
 
 ``colored_bracket`` evaluates a link whose components carry natural
 number colors: color n means n parallel blackboard push-offs with the
@@ -41,9 +48,10 @@ from .errors import (
     ColorRangeError,
     DiagramTooLargeError,
     PoleError,
+    SkeinError,
     SliceWidthError,
 )
-from .tl import _resolve, jones_wenzl
+from .tl import jones_wenzl
 
 # A-smoothing and B-smoothing corner pairings for each over flag.  With
 # the "/" strand on top the A-smoothing joins the corners vertically
@@ -51,6 +59,13 @@ from .tl import _resolve, jones_wenzl
 _SMOOTHINGS = {
     OVER_SLASH: (((NW, SW), (NE, SE)), ((NW, NE), (SW, SE))),
     1 - OVER_SLASH: (((NW, NE), (SW, SE)), ((NW, SW), (NE, SE))),
+}
+
+# A^shift * (-A^2 - A^-2)^loops as (exponent, int) terms; one smoothing of
+# four corners closes at most two loops
+_FACTORS = {
+    (s, k): [(e, int(c)) for e, c in (LaurentPoly.monomial(s) * loop_weight()**k).items()]
+    for s in (1, -1) for k in range(3)
 }
 
 STATE_SUM_MAX_CROSSINGS = 20
@@ -107,57 +122,28 @@ def bracket_state_sum(diag: PlanarDiagram,
     return total
 
 
-def _sweep_order(diag: PlanarDiagram, max_width: int):
-    """Greedy crossing order keeping the number of open arcs small."""
-    n = len(diag.crossings)
-    ends: dict = {}
-    for ci, c in enumerate(diag.crossings):
-        for corner in (NW, NE, SW, SE):
-            ends.setdefault(c[corner], []).append(ci)
+def _sweep_order(arcs, max_width: int):
+    """Greedy crossing order keeping the number of open arcs small.
 
-    remaining = set(range(n))
+    ``arcs`` lists the four arc ids of each crossing; ties go to the
+    lowest crossing index.
+    """
+    ends = [{a for a in c if c.count(a) == 1} for c in arcs]
+    remaining = list(range(len(arcs)))
     open_arcs: set = set()
     order = []
     peak = 0
     while remaining:
-        best = None
-        for ci in sorted(remaining):
-            width = len(open_arcs)
-            for arc in {diag.crossings[ci][k] for k in (NW, NE, SW, SE)}:
-                uses_here = ends[arc].count(ci)
-                if uses_here == 2:
-                    continue
-                if arc in open_arcs:
-                    width -= 1
-                else:
-                    width += 1
-            if best is None or width < best[0]:
-                best = (width, ci)
-        width, ci = best
+        ci = min(remaining, key=lambda i: len(ends[i]) - 2 * len(ends[i] & open_arcs))
+        remaining.remove(ci)
         order.append(ci)
-        remaining.discard(ci)
-        for arc in {diag.crossings[ci][k] for k in (NW, NE, SW, SE)}:
-            if ends[arc].count(ci) == 2:
-                continue
-            if arc in open_arcs:
-                open_arcs.discard(arc)
-            else:
-                open_arcs.add(arc)
+        open_arcs ^= ends[ci]
         peak = max(peak, len(open_arcs))
     if peak > max_width:
         raise SliceWidthError(
             f"sweep frontier reaches {peak} open arcs, above the cap of {max_width}"
         )
     return order
-
-
-def _key(pairs) -> tuple:
-    norm = [(a, b) if repr(a) <= repr(b) else (b, a) for a, b in pairs]
-    return tuple(sorted(norm, key=lambda p: (repr(p[0]), repr(p[1]))))
-
-
-_A = LaurentPoly.gen()
-_A_INV = LaurentPoly.monomial(-1)
 
 
 def bracket_tangle_sweep(diag: PlanarDiagram, max_width: int = SWEEP_MAX_WIDTH) -> LaurentPoly:
@@ -170,65 +156,82 @@ def bracket_tangle_sweep(diag: PlanarDiagram, max_width: int = SWEEP_MAX_WIDTH) 
     delta = loop_weight()
     if n == 0:
         return delta**diag.free_loops
-    order = _sweep_order(diag, max_width)
+    label: dict = {}
+    arcs = [[label.setdefault(c[k], len(label)) for k in (NW, NE, SW, SE)]
+            for c in diag.crossings]
+    order = _sweep_order(arcs, max_width)
 
-    ends: dict = {}
-    for ci, c in enumerate(diag.crossings):
-        for corner in (NW, NE, SW, SE):
-            ends.setdefault(c[corner], []).append(ci)
-
-    states = {(): LaurentPoly.one()}
-    processed: set = set()
+    states: dict = {(): {0: 1}}
+    frontier: set = set()
     for ci in order:
-        c = diag.crossings[ci]
-        corner_arcs = [c[corner] for corner in (NW, NE, SW, SE)]
-        internal = {a for a in corner_arcs if ends[a].count(ci) == 2}
-        local_open = {
-            a
-            for a in corner_arcs
-            if a not in internal and any(o in processed for o in ends[a])
-        }
+        corners = arcs[ci]
+        # per corner: ~j when it leads on to corner j, an arc id when it ends
+        static = list(corners)
+        local: dict = {}
+        for k, a in enumerate(corners):
+            twin = [j for j in range(4) if j != k and corners[j] == a]
+            if twin:
+                static[k] = ~twin[0]
+            elif a in frontier:
+                local[a] = k
+        frontier ^= {a for a in corners if corners.count(a) == 1}
+        # each smoothing as (A-exponent, corner -> the corner it joins)
+        moves = [(shift, {**dict(s), **{y: x for x, y in s}}) for shift, s
+                 in zip((1, -1), _SMOOTHINGS[diag.crossings[ci].over])]
+        walks: dict = {}  # states that meet the crossing alike share a walk
         new_states: dict = {}
-        for variant, smoothing in enumerate(_SMOOTHINGS[c.over]):
-            factor = _A if variant == 0 else _A_INV
-            static_edges = list(smoothing)
-            seen_internal = set()
-            for corner in (NW, NE, SW, SE):
-                a = c[corner]
-                if a in internal and a not in seen_internal:
-                    seen_internal.add(a)
-                    x, y = [k for k in (NW, NE, SW, SE) if c[k] == a]
-                    static_edges.append((x, y))
-            for key, weight in states.items():
-                edges = list(static_edges)
-                carried = []
-                for x, y in key:
-                    if x in local_open or y in local_open:
-                        edges.append((("p", x), ("p", y)))
+        for key, weight in states.items():
+            link = static[:]
+            carried = []
+            for pair in key:
+                a, b = pair
+                if a in local:
+                    if b in local:
+                        link[local[a]], link[local[b]] = ~local[b], ~local[a]
                     else:
-                        carried.append((x, y))
-                for corner in (NW, NE, SW, SE):
-                    a = c[corner]
-                    if a in internal:
-                        continue
-                    if a in local_open:
-                        edges.append((corner, ("p", a)))
-                    else:
-                        edges.append((corner, ("new", a)))
+                        link[local[a]] = b
+                elif b in local:
+                    link[local[b]] = a
+                else:
+                    carried.append(pair)
+            link = tuple(link)
+            found = walks.get(link)
+            if found is None:
+                found = walks[link] = [_walk(link, shift, p) for shift, p in moves]
+            for pairs, factor in found:
+                k = tuple(sorted(carried + pairs)) if pairs else tuple(carried)
+                acc = new_states.setdefault(k, {})
+                for f, d in factor:
+                    for e, c in weight.items():
+                        acc[e + f] = acc.get(e + f, 0) + c * d
+        states = {k: w for k, w in new_states.items() if any(w.values())}
 
-                paths, cycles = _resolve(edges)
-                w = weight * factor
-                for _ in range(cycles):
-                    w = w * delta
-                pairs = carried + [(u[1], v[1]) for u, v in paths]
-                k = _key(pairs)
-                new_states[k] = new_states.get(k, LaurentPoly.zero()) + w
-        states = {k: v for k, v in new_states.items() if not v.is_zero()}
-        processed.add(ci)
+    if states.keys() - {()}:
+        raise SkeinError("open arcs survived the sweep")
+    return LaurentPoly(states.get((), {})) * delta**diag.free_loops
 
-    assert set(states) <= {()}, "open arcs survived the sweep"
-    result = states.get((), LaurentPoly.zero())
-    return result * delta**diag.free_loops
+
+def _walk(link, shift, partner):
+    """Join the corners by one smoothing: (new arc pairs, A^shift * delta^loops)."""
+    seen: set = set()
+    pairs, loops = [], 0
+    for start in sorted(range(4), key=lambda k: link[k] < 0):
+        if start in seen:
+            continue
+        cur = start
+        while True:
+            seen.add(cur)
+            cur = partner[cur]
+            seen.add(cur)
+            if link[cur] >= 0 or ~link[cur] == start:
+                break
+            cur = ~link[cur]
+        if link[cur] >= 0:
+            a, b = link[start], link[cur]
+            pairs.append((a, b) if a < b else (b, a))
+        else:
+            loops += 1
+    return pairs, _FACTORS[shift, loops]
 
 
 _sweep_memo: dict = {}
@@ -236,7 +239,7 @@ _sweep_memo: dict = {}
 
 def bracket(diag: PlanarDiagram, max_width: int = SWEEP_MAX_WIDTH) -> LaurentPoly:
     """Memoized bracket of a (validated) diagram."""
-    key = canonical_form(diag)
+    key = (canonical_form(diag), max_width)
     hit = _sweep_memo.get(key)
     if hit is None:
         hit = _sweep_memo[key] = bracket_tangle_sweep(diag, max_width)
@@ -252,18 +255,6 @@ def _site_tokens(tl_diagram):
         tb = ("in", b) if b < n else ("out", 2 * n - 1 - b)
         out.append((ta, tb))
     return out
-
-
-def tl_compose(x, y):
-    """Stack two Temperley-Lieb elements, top of ``x`` onto bottom of ``y``."""
-    if x.n != y.n:
-        raise ArityError(f"cannot compose on {x.n} and {y.n} strands")
-    return x * y
-
-
-def tl_closure(x) -> RatFunc:
-    """Markov trace: close each strand around and count loops."""
-    return x.closure()
 
 
 def colored_bracket(link, colors=None, point: EvalPoint | None = None,

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import LaurentPoly, RatFunc, loop_weight, poly_gcd, quantum_integer
+from .errors import ArityError
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ class TLElement:
 
     def __mul__(self, other: "TLElement") -> "TLElement":
         if self.n != other.n:
-            raise ValueError("strand mismatch")
+            raise ArityError(f"cannot compose on {self.n} and {other.n} strands")
         delta = loop_weight()
         terms: dict = {}
         for da, ca in self.terms.items():

@@ -1,19 +1,24 @@
+from itertools import product
+
 import pytest
 
 from skeinlab.algebra import EvalPoint, LaurentPoly, RatFunc, delta_color, loop_weight, quantum_integer
 from skeinlab.bracket import (
+    _site_tokens,
     bracket,
     bracket_state_sum,
     bracket_tangle_sweep,
     colored_bracket,
-    tl_closure,
-    tl_compose,
 )
 from skeinlab.diagrams import (
     ColoredLink,
     FramedLink,
     PlanarDiagram,
     braid_closure,
+    cable,
+    canonical_form,
+    diagram,
+    splice,
     unknot_fixture,
 )
 from skeinlab.errors import (
@@ -21,11 +26,13 @@ from skeinlab.errors import (
     ColorRangeError,
     DiagramTooLargeError,
     PoleError,
+    SkeinError,
     SliceWidthError,
 )
 from skeinlab.recoupling import hopf_eval, twist_coefficient
 from skeinlab.tl import TLDiagram, TLElement, compose, identity, hook, jones_wenzl
 from skeinlab.verify import random_braid_closure
+from skeinlab.wrt import _torus_presentation
 
 delta = loop_weight()
 
@@ -60,6 +67,39 @@ def test_sweep_matches_state_sum_on_random_diagrams(rng):
         assert bracket_tangle_sweep(diag) == bracket_state_sum(diag)
 
 
+def _torus_splices(max_crossings=12):
+    """Distinct plain diagrams the torus pipeline sweeps, up to a size.
+
+    Every projector-term splice of the cabled surgery link with colors
+    in {0, 1, 2}; the cuts leave internal arcs and free loops.
+    """
+    found = {}
+    for a in range(3):
+        link = _torus_presentation(a).link
+        for colors in product(range(3), repeat=link.n_components):
+            cabled = cable(link, list(colors))
+            if len(cabled.crossings) > max_crossings:
+                continue
+            sites = cabled.sites
+            for combo in product(*(jones_wenzl(s.width).terms for s in sites)):
+                plain = splice(cabled, [(s, _site_tokens(t)) for s, t in zip(sites, combo)])
+                found.setdefault(canonical_form(plain), plain)
+    return list(found.values())
+
+
+def test_sweep_matches_state_sum_on_torus_splices():
+    diagrams = _torus_splices()
+    assert any(d.free_loops for d in diagrams)
+    for diag in diagrams:
+        assert bracket_tangle_sweep(diag) == bracket_state_sum(diag)
+
+
+@pytest.mark.parametrize("kinks", range(-4, 5))
+def test_sweep_matches_state_sum_on_curls(kinks):
+    diag = unknot_fixture(kinks).diagram
+    assert bracket_tangle_sweep(diag) == bracket_state_sum(diag)
+
+
 def test_state_sum_cap():
     big = braid_closure([1] * 21, 2)
     with pytest.raises(DiagramTooLargeError):
@@ -69,6 +109,18 @@ def test_state_sum_cap():
 def test_sweep_width_cap(borromean):
     with pytest.raises(SliceWidthError):
         bracket_tangle_sweep(borromean.diagram, max_width=2)
+
+
+def test_memo_keeps_width_cap(borromean):
+    bracket(borromean.diagram)
+    with pytest.raises(SliceWidthError):
+        bracket(borromean.diagram, max_width=2)
+
+
+def test_sweep_rejects_open_arcs():
+    # each arc label occurs once, so no crossing ever closes one
+    with pytest.raises(SkeinError, match="open arcs survived"):
+        bracket_tangle_sweep(diagram([(0, 1, 2, 3, 0)]))
 
 
 # -- Temperley-Lieb layer -------------------------------------------------------
@@ -84,12 +136,12 @@ def test_compose_counts_bubbles():
 
 def test_tl_element_closure_of_identity():
     for n in range(4):
-        assert tl_closure(TLElement.identity_element(n)) == RatFunc(delta ** n)
+        assert TLElement.identity_element(n).closure() == RatFunc(delta ** n)
 
 
 def test_tl_compose_arity_mismatch():
     with pytest.raises(ArityError):
-        tl_compose(TLElement.identity_element(2), TLElement.identity_element(3))
+        TLElement.identity_element(2) * TLElement.identity_element(3)
 
 
 def test_noncrossing_validation():
@@ -114,14 +166,14 @@ def test_jones_wenzl_killed_by_hooks(n):
     e = jones_wenzl(n)
     zero = TLElement(n, {}, LaurentPoly.one())
     for i in range(1, n):
-        assert tl_compose(TLElement.hook_element(n, i), e) == zero
-        assert tl_compose(e, TLElement.hook_element(n, i)) == zero
+        assert TLElement.hook_element(n, i) * e == zero
+        assert e * TLElement.hook_element(n, i) == zero
 
 
 @pytest.mark.parametrize("n", range(6))
 def test_jones_wenzl_closure(n):
     sign = 1 if n % 2 == 0 else -1
-    assert tl_closure(jones_wenzl(n)) == RatFunc(quantum_integer(n + 1).scale(sign))
+    assert jones_wenzl(n).closure() == RatFunc(quantum_integer(n + 1).scale(sign))
 
 
 # -- colored brackets -----------------------------------------------------------
