@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import BranchCutError, PoleError, ZeroDenominatorError
+from .errors import BranchCutError, PoleError, SkeinError, ZeroDenominatorError
 
 Rat = Fraction
 
@@ -113,10 +113,6 @@ class LaurentPoly:
         if not self._terms:
             raise ValueError("zero polynomial has no exponents")
         return max(self._terms)
-
-    def mirror(self) -> "LaurentPoly":
-        """The image under A -> A^{-1}."""
-        return LaurentPoly({-e: c for e, c in self._terms.items()})
 
     # -- ring operations ---------------------------------------------------
 
@@ -280,14 +276,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
-
-    def to_json_dict(self) -> dict:
-        """Exponent -> coefficient map with string keys/values."""
-        return {str(e): str(self._terms[e]) for e in sorted(self._terms, reverse=True)}
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "LaurentPoly":
-        return LaurentPoly({int(e): Fraction(v) for e, v in data.items()})
 
 
 def _coerce_poly(x):
@@ -483,11 +471,6 @@ def _coerce_rat(x):
     return NotImplemented
 
 
-def ratfunc_canonical(num: LaurentPoly, den: LaurentPoly) -> RatFunc:
-    """num/den in lowest terms with the normalized denominator."""
-    return RatFunc(num, den)
-
-
 @dataclass(frozen=True)
 class EvalPoint:
     """An evaluation point A = exp(sign * i*pi/(2d+1)) of the bracket variable.
@@ -542,12 +525,14 @@ def _int_poly_exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
         c = num[k + len(den) - 1]
         if c == 0:
             continue
-        assert c % den[-1] == 0
+        if c % den[-1]:
+            raise SkeinError("integer polynomial division is not exact")
         q = c // den[-1]
         out[k] = q
         for j, dj in enumerate(den):
             num[k + j] -= q * dj
-    assert not any(num)
+    if any(num):
+        raise SkeinError("integer polynomial division leaves a remainder")
     return out
 
 
@@ -576,15 +561,6 @@ def _field_data(d: int):
                 if mod[j]:
                     cur[j] -= top * mod[j]
     return m, tuple(rows)
-
-
-def field_degree(d: int) -> int:
-    """Degree over Q of the cyclotomic field used at level d.
-
-    This is Euler's phi of 2(2d+1); it equals 2d exactly when 2d+1 is
-    prime and is smaller otherwise.
-    """
-    return _field_data(d)[0]
 
 
 @dataclass(frozen=True)

@@ -3,46 +3,38 @@
 The bracket of a diagram is the state sum over the two smoothings of
 each crossing, with a crossing contributing A or A^-1 and every closed
 circle a factor of -A^2 - A^-2; the empty diagram evaluates to 1.
+``bracket_state_sum`` enumerates all 2^n states and is the reference,
+capped at 20 crossings.
 
-Two evaluators are provided.  ``bracket_state_sum`` enumerates all 2^n
-states and is the reference implementation, capped at 20 crossings.
-``bracket_tangle_sweep`` processes crossings one at a time, carrying a weight
-for every way the processed part can connect the dangling arc ends; the
-states collapse to perfect matchings of the open ends, so its cost is
-governed by the frontier width rather than the crossing count.  A plain
-diagram's bracket lies in Z[A, A^-1], so arcs are relabelled to ints, a
-state is keyed by its sorted (min, max) arc pairs and weighted by an
-{exponent: int} dict, and the result becomes a LaurentPoly once, at the
-end.  The update is local to the crossing: each corner leads on to
-another corner (an arc with both ends there, or two open arcs the state
-joins) or ends at an open arc, and walking the corner pairs of each
-smoothing gives the new pairs and the number of closed loops.
+The fast evaluator sweeps over boxes.  A box has legs (arc ids) and
+local states, each a perfect matching of the legs with a weight: a
+crossing is the 4-leg box A*(A-smoothing) + A^-1*(B-smoothing), and a
+width-w Jones-Wenzl projector is the 2w-leg box whose states are its
+terms, numerators over the projector's common denominator.  Taking the
+boxes in a greedy order, the sweep carries an {exponent: int} weight
+for every way the processed part can connect the dangling arc ends,
+keyed by sorted (min, max) arc pairs, so its cost is governed by the
+frontier width.  The update is local to the box: each leg leads on to
+another leg (an arc with both ends there, or two open arcs the state
+joins) or ends at an open arc, and walking the leg pairs of each local
+state gives the new pairs and the number of closed loops.
 
+``bracket_tangle_sweep`` sweeps the crossings of a plain diagram.
 ``colored_bracket`` evaluates a link whose components carry natural
-number colors: color n means n parallel blackboard push-offs with the
-n-strand projector inserted.  The projector is expanded into plain
-diagrams, each spliced and swept, and the results are combined over the
-projector denominators.
+number colors: color n means n parallel blackboard push-offs through the
+n-strand projector.  The link is cabled once, each projector becomes one
+box, and one sweep per coloring gives the numerator over the product of
+the projector denominators; a projector on a crossing-free component
+contributes its closure instead.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import comb
 
-from .algebra import CycloNum, EvalPoint, LaurentPoly, RatFunc, evaluate_at, loop_weight
-from .diagrams import (
-    NE,
-    NW,
-    OVER_SLASH,
-    SE,
-    SW,
-    ColoredLink,
-    FramedLink,
-    PlanarDiagram,
-    cable,
-    canonical_form,
-    splice,
-)
+from .algebra import EvalPoint, LaurentPoly, RatFunc, evaluate_at, loop_weight
+from .diagrams import NE, NW, OVER_SLASH, SE, SW, ColoredLink, PlanarDiagram, cable, canonical_form
 from .errors import (
     ArityError,
     ColorRangeError,
@@ -51,7 +43,7 @@ from .errors import (
     SkeinError,
     SliceWidthError,
 )
-from .tl import jones_wenzl
+from .tl import closure_count, jones_wenzl
 
 # A-smoothing and B-smoothing corner pairings for each over flag.  With
 # the "/" strand on top the A-smoothing joins the corners vertically
@@ -61,16 +53,16 @@ _SMOOTHINGS = {
     1 - OVER_SLASH: (((NW, NE), (SW, SE)), ((NW, SW), (NE, SE))),
 }
 
-# A^shift * (-A^2 - A^-2)^loops as (exponent, int) terms; one smoothing of
-# four corners closes at most two loops
-_FACTORS = {
-    (s, k): [(e, int(c)) for e, c in (LaurentPoly.monomial(s) * loop_weight()**k).items()]
-    for s in (1, -1) for k in range(3)
-}
-
 STATE_SUM_MAX_CROSSINGS = 20
 SWEEP_MAX_WIDTH = 24
 JW_CAP = 8
+
+
+# the states of a crossing box with legs (nw, ne, sw, se)
+_CROSSING_STATES = {
+    over: [(s, ((shift, 1),)) for shift, s in zip((1, -1), pairs)]
+    for over, pairs in _SMOOTHINGS.items()
+}
 
 
 def bracket_state_sum(diag: PlanarDiagram,
@@ -123,10 +115,10 @@ def bracket_state_sum(diag: PlanarDiagram,
 
 
 def _sweep_order(arcs, max_width: int):
-    """Greedy crossing order keeping the number of open arcs small.
+    """Greedy box order keeping the number of open arcs small.
 
-    ``arcs`` lists the four arc ids of each crossing; ties go to the
-    lowest crossing index.
+    ``arcs`` lists the leg arc ids of each box; ties go to the lowest
+    box index.
     """
     ends = [{a for a in c if c.count(a) == 1} for c in arcs]
     remaining = list(range(len(arcs)))
@@ -146,41 +138,34 @@ def _sweep_order(arcs, max_width: int):
     return order
 
 
-def bracket_tangle_sweep(diag: PlanarDiagram, max_width: int = SWEEP_MAX_WIDTH) -> LaurentPoly:
-    """Bracket by a frontier sweep over the crossings.
+def _sweep(legs, states, max_width: int) -> dict:
+    """Bracket numerator of a box diagram as {exponent: coefficient}.
 
-    Equality with ``bracket_state_sum`` for every processing order is
-    what the property suite pins down.
+    ``legs[b]`` lists the arc ids at the legs of box b, every arc
+    occurring twice in all, and ``states[b]`` its local states as (leg
+    pairs, weight as (exponent, int) terms).  Equality with
+    ``bracket_state_sum`` for every processing order is what the property
+    suite pins down.
     """
-    n = len(diag.crossings)
-    delta = loop_weight()
-    if n == 0:
-        return delta**diag.free_loops
-    label: dict = {}
-    arcs = [[label.setdefault(c[k], len(label)) for k in (NW, NE, SW, SE)]
-            for c in diag.crossings]
-    order = _sweep_order(arcs, max_width)
-
-    states: dict = {(): {0: 1}}
+    factors: dict = {}  # (weight, loops) -> weight * delta^loops
     frontier: set = set()
-    for ci in order:
-        corners = arcs[ci]
-        # per corner: ~j when it leads on to corner j, an arc id when it ends
-        static = list(corners)
+    result: dict = {(): {0: 1}}
+    for bi in _sweep_order(legs, max_width):
+        box, box_states = legs[bi], states[bi]
+        # per leg: ~j when it leads on to leg j, an arc id when it ends
+        static = list(box)
         local: dict = {}
-        for k, a in enumerate(corners):
-            twin = [j for j in range(4) if j != k and corners[j] == a]
+        for k, a in enumerate(box):
+            twin = [j for j in range(len(box)) if j != k and box[j] == a]
             if twin:
                 static[k] = ~twin[0]
             elif a in frontier:
                 local[a] = k
-        frontier ^= {a for a in corners if corners.count(a) == 1}
-        # each smoothing as (A-exponent, corner -> the corner it joins)
-        moves = [(shift, {**dict(s), **{y: x for x, y in s}}) for shift, s
-                 in zip((1, -1), _SMOOTHINGS[diag.crossings[ci].over])]
-        walks: dict = {}  # states that meet the crossing alike share a walk
-        new_states: dict = {}
-        for key, weight in states.items():
+        frontier ^= {a for a in box if box.count(a) == 1}
+        moves = [({**dict(s), **{y: x for x, y in s}}, w) for s, w in box_states]
+        walks: dict = {}  # states that meet the box alike share a walk
+        new_result: dict = {}
+        for key, weight in result.items():
             link = static[:]
             carried = []
             for pair in key:
@@ -197,25 +182,41 @@ def bracket_tangle_sweep(diag: PlanarDiagram, max_width: int = SWEEP_MAX_WIDTH) 
             link = tuple(link)
             found = walks.get(link)
             if found is None:
-                found = walks[link] = [_walk(link, shift, p) for shift, p in moves]
+                found = walks[link] = []
+                for partner, w in moves:
+                    pairs, loops = _walk(link, partner)
+                    factor = factors.get((w, loops))
+                    if factor is None:
+                        factor = factors[w, loops] = _times_loops(w, loops)
+                    found.append((pairs, factor))
             for pairs, factor in found:
                 k = tuple(sorted(carried + pairs)) if pairs else tuple(carried)
-                acc = new_states.setdefault(k, {})
+                acc = new_result.setdefault(k, {})
                 for f, d in factor:
                     for e, c in weight.items():
                         acc[e + f] = acc.get(e + f, 0) + c * d
-        states = {k: w for k, w in new_states.items() if any(w.values())}
+        result = {k: w for k, w in new_result.items() if any(w.values())}
 
-    if states.keys() - {()}:
+    if result.keys() - {()}:
         raise SkeinError("open arcs survived the sweep")
-    return LaurentPoly(states.get((), {})) * delta**diag.free_loops
+    return result.get((), {})
 
 
-def _walk(link, shift, partner):
-    """Join the corners by one smoothing: (new arc pairs, A^shift * delta^loops)."""
+def _times_loops(weight: tuple, loops: int) -> list:
+    """weight * (-A^2 - A^-2)^loops as (exponent, coefficient) terms."""
+    out: dict = {}
+    for j in range(loops + 1):
+        binom, shift = (-1) ** loops * comb(loops, j), 2 * loops - 4 * j
+        for e, c in weight:
+            out[e + shift] = out.get(e + shift, 0) + binom * c
+    return list(out.items())
+
+
+def _walk(link, partner):
+    """Join the legs by one local state: (new arc pairs, closed loops)."""
     seen: set = set()
     pairs, loops = [], 0
-    for start in sorted(range(4), key=lambda k: link[k] < 0):
+    for start in sorted(range(len(link)), key=lambda k: link[k] < 0):
         if start in seen:
             continue
         cur = start
@@ -231,9 +232,42 @@ def _walk(link, shift, partner):
             pairs.append((a, b) if a < b else (b, a))
         else:
             loops += 1
-    return pairs, _FACTORS[shift, loops]
+    return pairs, loops
 
 
+def _box_legs(diag: PlanarDiagram, sites=()) -> list:
+    """Int arc ids at the legs of each box: the (nw, ne, sw, se) corners
+    of every crossing, then one box per arc site.
+
+    Each cut arc ``site.arcs[q]`` splits into an in-half, from
+    ``site.in_slots[q]`` to leg q of the site's box, and an out-half, from
+    ``site.out_slots[q]`` to leg 2w-1-q: the point order of a TL diagram.
+    """
+    label: dict = {}
+    legs = [[label.setdefault(c[k], len(label)) for k in (NW, NE, SW, SE)]
+            for c in diag.crossings]
+    fresh = len(label)
+    for site in sites:
+        if site.kind != "arc":
+            continue
+        w = site.width
+        box = [0] * (2 * w)
+        for q in range(w):
+            for (ci, corner), k in ((site.in_slots[q], q), (site.out_slots[q], 2 * w - 1 - q)):
+                legs[ci][corner] = box[k] = fresh
+                fresh += 1
+        legs.append(box)
+    return legs
+
+
+def bracket_tangle_sweep(diag: PlanarDiagram, max_width: int = SWEEP_MAX_WIDTH) -> LaurentPoly:
+    """Bracket by a frontier sweep over the crossing boxes."""
+    states = [_CROSSING_STATES[c.over] for c in diag.crossings]
+    num = _sweep(_box_legs(diag), states, max_width)
+    return LaurentPoly(num) * loop_weight()**diag.free_loops
+
+
+# plain brackets and colored-bracket numerators, keyed by diagram structure
 _sweep_memo: dict = {}
 
 
@@ -246,15 +280,26 @@ def bracket(diag: PlanarDiagram, max_width: int = SWEEP_MAX_WIDTH) -> LaurentPol
     return hit
 
 
-def _site_tokens(tl_diagram):
-    """TL chart points -> splice tokens ("in", q) / ("out", q)."""
-    n = tl_diagram.n
-    out = []
-    for a, b in tl_diagram.pairs:
-        ta = ("in", a) if a < n else ("out", 2 * n - 1 - a)
-        tb = ("in", b) if b < n else ("out", 2 * n - 1 - b)
-        out.append((ta, tb))
-    return out
+def _colored_numerator(cabled: PlanarDiagram, max_width: int) -> LaurentPoly:
+    """Numerator of the colored bracket over the product of the
+    projector denominators, by one sweep of the box diagram."""
+    delta = loop_weight()
+    states = [_CROSSING_STATES[c.over] for c in cabled.crossings]
+    num = LaurentPoly.one()
+    free = cabled.free_loops
+    for site in cabled.sites:
+        terms = jones_wenzl(site.width).terms.items()
+        if site.kind == "arc":
+            states.append([(t.pairs, tuple((e, x.numerator if x.denominator == 1 else x)
+                                           for e, x in c.items())) for t, c in terms])
+        else:
+            free -= site.width
+            closure = LaurentPoly.zero()
+            for t, c in terms:
+                closure = closure + c * delta**closure_count(t)
+            num = num * closure
+    swept = LaurentPoly(_sweep(_box_legs(cabled, cabled.sites), states, max_width))
+    return swept * num * delta**free
 
 
 def colored_bracket(link, colors=None, point: EvalPoint | None = None,
@@ -282,29 +327,19 @@ def colored_bracket(link, colors=None, point: EvalPoint | None = None,
             f"color {max(colors)} exceeds the projector cap {jw_cap}"
         )
     cabled = cable(link, list(colors))
-    sites = cabled.sites
-    projectors = [jones_wenzl(s.width) for s in sites]
-
     den = LaurentPoly.one()
-    for p in projectors:
-        den = den * p.den
-
-    total_num = LaurentPoly.zero()
-    term_lists = [list(p.terms.items()) for p in projectors]
-    for combo in product(*term_lists):
-        num = LaurentPoly.one()
-        for _, coeff in combo:
-            num = num * coeff
-        assignments = [
-            (site, _site_tokens(tl_diag))
-            for site, (tl_diag, _) in zip(sites, combo)
-        ]
-        plain = splice(cabled, assignments)
-        total_num = total_num + num * bracket(plain, max_width)
+    for site in cabled.sites:
+        den = den * jones_wenzl(site.width).den
+    key = (canonical_form(cabled),
+           tuple((s.kind, s.width, s.in_slots, s.out_slots) for s in cabled.sites),
+           max_width)
+    num = _sweep_memo.get(key)
+    if num is None:
+        num = _sweep_memo[key] = _colored_numerator(cabled, max_width)
 
     if point is None:
-        return RatFunc(total_num, den)
-    num_val = evaluate_at(total_num, point)
+        return RatFunc(num, den)
+    num_val = evaluate_at(num, point)
     den_val = evaluate_at(den, point)
     if den_val.is_zero():
         raise PoleError(f"projector denominator vanishes at d={point.d}")

@@ -8,8 +8,7 @@ presentation at one point; ``recoupling`` dumps closed-form tables;
 
 Output is deliberately boring: fixed column orders, canonical
 polynomial strings, no timestamps, so two runs with the same arguments
-are byte-identical and golden files stay golden.  Set SKEINLAB_THREADS
-to parallelize d-sweeps.
+are byte-identical and golden files stay golden.
 """
 
 from __future__ import annotations

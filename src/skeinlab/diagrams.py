@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import ArcCountError, NotPlanarError
+from .errors import ArcCountError, NotPlanarError, SkeinError
 
 # corner indices
 NW, NE, SW, SE = 0, 1, 2, 3
@@ -270,10 +270,6 @@ class FramedLink:
         return total
 
 
-def self_writhe(link: FramedLink, comp: int) -> int:
-    return link.self_writhe(comp)
-
-
 def linking_and_signature(link: FramedLink):
     """The linking matrix (blackboard framing on the diagonal) and its
     signature, both exact.
@@ -293,7 +289,8 @@ def linking_and_signature(link: FramedLink):
     for i in range(n):
         for j in range(n):
             if i != j:
-                assert mat[i][j] % 2 == 0, "closed curves cross an even number of times"
+                if mat[i][j] % 2:
+                    raise SkeinError("closed curves must cross an even number of times")
                 mat[i][j] //= 2
     return tuple(tuple(row) for row in mat), _signature(mat)
 
@@ -508,7 +505,8 @@ def attach_meridian(link: FramedLink, component: int, color: int,
         marker = s1
     new_link = FramedLink(new_diag)
     mer_comp = new_link.component_of(mt)
-    assert new_link.component_of(marker) != mer_comp
+    if new_link.component_of(marker) == mer_comp:
+        raise SkeinError("the meridian merged with the component it encircles")
     surgery = tuple(i for i in range(new_link.n_components) if i != mer_comp)
     return SurgeryPresentation(new_link, surgery, {mer_comp: color}, name=name)
 
@@ -582,8 +580,8 @@ def cable(link: FramedLink, widths) -> PlanarDiagram:
 
     ``widths[k]`` is the number of copies of component k; width 0
     deletes the component.  The result carries one marked Site per
-    surviving component, the transversal cut where a projector may be
-    spliced in.  Validity (in particular planarity) is preserved.
+    surviving component, the transversal cut where its projector sits.
+    Validity (in particular planarity) is preserved.
     """
     if len(widths) != link.n_components:
         raise ValueError(f"{len(widths)} widths for {link.n_components} components")
@@ -687,7 +685,9 @@ def _map_widths(old: FramedLink, new: FramedLink, widths, dead) -> list:
         if old_i in dead:
             continue
         if comp:
-            root_arcs = [a for a in new._comp_of_arc if _same_strand(old, a, comp)]
+            # deletion merges arcs within one component and keeps one of its
+            # original labels as the union-find root
+            root_arcs = [a for a in new._comp_of_arc if a in comp]
             if root_arcs:
                 out[new.component_of(root_arcs[0])] = widths[old_i]
             else:
@@ -695,20 +695,11 @@ def _map_widths(old: FramedLink, new: FramedLink, widths, dead) -> list:
         else:
             used_loops.append(widths[old_i])
     loop_slots = [i for i in range(new.n_components) if out[i] is None]
-    assert len(loop_slots) == len(used_loops)
+    if len(loop_slots) != len(used_loops):
+        raise SkeinError("component widths do not survive the deletion")
     for i, w in zip(loop_slots, used_loops):
         out[i] = w
     return out
-
-
-def _same_strand(old: FramedLink, merged_arc, comp) -> bool:
-    """Did ``merged_arc`` arise from an arc of ``comp``?
-
-    Deletion merges arcs only within one component, and keeps one of the
-    original labels as the union-find root, so membership of the label
-    decides.
-    """
-    return merged_arc in comp
 
 
 # -- splicing a matching into a site ------------------------------------------
@@ -721,6 +712,8 @@ def splice(diag: PlanarDiagram, assignments) -> PlanarDiagram:
     perfect matching on the tokens ("in", q) / ("out", q), q < width.
     Matching ("in", q) with ("out", q) for all q restores the uncut
     diagram.  Circles formed entirely at the cuts become free loops.
+    ``colored_bracket`` sweeps the projectors as boxes instead; splicing
+    every projector term is the slow reference it is tested against.
     """
     adj: dict = {}
     terminal: dict = {}

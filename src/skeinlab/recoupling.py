@@ -26,7 +26,7 @@ from .algebra import (
     evaluate_at,
     quantum_integer,
 )
-from .errors import ColorRangeError
+from .errors import ColorRangeError, SkeinError
 
 
 def hopf_eval(i: int, a: int) -> LaurentPoly:
@@ -95,8 +95,8 @@ def omega_data(d: int, precision: int = 30) -> OmegaData:
     eta_sq = total.inverse()
     with mpmath.workdps(max(precision, 30) + 10):
         approx = cyclo_to_complex(eta_sq, max(precision, 30) + 10)
-        assert abs(approx.imag) < mpmath.mpf(10) ** (-precision)
-        assert approx.real > 0
+        if abs(approx.imag) >= mpmath.mpf(10) ** (-precision) or approx.real <= 0:
+            raise SkeinError(f"eta^2 at d={d} is not a positive real number")
         eta = mpmath.sqrt(approx.real)
     return OmegaData(d=d, weights=weights, eta=eta, eta_sq=eta_sq)
 

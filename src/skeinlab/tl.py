@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import LaurentPoly, RatFunc, loop_weight, poly_gcd, quantum_integer
-from .errors import ArityError
+from .errors import ArityError, SkeinError
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,8 @@ class TLElement:
 
 def _div_unit(c: LaurentPoly, unit: LaurentPoly) -> LaurentPoly:
     q, r = divmod(c, unit)
-    assert r.is_zero()
+    if not r.is_zero():
+        raise SkeinError(f"{c} is not divisible by the unit {unit}")
     return q
 
 

@@ -16,8 +16,6 @@ of the dimension argument, and the 2x2 independence certificate.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -34,42 +32,27 @@ from .algebra import (
     evaluate_at,
     principal_log_mobius,
 )
-from .bracket import colored_bracket
+from .bracket import JW_CAP, SWEEP_MAX_WIDTH, _box_legs, _sweep_order, colored_bracket
 from .diagrams import (
     SurgeryPresentation,
     _signature,
     attach_meridian,
     borromean_fixture,
+    cable,
     linking_and_signature,
     unknot_fixture,
 )
 from .errors import (
     ColorRangeError,
+    DiagramTooLargeError,
     FramingError,
     NonzeroSignatureError,
     OddEtaPowerError,
     PoleError,
     SameParameterError,
+    SkeinError,
 )
 from .recoupling import meridian_series, omega_data
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("SKEINLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Order-preserving map over ``items``, threaded if SKEINLAB_THREADS > 1."""
-    items = list(items)
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # -- the invariant -----------------------------------------------------------
@@ -84,7 +67,9 @@ def wrt_invariant(pres: SurgeryPresentation, p: EvalPoint, mode: str = "auto",
     a 30-digit mpmath complex.  Presentations must have zero-signature
     surgery linking and zero self-writhe on every surgery component
     (apply twist corrections first if not), and the residual colors must
-    fit the level.
+    fit the level.  The widest coloring (every surgery component at
+    d-1) is checked against the projector and frontier caps before the
+    d^n colorings are summed, so a run that cannot finish fails at once.
     """
     if mode not in ("auto", "exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -117,10 +102,21 @@ def wrt_invariant(pres: SurgeryPresentation, p: EvalPoint, mode: str = "auto",
         )
     use_exact = even_power and mode != "float"
 
-    loop_values = [evaluate_at(delta_color(c), p) for c in range(p.d)]
     colors = [0] * link.n_components
     for j, c in pres.extra_colors.items():
         colors[j] = c
+    # preflight: the widest coloring must fit the projector and width caps
+    widest = list(colors)
+    for j in surgery:
+        widest[j] = p.d - 1
+    if max(widest, default=0) > JW_CAP:
+        raise DiagramTooLargeError(
+            f"color {max(widest)} at d={p.d} exceeds the projector cap {JW_CAP}"
+        )
+    cabled = cable(link, widest)
+    _sweep_order(_box_legs(cabled, cabled.sites), SWEEP_MAX_WIDTH)
+
+    loop_values = [evaluate_at(delta_color(c), p) for c in range(p.d)]
     total = CycloNum.zero(p.d)
     for combo in product(range(p.d), repeat=n):
         weight = CycloNum.one(p.d)
@@ -197,11 +193,13 @@ def independence_certificate(d1: int, d2: int) -> tuple[int, bool]:
         pt = EvalPoint(d, 1)
         empty = meridian_series(0, pt).as_rational()
         k2 = meridian_series(2, pt).as_rational()
-        assert empty is not None and k2 is not None, "series values must be rational"
+        if empty is None or k2 is None:
+            raise SkeinError(f"series values at d={d} are not rational")
         rows.append((empty, k2))
     det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     det = Fraction(det)
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise SkeinError(f"certificate determinant {det} is not an integer")
     return int(det), det != 0
 
 
@@ -269,19 +267,13 @@ def gamma_tabulate(quantity: str, window: tuple[int, int]) -> GammaFunction:
     if lo < 1 or hi < lo:
         raise ValueError(f"bad window {window}")
 
-    def one(d):
-        try:
-            return d, _gamma_value(quantity, d)
-        except PoleError:
-            return d, None
-
     values = {}
     exceptions = set()
-    for d, pair in parallel_map(one, range(lo, hi + 1)):
-        if pair is None:
+    for d in range(lo, hi + 1):
+        try:
+            values[d] = _gamma_value(quantity, d)
+        except PoleError:
             exceptions.add(d)
-        else:
-            values[d] = pair
     return GammaFunction(quantity, (lo, hi), values, frozenset(exceptions))
 
 

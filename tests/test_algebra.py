@@ -15,7 +15,6 @@ from skeinlab.algebra import (
     evaluate_at,
     poly_gcd,
     quantum_integer,
-    ratfunc_canonical,
 )
 from skeinlab.errors import PoleError, ZeroDenominatorError
 
@@ -98,10 +97,10 @@ def test_ring_axioms(f, g, h):
 
 
 def test_ratfunc_canonical_examples():
-    assert ratfunc_canonical(qi(2) * qi(3), qi(3)) == RatFunc(qi(2))
-    r = ratfunc_canonical(one, LaurentPoly.monomial(2))
+    assert RatFunc(qi(2) * qi(3), qi(3)) == RatFunc(qi(2))
+    r = RatFunc(one, LaurentPoly.monomial(2))
     assert r.num == LaurentPoly.monomial(-2) and r.den == one
-    r = ratfunc_canonical(qi(4), qi(2))
+    r = RatFunc(qi(4), qi(2))
     assert r.num == LaurentPoly.monomial(4) + LaurentPoly.monomial(-4)
     assert r.den == one
 
@@ -126,8 +125,8 @@ def test_canonical_idempotence():
         den = _random_poly(rng)
         if den.is_zero():
             continue
-        once = ratfunc_canonical(num, den)
-        twice = ratfunc_canonical(once.num, once.den)
+        once = RatFunc(num, den)
+        twice = RatFunc(once.num, once.den)
         assert once == twice
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from skeinlab.algebra import EvalPoint, LaurentPoly, RatFunc, delta_color, loop_weight, quantum_integer
 from skeinlab.bracket import (
-    _site_tokens,
     bracket,
     bracket_state_sum,
     bracket_tangle_sweep,
@@ -30,7 +29,7 @@ from skeinlab.errors import (
     SliceWidthError,
 )
 from skeinlab.recoupling import hopf_eval, twist_coefficient
-from skeinlab.tl import TLDiagram, TLElement, compose, identity, hook, jones_wenzl
+from skeinlab.tl import TLDiagram, TLElement, _div_unit, compose, identity, hook, jones_wenzl
 from skeinlab.verify import random_braid_closure
 from skeinlab.wrt import _torus_presentation
 
@@ -65,6 +64,36 @@ def test_sweep_matches_state_sum_on_random_diagrams(rng):
         link = random_braid_closure(rng)
         diag = link.diagram
         assert bracket_tangle_sweep(diag) == bracket_state_sum(diag)
+
+
+def _site_tokens(tl_diagram):
+    """TL chart points -> splice tokens ("in", q) / ("out", q)."""
+    n = tl_diagram.n
+    out = []
+    for a, b in tl_diagram.pairs:
+        ta = ("in", a) if a < n else ("out", 2 * n - 1 - a)
+        tb = ("in", b) if b < n else ("out", 2 * n - 1 - b)
+        out.append((ta, tb))
+    return out
+
+
+def _colored_bracket_by_splicing(link, colors):
+    """Slow reference for ``colored_bracket``: expand every projector,
+    splice each combination of terms into a plain diagram, sweep it, and
+    sum over the product of the projector denominators."""
+    cabled = cable(link, list(colors))
+    projectors = [jones_wenzl(s.width) for s in cabled.sites]
+    den = LaurentPoly.one()
+    for p in projectors:
+        den = den * p.den
+    total = LaurentPoly.zero()
+    for combo in product(*(p.terms.items() for p in projectors)):
+        num = LaurentPoly.one()
+        for _, coeff in combo:
+            num = num * coeff
+        assignments = [(s, _site_tokens(t)) for s, (t, _) in zip(cabled.sites, combo)]
+        total = total + num * bracket(splice(cabled, assignments))
+    return RatFunc(total, den)
 
 
 def _torus_splices(max_crossings=12):
@@ -211,6 +240,28 @@ def test_colored_bracket_at_point(unknot):
     v = colored_bracket(unknot, (2,), point=EvalPoint(2, 1))
     assert v == colored_bracket(unknot, (2,), point=EvalPoint(2, 1))
     assert not v.is_zero()
+
+
+def test_colored_bracket_matches_splicing_reference(hopf):
+    # the torus presentations for a = 0, 1, 2 share one link, so its 81
+    # colorings in {0, 1, 2}^4 cover all three
+    cases = [(_torus_presentation(0).link, c) for c in product(range(3), repeat=4)]
+    cases += [(hopf, c) for c in product(range(4), repeat=2)]
+    cases += [(unknot_fixture(k), (n,)) for k in range(-2, 3) for n in range(4)]
+    for link, colors in cases:
+        assert colored_bracket(link, colors) == \
+            _colored_bracket_by_splicing(link, colors), colors
+
+
+def test_colored_bracket_width_cap(borromean):
+    with pytest.raises(SliceWidthError):
+        colored_bracket(borromean, (2, 2, 2), max_width=2)
+
+
+def test_div_unit_rejects_remainder():
+    # 1 + A does not divide 1
+    with pytest.raises(SkeinError):
+        _div_unit(LaurentPoly.one(), LaurentPoly.one() + LaurentPoly.monomial(1))
 
 
 def test_colored_error_paths(hopf, unknot):

@@ -1,6 +1,6 @@
 import pytest
+from test_bracket import _site_tokens
 
-from skeinlab.bracket import _site_tokens
 from skeinlab.diagrams import (
     OVER_BACK,
     OVER_SLASH,
@@ -16,7 +16,6 @@ from skeinlab.diagrams import (
     link_from_json,
     link_to_json,
     linking_and_signature,
-    self_writhe,
     unknot_fixture,
     validate,
 )
@@ -51,9 +50,9 @@ def test_planarity_rejects_genus_one():
 def test_kink_signs():
     pos = unknot_fixture(1)
     neg = unknot_fixture(-1)
-    assert self_writhe(pos, 0) == 1
-    assert self_writhe(neg, 0) == -1
-    assert self_writhe(unknot_fixture(3), 0) == 3
+    assert pos.self_writhe(0) == 1
+    assert neg.self_writhe(0) == -1
+    assert unknot_fixture(3).self_writhe(0) == 3
 
 
 def test_borromean_linking_matrix(borromean):

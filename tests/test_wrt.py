@@ -15,10 +15,12 @@ from skeinlab.diagrams import (
 from skeinlab.errors import (
     BranchCutError,
     ColorRangeError,
+    DiagramTooLargeError,
     FramingError,
     NonzeroSignatureError,
     OddEtaPowerError,
     SameParameterError,
+    SliceWidthError,
 )
 from skeinlab.recoupling import meridian_series, omega_data
 from skeinlab.wrt import (
@@ -87,6 +89,26 @@ def test_torus_report_rows():
     assert report.all_pass()
     assert [r["sign"] for r in report.rows] == [1, -1]
     assert all(r["mode"] == "exact" and r["difference"] == 0 for r in report.rows)
+
+
+@pytest.fixture
+def no_colored_bracket(monkeypatch):
+    """Fail on any colored bracket, so only a preflight can raise."""
+    def fail(*args, **kwargs):
+        raise AssertionError("colored_bracket called before the preflight failed")
+    monkeypatch.setattr("skeinlab.wrt.colored_bracket", fail)
+
+
+def test_preflight_width(no_colored_bracket):
+    # every surgery component at color 4 with a 2-colored meridian peaks
+    # at 28 open arcs, above the cap of 24
+    with pytest.raises(SliceWidthError):
+        torus_invariant(2, EvalPoint(5, 1), mode="exact")
+
+
+def test_preflight_projector_cap(no_colored_bracket):
+    with pytest.raises(DiagramTooLargeError):
+        wrt_invariant(s1xs2(), EvalPoint(10, 1), mode="float")
 
 
 def test_signature_rejection():
