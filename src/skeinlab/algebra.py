@@ -22,14 +22,13 @@ and the loop weight of color n is ``delta_color(n) = (-1)^n [n+1]``.
 
 from __future__ import annotations
 
-import cmath
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
-from .errors import BranchCutError, PoleError, SkeinError, ZeroDenominatorError
+from .errors import PoleError, SkeinError, ZeroDenominatorError
 
 Rat = Fraction
 
@@ -826,17 +825,3 @@ def cyclo_to_complex(x: CycloNum, precision: int = 30) -> mpmath.mpc:
                     mpmath.mpf(j) / n
                 )
         return acc
-
-
-def principal_log_mobius(z):
-    """(pi*i - 3 log z) / (pi*i - log z) with the principal logarithm.
-
-    Defined on the plane slit along the closed negative real axis; points
-    on the slit raise BranchCutError.
-    """
-    z = complex(z)
-    if z.imag == 0 and z.real <= 0:
-        raise BranchCutError(f"z = {z} lies on the closed negative real axis")
-    log_z = cmath.log(z)
-    ipi = complex(0, cmath.pi)
-    return (ipi - 3 * log_z) / (ipi - log_z)

@@ -3,8 +3,10 @@
 The bracket of a diagram is the state sum over the two smoothings of
 each crossing, with a crossing contributing A or A^-1 and every closed
 circle a factor of -A^2 - A^-2; the empty diagram evaluates to 1.
-``bracket_state_sum`` enumerates all 2^n states and is the reference,
-capped at 20 crossings.
+``bracket_state_sum`` is the reference, capped at 20 crossings: it
+enumerates all 2^n states, counts each one's loops with a fresh
+union-find over the arcs, histograms the states by (A-exponent, loops)
+and builds the polynomial once.
 
 The fast evaluator sweeps over boxes.  A box has legs (arc ids) and
 local states, each a perfect matching of the legs with a weight: a
@@ -67,50 +69,44 @@ _CROSSING_STATES = {
 
 def bracket_state_sum(diag: PlanarDiagram,
                       max_crossings: int = STATE_SUM_MAX_CROSSINGS) -> LaurentPoly:
-    """Reference bracket by brute-force state enumeration."""
+    """Reference bracket by brute-force state enumeration.
+
+    Every state starts a fresh union-find over the arcs and applies the
+    two arc joins of each crossing's smoothing; every arc has two ends,
+    so the loops are the arcs minus the successful unions.  The states
+    are counted by (A-exponent, loops) and the polynomial is built once.
+    """
     n = len(diag.crossings)
     if n > max_crossings:
         raise DiagramTooLargeError(
             f"{n} crossings exceeds the state-sum cap of {max_crossings}"
         )
-    delta = loop_weight()
-    dpow = [LaurentPoly.one()]
-    for _ in range(2 * n + diag.free_loops + 1):
-        dpow.append(dpow[-1] * delta)
-    if n == 0:
-        return dpow[diag.free_loops]
+    label: dict = {}
+    joins = []  # joins[ci][s]: the two (arc, arc) joins of smoothing s
+    for c in diag.crossings:
+        arc = [label.setdefault(c[k], len(label)) for k in (NW, NE, SW, SE)]
+        joins.append([[(arc[x], arc[y]) for x, y in pairs] for pairs in _SMOOTHINGS[c.over]])
 
-    # arc mate edges on slot ids (4*ci + corner)
-    ends: dict = {}
-    for ci, c in enumerate(diag.crossings):
-        for corner in (NW, NE, SW, SE):
-            ends.setdefault(c[corner], []).append(4 * ci + corner)
-    mates = [tuple(v) for v in ends.values()]
-    smooth = [_SMOOTHINGS[c.over] for c in diag.crossings]
-
-    total = LaurentPoly.zero()
+    counts: dict = {}
     for state in product((0, 1), repeat=n):
-        parent = list(range(4 * n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for a, b in mates:
-            union(a, b)
+        parent = list(range(len(label)))
+        loops = len(label)
         for ci, s in enumerate(state):
-            for x, y in smooth[ci][s]:
-                union(4 * ci + x, 4 * ci + y)
-        loops = len({find(x) for x in range(4 * n)})
-        exponent = sum(1 if s == 0 else -1 for s in state)
-        total = total + LaurentPoly.monomial(exponent) * dpow[loops + diag.free_loops]
+            for x, y in joins[ci][s]:
+                while parent[x] != x:
+                    x = parent[x]
+                while parent[y] != y:
+                    y = parent[y]
+                if x != y:
+                    parent[x] = y
+                    loops -= 1
+        key = (n - 2 * sum(state), loops)
+        counts[key] = counts.get(key, 0) + 1
+
+    delta = loop_weight()
+    total = LaurentPoly.zero()
+    for (exponent, loops), count in counts.items():
+        total = total + LaurentPoly.monomial(exponent, count) * delta**(loops + diag.free_loops)
     return total
 
 

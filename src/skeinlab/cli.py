@@ -20,13 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import CycloNum, EvalPoint, cyclo_to_complex
-from .bracket import (
-    JW_CAP,
-    STATE_SUM_MAX_CROSSINGS,
-    SWEEP_MAX_WIDTH,
-    bracket,
-    colored_bracket,
-)
+from .bracket import bracket, colored_bracket
 from .diagrams import (
     SurgeryPresentation,
     attach_meridian,
@@ -53,19 +47,13 @@ _FIXTURES = {
 class Config:
     """Settings shared by the subcommands."""
 
-    d_window: tuple | None = None
     precision_digits: int = 30
     mode: str = "auto"
-    crossing_cap: int = STATE_SUM_MAX_CROSSINGS
-    width_cap: int = SWEEP_MAX_WIDTH
-    jw_cap: int = JW_CAP
     output_format: str = "csv"
 
     def __post_init__(self):
         if self.precision_digits < 15:
             raise ValueError("precision must be >= 15 digits")
-        if min(self.crossing_cap, self.width_cap, self.jw_cap) <= 0:
-            raise ValueError("caps must be positive")
         if self.mode not in ("auto", "exact", "float"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.output_format not in ("csv", "md", "json"):
@@ -98,7 +86,7 @@ def _load_link(args) -> tuple:
         return _FIXTURES[args.fixture](), None
     if not args.path:
         raise ValueError("either a JSON path or --fixture is required")
-    with open(args.path, encoding="utf-8") as fh:
+    with open(args.path, "rb") as fh:
         return link_from_json(fh.read())
 
 
@@ -115,7 +103,7 @@ def _point(args) -> EvalPoint:
 
 def cmd_bracket(args) -> int:
     link, _ = _load_link(args)
-    print(bracket(link.diagram, max_width=args.config.width_cap))
+    print(bracket(link.diagram))
     return 0
 
 
@@ -125,11 +113,7 @@ def cmd_colored_bracket(args) -> int:
     if colors is None:
         raise ValueError("no colors: pass --colors or store them in the file")
     point = _point(args) if args.d else None
-    value = colored_bracket(
-        link, colors, point=point,
-        jw_cap=args.config.jw_cap, max_width=args.config.width_cap,
-    )
-    print(value)
+    print(colored_bracket(link, colors, point=point))
     return 0
 
 
@@ -321,7 +305,6 @@ def main(argv=None) -> int:
         return 2
     try:
         args.config = Config(
-            d_window=getattr(args, "window", None),
             precision_digits=args.precision,
             mode=args.mode,
             output_format=args.format,

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import ArcCountError, NotPlanarError, SkeinError
+from .errors import ArcCountError, NotPlanarError, SchemaError, SkeinError
 
 # corner indices
 NW, NE, SW, SE = 0, 1, 2, 3
@@ -114,23 +114,6 @@ def _arc_slots(diag: PlanarDiagram) -> dict:
         for corner in (NW, NE, SW, SE):
             slots.setdefault(c[corner], []).append((ci, corner))
     return slots
-
-
-def validate(diag: PlanarDiagram):
-    """Check the structural invariants and return the components.
-
-    Raises ArcCountError when an arc label does not occur exactly twice
-    and NotPlanarError when the rotation system has positive genus.
-    Components are returned as tuples of arc labels in traversal order;
-    free loops follow as empty tuples.
-    """
-    slots = _arc_slots(diag)
-    for arc, occ in slots.items():
-        if len(occ) != 2:
-            raise ArcCountError(f"arc {arc!r} occurs {len(occ)} time(s), expected 2")
-    comps = _trace_components(diag, slots)[0]
-    _check_planar(diag, slots)
-    return tuple(comps) + ((),) * diag.free_loops
 
 
 def _trace_components(diag: PlanarDiagram, slots: dict):
@@ -815,16 +798,44 @@ def link_to_json(link: FramedLink, colors=None) -> str:
     return json.dumps(payload, indent=2)
 
 
-def link_from_json(text: str):
-    """Inverse of link_to_json; returns (FramedLink, colors or None)."""
-    data = json.loads(text)
-    crossings = tuple(
-        Crossing(c[0], c[1], c[2], c[3], c[4]) for c in data["crossings"]
-    )
-    link = FramedLink(PlanarDiagram(crossings, data.get("free_loops", 0)))
-    colors = None
-    if "colors" in data:
-        colors = tuple(
-            data["colors"].get(str(i), 0) for i in range(link.n_components)
-        )
-    return link, colors
+def _is_count(x) -> bool:
+    return type(x) is int and x >= 0
+
+
+def link_from_json(text):
+    """Inverse of link_to_json; returns (FramedLink, colors or None).
+
+    ``text`` is a str or UTF-8 bytes.  Raises SchemaError unless it holds
+    a JSON object whose ``crossings`` lists [nw, ne, sw, se, over] rows
+    with int or str labels and over 0 or 1, whose ``free_loops`` (default
+    0) is a non-negative int, and whose ``colors``, if present, maps
+    component-index strings to non-negative ints.
+    """
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad JSON or bad UTF-8, or nested too deep
+        raise SchemaError(f"not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise SchemaError("the top level must be an object")
+    rows = data.get("crossings")
+    if not isinstance(rows, list) or not all(
+        isinstance(c, list) and len(c) == 5
+        and all(type(a) in (int, str) for a in c[:4])
+        and type(c[4]) is int and c[4] in (OVER_SLASH, OVER_BACK)
+        for c in rows
+    ):
+        raise SchemaError("crossings must be a list of [nw, ne, sw, se, over] "
+                          "with int or str labels and over 0 or 1")
+    free = data.get("free_loops", 0)
+    if not _is_count(free):
+        raise SchemaError("free_loops must be a non-negative int")
+    link = FramedLink(PlanarDiagram(tuple(Crossing(*c) for c in rows), free))
+    if "colors" not in data:
+        return link, None
+    colors = data["colors"]
+    keys = [str(i) for i in range(link.n_components)]
+    if not isinstance(colors, dict) or not all(
+        k in keys and _is_count(v) for k, v in colors.items()
+    ):
+        raise SchemaError("colors must map component indices to non-negative ints")
+    return link, tuple(colors.get(k, 0) for k in keys)

@@ -89,6 +89,12 @@ class SameParameterError(SkeinError):
     code = "E_SAME_D"
 
 
+class SchemaError(SkeinError):
+    """Link JSON that does not follow the link file schema."""
+
+    code = "E_SCHEMA"
+
+
 class BranchCutError(SkeinError):
     """Moebius evaluation on the closed negative real axis."""
 

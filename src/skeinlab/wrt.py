@@ -30,7 +30,6 @@ from .algebra import (
     cyclo_to_complex,
     delta_color,
     evaluate_at,
-    principal_log_mobius,
 )
 from .bracket import JW_CAP, SWEEP_MAX_WIDTH, _box_legs, _sweep_order, colored_bracket
 from .diagrams import (
@@ -43,6 +42,7 @@ from .diagrams import (
     unknot_fixture,
 )
 from .errors import (
+    BranchCutError,
     ColorRangeError,
     DiagramTooLargeError,
     FramingError,
@@ -174,7 +174,12 @@ def f_mobius(z) -> complex:
     unit circle z = e^(i*t) with |t| < pi it is the real number
     (pi - 3t)/(pi - t).
     """
-    return principal_log_mobius(z)
+    z = complex(z)
+    if z.imag == 0 and z.real <= 0:
+        raise BranchCutError(f"z = {z} lies on the closed negative real axis")
+    log_z = cmath.log(z)
+    ipi = complex(0, cmath.pi)
+    return (ipi - 3 * log_z) / (ipi - log_z)
 
 
 def independence_certificate(d1: int, d2: int) -> tuple[int, bool]:

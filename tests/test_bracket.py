@@ -4,12 +4,17 @@ import pytest
 
 from skeinlab.algebra import EvalPoint, LaurentPoly, RatFunc, delta_color, loop_weight, quantum_integer
 from skeinlab.bracket import (
+    _SMOOTHINGS,
     bracket,
     bracket_state_sum,
     bracket_tangle_sweep,
     colored_bracket,
 )
 from skeinlab.diagrams import (
+    NE,
+    NW,
+    SE,
+    SW,
     ColoredLink,
     FramedLink,
     PlanarDiagram,
@@ -59,11 +64,67 @@ def test_hopf_value(hopf):
     assert str(want) == "A^6 + A^2 + A^-2 + A^-6"
 
 
+def _state_sum_by_slots(diag):
+    """Slow reference for ``bracket_state_sum``: every state unions the
+    arc mates and the smoothing pairs over the 4n corner slots and adds
+    its monomial times delta^loops."""
+    n = len(diag.crossings)
+    ends: dict = {}
+    for ci, c in enumerate(diag.crossings):
+        for corner in (NW, NE, SW, SE):
+            ends.setdefault(c[corner], []).append(4 * ci + corner)
+    mates = [tuple(v) for v in ends.values()]
+    smooth = [_SMOOTHINGS[c.over] for c in diag.crossings]
+
+    total = LaurentPoly.zero()
+    for state in product((0, 1), repeat=n):
+        parent = list(range(4 * n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        def union(x, y):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[rx] = ry
+
+        for a, b in mates:
+            union(a, b)
+        for ci, s in enumerate(state):
+            for x, y in smooth[ci][s]:
+                union(4 * ci + x, 4 * ci + y)
+        loops = len({find(x) for x in range(4 * n)})
+        exponent = sum(1 if s == 0 else -1 for s in state)
+        total = total + LaurentPoly.monomial(exponent) * delta ** (loops + diag.free_loops)
+    return total
+
+
+# closed values: the trefoil, its mirror and the figure-eight knot, as
+# delta times the unnormalised bracket of the knot diagram
+@pytest.mark.parametrize(
+    "word, strands, want, over_delta",
+    [
+        ([1, 1, 1], 2, "A^7 + A^3 + A^-1 - A^-9", {5: -1, -3: -1, -7: 1}),
+        ([-1, -1, -1], 2, "-A^9 + A + A^-3 + A^-7", {-5: -1, 3: -1, 7: 1}),
+        ([1, -2, 1, -2], 3, "-A^10 - A^-10", {8: 1, 4: -1, 0: 1, -4: -1, -8: 1}),
+    ],
+)
+def test_state_sum_closed_values(word, strands, want, over_delta):
+    got = bracket_state_sum(braid_closure(word, strands))
+    assert str(got) == want
+    assert got == delta * LaurentPoly(over_delta)
+
+
 def test_sweep_matches_state_sum_on_random_diagrams(rng):
     for _ in range(150):
         link = random_braid_closure(rng)
         diag = link.diagram
-        assert bracket_tangle_sweep(diag) == bracket_state_sum(diag)
+        want = bracket_state_sum(diag)
+        assert bracket_tangle_sweep(diag) == want
+        assert _state_sum_by_slots(diag) == want
 
 
 def _site_tokens(tl_diagram):
@@ -120,13 +181,17 @@ def test_sweep_matches_state_sum_on_torus_splices():
     diagrams = _torus_splices()
     assert any(d.free_loops for d in diagrams)
     for diag in diagrams:
-        assert bracket_tangle_sweep(diag) == bracket_state_sum(diag)
+        want = bracket_state_sum(diag)
+        assert bracket_tangle_sweep(diag) == want
+        assert _state_sum_by_slots(diag) == want
 
 
 @pytest.mark.parametrize("kinks", range(-4, 5))
 def test_sweep_matches_state_sum_on_curls(kinks):
     diag = unknot_fixture(kinks).diagram
-    assert bracket_tangle_sweep(diag) == bracket_state_sum(diag)
+    want = bracket_state_sum(diag)
+    assert bracket_tangle_sweep(diag) == want
+    assert _state_sum_by_slots(diag) == want
 
 
 def test_state_sum_cap():

@@ -4,6 +4,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from skeinlab.cli import REPORT_HEADER, main
 from skeinlab.diagrams import hopf_fixture, link_to_json
 
@@ -76,6 +79,69 @@ def test_missing_file_exits_2(tmp_path):
     rc, _, err = run_cli("bracket", str(tmp_path / "nope.json"))
     assert rc == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("text", [
+    b"{}",
+    b'{"crossings": [[0, 1]]}',
+    b"[]",
+    b'{"crossings": [], "free_loops": -1}',
+    b'{"crossings": [], "x": "\xff"}',
+    b"[" * 100000,
+])
+def test_malformed_link_json_exits_2(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    rc, out, err = run_cli("bracket", str(path))
+    assert rc == 2 and out == ""
+    assert "E_SCHEMA" in err
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20,
+)
+_labels = st.integers(-1, 7) | st.sampled_from(["a", "b", "1"]) | st.booleans() | st.none()
+_junk_rows = st.lists(st.lists(_labels, min_size=3, max_size=6), max_size=6)
+
+
+@st.composite
+def _paired_rows(draw):
+    """Up to 6 crossings in which every arc label occurs twice."""
+    n = draw(st.integers(0, 6))
+    ends = draw(st.permutations([i // 2 for i in range(4 * n)]))
+    label = str if draw(st.booleans()) else int
+    return [[label(a) for a in ends[4 * i:4 * i + 4]] + [draw(st.sampled_from([0, 1]))]
+            for i in range(n)]
+
+
+_link_objects = st.fixed_dictionaries(
+    {"crossings": _junk_rows | _paired_rows()},
+    optional={
+        "free_loops": st.integers(-1, 2) | _json_values,
+        "colors": st.dictionaries(st.sampled_from(["0", "1", "2", "x"]), st.integers(-1, 2)) | _json_values,
+    },
+)
+
+
+def _bracket_exit_code(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "link.json"
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    rc, _, _ = run_cli("bracket", str(path))
+    return rc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(max_size=40) | _json_values.map(json.dumps))
+def test_bracket_fuzz_any_json_text(tmp_path_factory, text):
+    assert _bracket_exit_code(tmp_path_factory, text) in (0, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_link_objects.map(json.dumps))
+def test_bracket_fuzz_crossing_lists(tmp_path_factory, text):
+    assert _bracket_exit_code(tmp_path_factory, text) in (0, 2)
 
 
 def test_wrt_torus_value():

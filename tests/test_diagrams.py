@@ -17,7 +17,6 @@ from skeinlab.diagrams import (
     link_to_json,
     linking_and_signature,
     unknot_fixture,
-    validate,
 )
 from skeinlab.errors import ArcCountError, NotPlanarError
 from skeinlab.tl import identity
@@ -33,7 +32,7 @@ def test_fixture_shapes(borromean, hopf, unknot):
 def test_arc_count_validation():
     bad = PlanarDiagram((Crossing("a", "a", "b", "c", OVER_SLASH),), 0)
     with pytest.raises(ArcCountError):
-        validate(bad)
+        FramedLink(bad)
 
 
 def test_planarity_rejects_genus_one():
@@ -44,7 +43,7 @@ def test_planarity_rejects_genus_one():
         Crossing("d", "a", "b", "c", OVER_SLASH),
     ), 0)
     with pytest.raises(NotPlanarError):
-        validate(bad)
+        FramedLink(bad)
 
 
 def test_kink_signs():
@@ -150,7 +149,7 @@ def test_cable_sites_cover_components(borromean):
     cabled = cable(borromean, [2, 1, 3])
     widths = sorted(site.width for site in cabled.sites)
     assert widths == [1, 2, 3]
-    validate(cabled)
+    FramedLink(cabled)
 
 
 def test_splice_identity_restores_cable(hopf):
@@ -161,7 +160,7 @@ def test_splice_identity_restores_cable(hopf):
         (site, _site_tokens(identity(site.width))) for site in cabled.sites
     ]
     plain = splice(cabled, assignments)
-    validate(plain)
+    FramedLink(plain)
     assert isomorphic(plain, cable(hopf, [2, 2]))
 
 
