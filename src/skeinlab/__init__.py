@@ -2,10 +2,12 @@
 
 The package is layered: ``algebra`` (Laurent polynomials, rational
 functions, cyclotomic numbers), ``diagrams`` (planar diagrams, links,
-cabling, splicing), ``tl`` (Temperley-Lieb elements and projectors),
-``bracket`` (state sum, tangle sweep, colored brackets), ``recoupling``
-(closed-form colored-unknot data), ``wrt`` (surgery invariants and
-d-sweeps), with ``verify``/``cli`` on top.
+cabling; splicing is kept only as a test reference), ``tl``
+(Temperley-Lieb elements, projectors and the strand walk), ``bracket``
+(state sum, box sweep, colored brackets), ``recoupling`` (closed-form
+colored-unknot data), ``wrt`` (surgery invariants and d-sweeps), with
+``verify``/``cli`` on top.  The memoized ``bracket.bracket`` is not
+re-exported, so ``skeinlab.bracket`` is the submodule.
 """
 
 from .algebra import (
@@ -17,7 +19,7 @@ from .algebra import (
     evaluate_at,
     quantum_integer,
 )
-from .bracket import bracket, bracket_state_sum, bracket_tangle_sweep, colored_bracket
+from .bracket import bracket_state_sum, bracket_tangle_sweep, colored_bracket
 from .diagrams import (
     ColoredLink,
     FramedLink,
@@ -41,7 +43,6 @@ from .recoupling import (
 from .tl import TLDiagram, TLElement, jones_wenzl
 from .wrt import (
     GammaFunction,
-    InvariantReport,
     f_mobius,
     gamma_tabulate,
     independence_certificate,

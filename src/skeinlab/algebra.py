@@ -30,8 +30,6 @@ import mpmath
 
 from .errors import PoleError, SkeinError, ZeroDenominatorError
 
-Rat = Fraction
-
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -395,14 +393,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
-
-    def as_polynomial(self) -> LaurentPoly:
-        if not self.den.is_one():
-            raise ValueError(f"{self} is not a Laurent polynomial")
-        return self.num
-
     def __add__(self, other):
         other = _coerce_rat(other)
         if other is NotImplemented:
@@ -503,36 +493,16 @@ class EvalPoint:
 
 
 @functools.lru_cache(maxsize=None)
-def _cyclotomic_int_poly(n: int) -> tuple[int, ...]:
-    """Coefficients (ascending) of the n-th cyclotomic polynomial."""
+def _cyclotomic_poly(n: int) -> LaurentPoly:
+    """The n-th cyclotomic polynomial."""
     # Divide x^n - 1 by the cyclotomic polynomials of the proper divisors.
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
+    num = LaurentPoly({n: 1, 0: -1})
     for d in range(1, n):
         if n % d == 0:
-            den = _cyclotomic_int_poly(d)
-            num = _int_poly_exact_div(num, den)
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return tuple(num)
-
-
-def _int_poly_exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        if c == 0:
-            continue
-        if c % den[-1]:
-            raise SkeinError("integer polynomial division is not exact")
-        q = c // den[-1]
-        out[k] = q
-        for j, dj in enumerate(den):
-            num[k + j] -= q * dj
-    if any(num):
-        raise SkeinError("integer polynomial division leaves a remainder")
-    return out
+            num, rem = divmod(num, _cyclotomic_poly(d))
+            if not rem.is_zero():
+                raise SkeinError("cyclotomic division leaves a remainder")
+    return num
 
 
 @functools.lru_cache(maxsize=None)
@@ -545,14 +515,15 @@ def _field_data(d: int):
     exponent first.
     """
     n = 2 * (2 * d + 1)
-    mod = _cyclotomic_int_poly(n)
-    m = len(mod) - 1
+    mod = _cyclotomic_poly(n)
+    m = mod.max_exponent()
+    mod = [mod.coefficient(j) for j in range(m)]
     rows: list[tuple[Fraction, ...]] = []
     cur = [Fraction(0)] * m
     cur[0] = Fraction(1)
     for _ in range(n):
         rows.append(tuple(cur))
-        # multiply by x, reduce the overflow with x^m = -(mod[:-1])
+        # multiply by x, reduce the overflow with x^m = -(mod below x^m)
         top = cur[m - 1]
         cur = [Fraction(0)] + cur[:-1]
         if top:
@@ -660,22 +631,18 @@ class CycloNum:
     def inverse(self) -> "CycloNum":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
-        m, _ = _field_data(self.d)
-        mod = [Fraction(c) for c in _cyclotomic_int_poly(2 * (2 * self.d + 1))]
-        # extended Euclid over Q[x]: s*self + t*mod = 1
-        r0, r1 = mod, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            r1, top1 = _trim(r1)
-            if top1 < 0:
+        # extended Euclid in the Laurent ring, s*self = r mod the modulus,
+        # until r is a monomial: a unit, whose inverse is exact
+        r0 = _cyclotomic_poly(2 * (2 * self.d + 1))
+        r1 = LaurentPoly(dict(enumerate(self.coeffs)))
+        s0, s1 = LaurentPoly.zero(), LaurentPoly.one()
+        while not r1.is_monomial():
+            if r1.is_zero():
                 raise ArithmeticError("element not invertible; modulus not squarefree?")
-            if top1 == 0:
-                inv = Fraction(1) / r1[0]
-                vec = [c * inv for c in s1] + [Fraction(0)] * m
-                return CycloNum(self.d, tuple(vec[:m]))
-            q, r = _rat_poly_divmod(r0, r1)
+            q, r = divmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _rat_poly_sub(s0, _rat_poly_mul(q, s1))
+            s0, s1 = s1, s0 - q * s1
+        return evaluate_at(s1 * r1**-1, EvalPoint(self.d))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -732,46 +699,6 @@ class CycloNum:
 
     def __repr__(self) -> str:
         return f"CycloNum(d={self.d}, {self})"
-
-
-def _trim(p: list[Fraction]):
-    while p and not p[-1]:
-        p.pop()
-    return p, len(p) - 1
-
-
-def _rat_poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    db = len(b) - 1
-    lc = b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    while True:
-        a, da = _trim(a)
-        if da < db:
-            break
-        f = a[-1] / lc
-        q[da - db] = f
-        for j in range(db + 1):
-            a[da - db + j] -= f * b[j]
-    return q, a
-
-
-def _rat_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1 if a and b else 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return out
-
-
-def _rat_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 # -- evaluation --------------------------------------------------------------

@@ -18,8 +18,10 @@ for every way the processed part can connect the dangling arc ends,
 keyed by sorted (min, max) arc pairs, so its cost is governed by the
 frontier width.  The update is local to the box: each leg leads on to
 another leg (an arc with both ends there, or two open arcs the state
-joins) or ends at an open arc, and walking the leg pairs of each local
-state gives the new pairs and the number of closed loops.
+joins) or ends at an open arc, and the strand walk of ``tl`` over the leg
+pairs of each local state gives the new pairs and the number of closed
+loops.  Free loops multiply the result by the same binomial expansion
+of delta^k that weights the closed loops.
 
 ``bracket_tangle_sweep`` sweeps the crossings of a plain diagram.
 ``colored_bracket`` evaluates a link whose components carry natural
@@ -45,7 +47,7 @@ from .errors import (
     SkeinError,
     SliceWidthError,
 )
-from .tl import closure_count, jones_wenzl
+from .tl import _walk, closure_count, jones_wenzl
 
 # A-smoothing and B-smoothing corner pairings for each over flag.  With
 # the "/" strand on top the A-smoothing joins the corners vertically
@@ -208,29 +210,6 @@ def _times_loops(weight: tuple, loops: int) -> list:
     return list(out.items())
 
 
-def _walk(link, partner):
-    """Join the legs by one local state: (new arc pairs, closed loops)."""
-    seen: set = set()
-    pairs, loops = [], 0
-    for start in sorted(range(len(link)), key=lambda k: link[k] < 0):
-        if start in seen:
-            continue
-        cur = start
-        while True:
-            seen.add(cur)
-            cur = partner[cur]
-            seen.add(cur)
-            if link[cur] >= 0 or ~link[cur] == start:
-                break
-            cur = ~link[cur]
-        if link[cur] >= 0:
-            a, b = link[start], link[cur]
-            pairs.append((a, b) if a < b else (b, a))
-        else:
-            loops += 1
-    return pairs, loops
-
-
 def _box_legs(diag: PlanarDiagram, sites=()) -> list:
     """Int arc ids at the legs of each box: the (nw, ne, sw, se) corners
     of every crossing, then one box per arc site.
@@ -260,7 +239,7 @@ def bracket_tangle_sweep(diag: PlanarDiagram, max_width: int = SWEEP_MAX_WIDTH) 
     """Bracket by a frontier sweep over the crossing boxes."""
     states = [_CROSSING_STATES[c.over] for c in diag.crossings]
     num = _sweep(_box_legs(diag), states, max_width)
-    return LaurentPoly(num) * loop_weight()**diag.free_loops
+    return LaurentPoly(dict(_times_loops(tuple(num.items()), diag.free_loops)))
 
 
 # plain brackets and colored-bracket numerators, keyed by diagram structure
@@ -294,8 +273,8 @@ def _colored_numerator(cabled: PlanarDiagram, max_width: int) -> LaurentPoly:
             for t, c in terms:
                 closure = closure + c * delta**closure_count(t)
             num = num * closure
-    swept = LaurentPoly(_sweep(_box_legs(cabled, cabled.sites), states, max_width))
-    return swept * num * delta**free
+    swept = _sweep(_box_legs(cabled, cabled.sites), states, max_width)
+    return LaurentPoly(dict(_times_loops(tuple(swept.items()), free))) * num
 
 
 def colored_bracket(link, colors=None, point: EvalPoint | None = None,

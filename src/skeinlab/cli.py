@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import CycloNum, EvalPoint, cyclo_to_complex
@@ -32,7 +31,7 @@ from .diagrams import (
 from .errors import SkeinError
 from .recoupling import hopf_eval, meridian_series
 from .verify import build_report, run_checks
-from .wrt import GAMMA_QUANTITIES, gamma_tabulate, wrt_invariant
+from .wrt import GAMMA_QUANTITIES, _s1xs2_presentation, gamma_tabulate, wrt_invariant
 
 REPORT_HEADER = "quantity,d,sign,value_re,value_im,prediction,mode,status"
 
@@ -41,23 +40,6 @@ _FIXTURES = {
     "hopf": hopf_fixture,
     "unknot": unknot_fixture,
 }
-
-
-@dataclass
-class Config:
-    """Settings shared by the subcommands."""
-
-    precision_digits: int = 30
-    mode: str = "auto"
-    output_format: str = "csv"
-
-    def __post_init__(self):
-        if self.precision_digits < 15:
-            raise ValueError("precision must be >= 15 digits")
-        if self.mode not in ("auto", "exact", "float"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.output_format not in ("csv", "md", "json"):
-            raise ValueError(f"unknown format {self.output_format!r}")
 
 
 def _parse_window(text: str) -> tuple:
@@ -119,7 +101,7 @@ def cmd_colored_bracket(args) -> int:
 
 def _presentation(args) -> SurgeryPresentation:
     if args.fixture == "unknot":
-        return SurgeryPresentation(unknot_fixture(0), (0,), {}, name="s1xs2")
+        return _s1xs2_presentation()
     if args.fixture:
         link = _FIXTURES[args.fixture]()
         if args.color is not None:
@@ -138,8 +120,8 @@ def cmd_wrt(args) -> int:
     if args.d is None:
         raise ValueError("wrt needs --d")
     pres = _presentation(args)
-    value = wrt_invariant(pres, _point(args), mode=args.config.mode,
-                          precision=args.config.precision_digits)
+    value = wrt_invariant(pres, _point(args), mode=args.mode,
+                          precision=args.precision)
     if isinstance(value, CycloNum):
         print(value)
     else:
@@ -224,13 +206,13 @@ def _emit_rows(rows: list, fmt: str) -> str:
 
 def cmd_report(args) -> int:
     window = args.window or (1, 50)
-    rows = _report_rows(window, args.config.precision_digits)
-    print(_emit_rows(rows, args.config.output_format))
+    rows = _report_rows(window, args.precision)
+    print(_emit_rows(rows, args.format))
     return 0 if all(r["status"] != "FAIL" for r in rows) else 1
 
 
 def cmd_verify_paper(args) -> int:
-    records = run_checks(window=args.window, mode=args.config.mode)
+    records = run_checks(window=args.window, mode=args.mode)
     report = build_report(records)
     print(json.dumps(report, indent=2))
     return 0 if report["summary"]["fail"] == 0 else 1
@@ -303,12 +285,10 @@ def main(argv=None) -> int:
     if getattr(args, "d", None) is not None and args.d < 1:
         print("error: --d must be >= 1", file=sys.stderr)
         return 2
+    if args.precision < 15:
+        print("error: precision must be >= 15 digits", file=sys.stderr)
+        return 2
     try:
-        args.config = Config(
-            precision_digits=args.precision,
-            mode=args.mode,
-            output_format=args.format,
-        )
         return args.fn(args)
     except SkeinError as exc:
         print(f"error: {exc}", file=sys.stderr)

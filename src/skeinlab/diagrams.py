@@ -73,7 +73,6 @@ class Site:
     """
 
     kind: str  # "arc" | "loop"
-    component: int
     width: int
     arcs: tuple = ()
     in_slots: tuple = ()
@@ -90,22 +89,18 @@ class PlanarDiagram:
     def n_crossings(self) -> int:
         return len(self.crossings)
 
-    def arcs(self) -> list:
-        """Arc labels in order of first appearance."""
-        seen: dict = {}
-        for c in self.crossings:
-            for k in range(4):
-                if c[k] not in seen:
-                    seen[c[k]] = None
-        return list(seen)
-
-    def with_sites(self, sites) -> "PlanarDiagram":
-        return PlanarDiagram(self.crossings, self.free_loops, tuple(sites))
-
 
 def diagram(crossings, free_loops: int = 0) -> PlanarDiagram:
     """Build a PlanarDiagram from (nw, ne, sw, se, over) tuples."""
     return PlanarDiagram(tuple(Crossing(*c) for c in crossings), free_loops)
+
+
+def _find(parent: dict, x):
+    """Union-find root of x; a label absent from ``parent`` is a root."""
+    while parent.get(x, x) != x:
+        parent[x] = parent.get(parent[x], parent[x])
+        x = parent[x]
+    return x
 
 
 def _arc_slots(diag: PlanarDiagram) -> dict:
@@ -157,19 +152,12 @@ def _check_planar(diag: PlanarDiagram, slots: dict):
     if n == 0:
         return
     # connected components of the underlying 4-valent graph
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    parent: dict = {}
     for occ in slots.values():
-        a, b = find(occ[0][0]), find(occ[1][0])
+        a, b = _find(parent, occ[0][0]), _find(parent, occ[1][0])
         if a != b:
             parent[a] = b
-    graph_comps = len({find(i) for i in range(n)})
+    graph_comps = len({_find(parent, i) for i in range(n)})
 
     # faces: orbits of (rotation after arc-mate) on darts = slots
     def arc_mate(slot):
@@ -241,9 +229,6 @@ class FramedLink:
         """(component of the "/" strand, component of the "\\" strand)."""
         comp_slash, comp_back, _ = self._crossing_data[ci]
         return comp_slash, comp_back
-
-    def crossing_sign(self, ci: int) -> int:
-        return self._crossing_data[ci][2]
 
     def self_writhe(self, comp: int) -> int:
         total = 0
@@ -360,22 +345,15 @@ def braid_closure(word, strands: int) -> PlanarDiagram:
         cur[i], cur[i + 1] = up_l, up_r
     # plat the top back onto the bottom
     parent: dict = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return parent.get(x, x)
-
     free = 0
     for p in range(strands):
-        a, b = find(bottom[p]), find(cur[p])
+        a, b = _find(parent, bottom[p]), _find(parent, cur[p])
         if a == b:
             free += 1  # strand never crossed anything
         else:
             parent[a] = b
     out = [
-        Crossing(find(c.nw), find(c.ne), find(c.sw), find(c.se), c.over)
+        Crossing(*(_find(parent, a) for a in c[:4]), c.over)
         for c in crossings
     ]
     return PlanarDiagram(tuple(out), free)
@@ -507,13 +485,6 @@ def delete_components(link: FramedLink, dead: set) -> PlanarDiagram:
     diag = link.diagram
     alive_cross = []
     parent: dict = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return parent.get(x, x)
-
     for ci, c in enumerate(diag.crossings):
         cs, cb = link.crossing_components(ci)
         s_dead, b_dead = cs in dead, cb in dead
@@ -527,7 +498,7 @@ def delete_components(link: FramedLink, dead: set) -> PlanarDiagram:
             a, b = c[NW], c[SE]
         else:
             a, b = c[SW], c[NE]
-        ra, rb = find(a), find(b)
+        ra, rb = _find(parent, a), _find(parent, b)
         if ra != rb:
             parent[ra] = rb
 
@@ -535,7 +506,7 @@ def delete_components(link: FramedLink, dead: set) -> PlanarDiagram:
     for ci in alive_cross:
         c = diag.crossings[ci]
         new_crossings.append(
-            Crossing(find(c.nw), find(c.ne), find(c.sw), find(c.se), c.over)
+            Crossing(*(_find(parent, a) for a in c[:4]), c.over)
         )
 
     # count surviving classes with no remaining crossing slots: free loops
@@ -548,7 +519,7 @@ def delete_components(link: FramedLink, dead: set) -> PlanarDiagram:
         if comp_index in dead or not comp:
             continue
         for a in comp:
-            r = find(a)
+            r = _find(parent, a)
             if r not in occupancy:
                 closed.add(r)
     free = diag.free_loops + len(closed)
@@ -647,7 +618,6 @@ def cable(link: FramedLink, widths) -> PlanarDiagram:
             sites.append(
                 Site(
                     kind="arc",
-                    component=comp_index,
                     width=w,
                     arcs=cut,
                     in_slots=tuple(site_slot(arc_copy_slots[a][0]) for a in cut),
@@ -656,7 +626,7 @@ def cable(link: FramedLink, widths) -> PlanarDiagram:
             )
         else:
             free += w
-            sites.append(Site(kind="loop", component=comp_index, width=w))
+            sites.append(Site(kind="loop", width=w))
     return PlanarDiagram(tuple(ordered), free, tuple(sites))
 
 

@@ -6,6 +6,11 @@ points n..2n-1 right to left (the labels walk the boundary
 counterclockwise, so "noncrossing" is the usual chord condition).  The
 identity pairs q with 2n-1-q.
 
+``_walk`` joins chords of noncrossing matchings and counts the closed
+loops.  It is the one strand walk of the package: ``compose`` and
+``closure_count`` run it here, and the box sweep of ``bracket`` runs it
+for every local state of a box.
+
 ``TLElement`` is a formal sum of diagrams with Laurent-polynomial
 coefficients over one shared polynomial denominator; keeping the
 denominator common is what makes repeated projector arithmetic cheap.
@@ -56,77 +61,67 @@ def hook(n: int, i: int) -> TLDiagram:
     return TLDiagram.make(n, pairs)
 
 
-def _resolve(edges):
-    """Split a degree-<=2 multigraph into paths and cycles.
+def _walk(link, partner):
+    """Join legs by one matching: (new arc pairs, closed loops).
 
-    Returns (paths, n_cycles) where each path is its pair of endpoint
-    nodes.  Parallel edges are honoured, so a 2-cycle counts as a cycle.
+    ``partner[k]`` is the leg the matching joins to leg k, and ``link[k]``
+    says where leg k goes outside it: ``~j`` when it leads on to leg j, or
+    a label >= 0 when it ends there.  Each path between two ends becomes
+    the sorted pair of their labels; a circuit that never ends is a loop.
     """
-    inc: dict = {}
-    for eid, (u, v) in enumerate(edges):
-        inc.setdefault(u, []).append(eid)
-        inc.setdefault(v, []).append(eid)
-    used = [False] * len(edges)
-    paths = []
-    for node, eids in inc.items():
-        if len(eids) != 1:
+    seen: set = set()
+    pairs, loops = [], 0
+    for start in sorted(range(len(link)), key=lambda k: link[k] < 0):
+        if start in seen:
             continue
-        eid = eids[0]
-        if used[eid]:
-            continue
-        cur = node
+        cur = start
         while True:
-            used[eid] = True
-            u, v = edges[eid]
-            cur = v if cur == u else u
-            nxt = [e for e in inc[cur] if not used[e]]
-            if not nxt:
+            seen.add(cur)
+            cur = partner[cur]
+            seen.add(cur)
+            if link[cur] >= 0 or ~link[cur] == start:
                 break
-            eid = nxt[0]
-        paths.append((node, cur))
-    cycles = 0
-    for eid0 in range(len(edges)):
-        if used[eid0]:
-            continue
-        cycles += 1
-        eid, (cur, _) = eid0, edges[eid0]
-        while not used[eid]:
-            used[eid] = True
-            u, v = edges[eid]
-            cur = v if cur == u else u
-            rest = [e for e in inc[cur] if not used[e]]
-            if not rest:
-                break
-            eid = rest[0]
-    return paths, cycles
+            cur = ~link[cur]
+        if link[cur] >= 0:
+            a, b = link[start], link[cur]
+            pairs.append((a, b) if a < b else (b, a))
+        else:
+            loops += 1
+    return pairs, loops
+
+
+def _partner(d: TLDiagram) -> list:
+    out = [0] * (2 * d.n)
+    for a, b in d.pairs:
+        out[a], out[b] = b, a
+    return out
 
 
 def compose(d1: TLDiagram, d2: TLDiagram):
-    """Stack d2 on top of d1; returns (diagram, closed bubble count)."""
+    """Stack d2 on top of d1; returns (diagram, closed bubble count).
+
+    The walk runs over the points of d1: bottom point q ends at label q,
+    and top point k meets bottom point 2n-1-k of d2, whose chord leads on
+    to another top point of d1 or ends at a top point of d2.
+    """
     if d1.n != d2.n:
         raise ValueError(f"strand mismatch: {d1.n} vs {d2.n}")
     n = d1.n
-
-    def node1(p):
-        return ("b", p) if p < n else ("m", 2 * n - 1 - p)
-
-    def node2(p):
-        return ("m", p) if p < n else ("t", p)
-
-    edges = [(node1(a), node1(b)) for a, b in d1.pairs]
-    edges += [(node2(a), node2(b)) for a, b in d2.pairs]
-    paths, cycles = _resolve(edges)
-    # endpoints are ("b", q) or ("t", t) nodes, and both carry the result label
-    out = [(u[1], v[1]) for u, v in paths]
-    return TLDiagram.make(n, out), cycles
+    up = _partner(d2)
+    link = list(range(n))
+    for k in range(n, 2 * n):
+        p = up[2 * n - 1 - k]
+        link.append(~(2 * n - 1 - p) if p < n else p)
+    pairs, bubbles = _walk(link, _partner(d1))
+    pairs += [(a, b) for a, b in d2.pairs if a >= n]
+    return TLDiagram.make(n, pairs), bubbles
 
 
 def closure_count(d: TLDiagram) -> int:
     """Number of circles after joining each bottom point to the top
     point directly above it around the side of the rectangle."""
-    edges = list(d.pairs) + [(q, 2 * d.n - 1 - q) for q in range(d.n)]
-    _, cycles = _resolve(edges)
-    return cycles
+    m = 2 * d.n - 1
+    return _walk([~(m - k) for k in range(m + 1)], _partner(d))[1]
 
 
 class TLElement:

@@ -10,8 +10,9 @@ path.
 The rest of the module materializes functions on the evaluation-point
 family (one value per level and sign, poles recorded as exceptions) and
 packages the cross-checks the test suite leans on: the torus pipeline
-against its closed form, the recoloring identity, the Mobius function
-of the dimension argument, and the 2x2 independence certificate.
+(``verify`` compares it with its closed form), the recoloring identity,
+the Mobius function of the dimension argument, and the 2x2 independence
+certificate.
 """
 
 from __future__ import annotations
@@ -280,48 +281,3 @@ def gamma_tabulate(quantity: str, window: tuple[int, int]) -> GammaFunction:
         except PoleError:
             exceptions.add(d)
     return GammaFunction(quantity, (lo, hi), values, frozenset(exceptions))
-
-
-# -- reporting ----------------------------------------------------------------
-
-
-@dataclass
-class InvariantReport:
-    """Computed-vs-predicted rows for one presentation."""
-
-    name: str
-    rows: list
-
-    def all_pass(self) -> bool:
-        return all(r["status"] == "PASS" for r in self.rows)
-
-
-def torus_report(a: int, d_values, mode: str = "auto",
-                 precision: int = 30) -> InvariantReport:
-    """Run the torus pipeline over levels and compare to the closed form."""
-    rows = []
-    for d in d_values:
-        for sign in (1, -1):
-            p = EvalPoint(d, sign)
-            got = torus_invariant(a, p, mode, precision)
-            want = meridian_series(a, p)
-            if isinstance(got, CycloNum):
-                ok = got == want
-                diff = 0 if ok else abs(cyclo_to_complex(got - want, precision))
-                row_mode = "exact"
-            else:
-                digits = max(precision, 15)
-                with mpmath.workdps(digits):
-                    diff = abs(got - cyclo_to_complex(want, digits))
-                    ok = diff < mpmath.mpf(10) ** -9
-                row_mode = "float"
-            rows.append({
-                "d": d,
-                "sign": sign,
-                "value": got,
-                "prediction": want,
-                "difference": diff,
-                "mode": row_mode,
-                "status": "PASS" if ok else "FAIL",
-            })
-    return InvariantReport(name=f"torus+meridian({a})", rows=rows)

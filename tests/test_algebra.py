@@ -205,9 +205,25 @@ def test_conjugation_symmetry():
 
 def test_cyclo_inverse_roundtrip():
     rng = random.Random(202)
-    for d in (1, 2, 4):
+    for d in (1, 2, 4, 7, 12):
         for _ in range(50):
             x = evaluate_at(_random_poly(rng), EvalPoint(d, 1))
             if x.is_zero():
                 continue
             assert (x * x.inverse()).is_one()
+        # zero constant term: the division first factors out a monomial
+        n = 2 * (2 * d + 1)
+        for k in range(1, n):
+            z = CycloNum.root_power(d, k)
+            assert z.inverse() == CycloNum.root_power(d, n - k)
+            assert (z * z.inverse()).is_one()
+        m = len(CycloNum.one(d).coeffs)
+        for _ in range(10):
+            low = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(m - 1))
+            x = CycloNum(d, low + (Fraction(0),))
+            if x.is_zero():
+                continue
+            zx = CycloNum(d, (Fraction(0),) + low)
+            assert zx == CycloNum.root_power(d, 1) * x
+            assert (zx * zx.inverse()).is_one()
+            assert zx.inverse() == x.inverse() * CycloNum.root_power(d, -1)

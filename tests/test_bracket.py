@@ -34,7 +34,16 @@ from skeinlab.errors import (
     SliceWidthError,
 )
 from skeinlab.recoupling import hopf_eval, twist_coefficient
-from skeinlab.tl import TLDiagram, TLElement, _div_unit, compose, identity, hook, jones_wenzl
+from skeinlab.tl import (
+    TLDiagram,
+    TLElement,
+    _div_unit,
+    closure_count,
+    compose,
+    hook,
+    identity,
+    jones_wenzl,
+)
 from skeinlab.verify import random_braid_closure
 from skeinlab.wrt import _torus_presentation
 
@@ -194,6 +203,19 @@ def test_sweep_matches_state_sum_on_curls(kinks):
     assert _state_sum_by_slots(diag) == want
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 40])
+def test_free_loops_sweep_matches_state_sum(k):
+    diag = PlanarDiagram((), k)
+    assert bracket_tangle_sweep(diag) == bracket_state_sum(diag)
+
+
+def test_many_free_loops():
+    # delta^3000 = (A^2 + A^-2)^3000: every even exponent in -6000..6000
+    value = bracket_tangle_sweep(PlanarDiagram((), 3000))
+    assert len(value.items()) == 3001
+    assert value.coefficient(6000) == 1
+
+
 def test_state_sum_cap():
     big = braid_closure([1] * 21, 2)
     with pytest.raises(DiagramTooLargeError):
@@ -226,6 +248,25 @@ def test_compose_counts_bubbles():
     composed, bubbles = compose(cup_cap, cup_cap)
     assert composed == cup_cap
     assert bubbles == 1
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_compose_is_a_monoid_with_cyclic_trace(n):
+    basis = list(jones_wenzl(n).terms)
+    one = identity(n)
+    for x in basis:
+        assert compose(one, x) == (x, 0)
+        assert compose(x, one) == (x, 0)
+        for y in basis:
+            xy, b_xy = compose(x, y)
+            yx, b_yx = compose(y, x)
+            assert closure_count(xy) + b_xy == closure_count(yx) + b_yx
+            for z in basis:
+                xy_z, b_xy_z = compose(xy, z)
+                yz, b_yz = compose(y, z)
+                x_yz, b_x_yz = compose(x, yz)
+                assert xy_z == x_yz
+                assert b_xy + b_xy_z == b_yz + b_x_yz
 
 
 def test_tl_element_closure_of_identity():

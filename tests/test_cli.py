@@ -3,12 +3,15 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skeinlab.cli import REPORT_HEADER, main
 from skeinlab.diagrams import hopf_fixture, link_to_json
+
+GOLDEN_VERIFY_PAPER = Path(__file__).parent / "golden" / "verify-paper-window-1-2.json"
 
 
 def run_cli(*argv):
@@ -218,6 +221,7 @@ def test_verify_paper_byte_stable():
     first = subprocess.run(cmd, capture_output=True)
     second = subprocess.run(cmd, capture_output=True)
     assert first.returncode == 0 and second.returncode == 0
+    assert first.stdout == GOLDEN_VERIFY_PAPER.read_bytes()
     assert first.stdout == second.stdout
 
 

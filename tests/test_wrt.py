@@ -30,7 +30,6 @@ from skeinlab.wrt import (
     independence_certificate,
     recolor_check,
     torus_invariant,
-    torus_report,
     wrt_invariant,
 )
 
@@ -82,13 +81,6 @@ def test_torus_trace_dimensions():
         p = EvalPoint(d, 1)
         assert torus_invariant(0, p).as_rational() == dim_v_torus(0, d)
         assert torus_invariant(2, p).as_rational() == dim_v_torus(2, d)
-
-
-def test_torus_report_rows():
-    report = torus_report(1, [2])
-    assert report.all_pass()
-    assert [r["sign"] for r in report.rows] == [1, -1]
-    assert all(r["mode"] == "exact" and r["difference"] == 0 for r in report.rows)
 
 
 @pytest.fixture
