@@ -1,9 +1,14 @@
 """Exact arithmetic for the Kauffman bracket variable A.
 
-Three layers, all with rational (never floating) coefficients:
+Three layers, all with rational (never floating) coefficients.  A
+coefficient is an ``int``, or a ``Fraction`` where a denominator appears:
+construction, division and scaling turn an integral value into an ``int``,
+and ``+`` and ``*`` keep ints as ints (a sum of Fractions may stay an
+integral ``Fraction``, which equals and hashes like the ``int``).  Every
+true division goes through ``Fraction``, never ``/`` on two ints.
 
 * ``LaurentPoly`` -- sparse Laurent polynomials in A over Q, stored as a
-  map ``exponent -> Fraction``.
+  map ``exponent -> int``, or ``Fraction`` where a denominator appears.
 * ``RatFunc`` -- quotients of Laurent polynomials kept in a canonical
   reduced form, so equality is plain field-by-field comparison.
 * ``CycloNum`` -- residues modulo the 2(2d+1)-th cyclotomic polynomial,
@@ -31,16 +36,27 @@ import mpmath
 from .errors import PoleError, SkeinError, ZeroDenominatorError
 
 
-def _as_fraction(x) -> Fraction:
+def _as_rational(x) -> int | Fraction:
+    """x as an exact rational: an int when integral, else a Fraction."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def _div(a, b) -> int | Fraction:
+    """The exact quotient a / b of two rationals, an int when integral."""
+    if b == 1:
+        return a
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 class LaurentPoly:
     """A sparse Laurent polynomial in one variable A over Q.
+
+    Coefficients are ints, or Fractions where a denominator appears.
 
     >>> A = LaurentPoly.gen()
     >>> print(A**2 + 2 - A**-2)
@@ -52,10 +68,10 @@ class LaurentPoly:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms=None):
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, int | Fraction] = {}
         if terms:
             for e, c in terms.items():
-                c = _as_fraction(c)
+                c = _as_rational(c)
                 if c:
                     clean[int(e)] = c
         self._terms = clean
@@ -89,14 +105,14 @@ class LaurentPoly:
     def items(self):
         return self._terms.items()
 
-    def coefficient(self, exponent: int) -> Fraction:
-        return self._terms.get(exponent, Fraction(0))
+    def coefficient(self, exponent: int) -> int | Fraction:
+        return self._terms.get(exponent, 0)
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._terms == {0: Fraction(1)}
+        return self._terms == {0: 1}
 
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
@@ -119,7 +135,7 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self._terms)
         for e, c in other._terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -156,11 +172,11 @@ class LaurentPoly:
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[int, Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = e1 + e2
-                s = out.get(e, Fraction(0)) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
@@ -179,7 +195,7 @@ class LaurentPoly:
             if not self.is_monomial():
                 raise ValueError("negative powers only defined for monomials")
             ((e, c),) = self._terms.items()
-            return LaurentPoly({e * n: Fraction(1, 1) / c ** (-n)})
+            return LaurentPoly({e * n: Fraction(1, c ** (-n))})
         out = LaurentPoly.one()
         base = self
         while n:
@@ -207,17 +223,17 @@ class LaurentPoly:
         den = {e - sb: c for e, c in other._terms.items()}
         deg_d = max(den)
         lc_d = den[deg_d]
-        quo: dict[int, Fraction] = {}
+        quo: dict[int, int | Fraction] = {}
         while rem:
             deg_r = max(rem)
             if deg_r < deg_d:
                 break
-            q = rem[deg_r] / lc_d
+            q = _div(rem[deg_r], lc_d)
             k = deg_r - deg_d
-            quo[k] = quo.get(k, Fraction(0)) + q
+            quo[k] = q
             for e, c in den.items():
                 t = e + k
-                s = rem.get(t, Fraction(0)) - q * c
+                s = rem.get(t, 0) - q * c
                 if s:
                     rem[t] = s
                 else:
@@ -235,7 +251,7 @@ class LaurentPoly:
         return divmod(self, other)[1]
 
     def scale(self, c) -> "LaurentPoly":
-        c = _as_fraction(c)
+        c = _as_rational(c)
         return LaurentPoly({e: k * c for e, k in self._terms.items()})
 
     # -- comparison / hashing ----------------------------------------------
@@ -312,7 +328,7 @@ def _shifted_monic(f: LaurentPoly) -> LaurentPoly:
         return f
     shift = -f.min_exponent()
     lead = f.coefficient(f.max_exponent())
-    return LaurentPoly({e + shift: c / lead for e, c in f.items()})
+    return LaurentPoly({e + shift: _div(c, lead) for e, c in f.items()})
 
 
 @functools.lru_cache(maxsize=None)
@@ -374,8 +390,8 @@ class RatFunc:
             d_poly //= g
         lead = d_poly.coefficient(d_poly.max_exponent())
         if lead != 1:
-            n_poly = n_poly.scale(Fraction(1) / lead)
-            d_poly = d_poly.scale(Fraction(1) / lead)
+            n_poly = n_poly.scale(_div(1, lead))
+            d_poly = d_poly.scale(_div(1, lead))
         object.__setattr__(self, "num", LaurentPoly({e + a - b: c for e, c in n_poly.items()}))
         object.__setattr__(self, "den", d_poly)
 
@@ -518,14 +534,14 @@ def _field_data(d: int):
     mod = _cyclotomic_poly(n)
     m = mod.max_exponent()
     mod = [mod.coefficient(j) for j in range(m)]
-    rows: list[tuple[Fraction, ...]] = []
-    cur = [Fraction(0)] * m
-    cur[0] = Fraction(1)
+    rows: list[tuple[int, ...]] = []
+    cur = [0] * m
+    cur[0] = 1
     for _ in range(n):
         rows.append(tuple(cur))
         # multiply by x, reduce the overflow with x^m = -(mod below x^m)
         top = cur[m - 1]
-        cur = [Fraction(0)] + cur[:-1]
+        cur = [0] + cur[:-1]
         if top:
             for j in range(m):
                 if mod[j]:
@@ -539,17 +555,18 @@ class CycloNum:
 
     Stored as the coefficient tuple of the canonical residue modulo the
     2(2d+1)-th cyclotomic polynomial, so equality of values is equality
-    of tuples.
+    of tuples.  Each coefficient is an int, or a Fraction where a
+    denominator appears.
     """
 
     d: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     @staticmethod
     def from_rational(d: int, value) -> "CycloNum":
         m = _field_data(d)[0]
-        vec = [Fraction(0)] * m
-        vec[0] = _as_fraction(value)
+        vec = [0] * m
+        vec[0] = _as_rational(value)
         return CycloNum(d, tuple(vec))
 
     @staticmethod
@@ -577,7 +594,7 @@ class CycloNum:
         return self.coeffs[0] == 1 and not any(self.coeffs[1:])
 
     def as_rational(self):
-        """The value as a Fraction if it is rational, else None."""
+        """The value as an int or Fraction if it is rational, else None."""
         if any(self.coeffs[1:]):
             return None
         return self.coeffs[0]
@@ -609,7 +626,7 @@ class CycloNum:
             return NotImplemented
         self._check(other)
         m, rows = _field_data(self.d)
-        prod = [Fraction(0)] * (2 * m - 1)
+        prod = [0] * (2 * m - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -718,6 +735,8 @@ def evaluate_at(value, point: EvalPoint) -> CycloNum:
     if isinstance(value, (int, Fraction)):
         return CycloNum.from_rational(point.d, value)
     if isinstance(value, RatFunc):
+        if value.den.is_one():
+            return evaluate_at(value.num, point)
         den = evaluate_at(value.den, point)
         if den.is_zero():
             raise PoleError(f"denominator {value.den} vanishes at {point}")
@@ -727,7 +746,7 @@ def evaluate_at(value, point: EvalPoint) -> CycloNum:
     d = point.d
     n = 2 * (2 * d + 1)
     m, rows = _field_data(d)
-    acc = [Fraction(0)] * m
+    acc = [0] * m
     for e, c in value.items():
         row = rows[(point.sign * e) % n]
         for j in range(m):

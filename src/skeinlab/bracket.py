@@ -265,8 +265,7 @@ def _colored_numerator(cabled: PlanarDiagram, max_width: int) -> LaurentPoly:
     for site in cabled.sites:
         terms = jones_wenzl(site.width).terms.items()
         if site.kind == "arc":
-            states.append([(t.pairs, tuple((e, x.numerator if x.denominator == 1 else x)
-                                           for e, x in c.items())) for t, c in terms])
+            states.append([(t.pairs, tuple(c.items())) for t, c in terms])
         else:
             free -= site.width
             closure = LaurentPoly.zero()

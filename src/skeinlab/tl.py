@@ -114,7 +114,8 @@ def compose(d1: TLDiagram, d2: TLDiagram):
         link.append(~(2 * n - 1 - p) if p < n else p)
     pairs, bubbles = _walk(link, _partner(d1))
     pairs += [(a, b) for a, b in d2.pairs if a >= n]
-    return TLDiagram.make(n, pairs), bubbles
+    # noncrossing by construction, so skip the check in TLDiagram.make
+    return TLDiagram(n, tuple(sorted(pairs))), bubbles
 
 
 def closure_count(d: TLDiagram) -> int:

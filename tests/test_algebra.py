@@ -227,3 +227,176 @@ def test_cyclo_inverse_roundtrip():
             assert zx == CycloNum.root_power(d, 1) * x
             assert (zx * zx.inverse()).is_one()
             assert zx.inverse() == x.inverse() * CycloNum.root_power(d, -1)
+
+
+def test_evaluate_ratfunc_with_denominator_one(monkeypatch):
+    rng = random.Random(4711)
+    polys = [qi(5), delta_color(3), LaurentPoly.const(Fraction(3, 4))]
+    polys += [_random_poly(rng) for _ in range(30)]
+
+    def no_inverse(self):
+        raise AssertionError("a denominator of 1 needs no inverse")
+
+    monkeypatch.setattr(CycloNum, "inverse", no_inverse)
+    for d in (1, 2, 5):
+        for sign in (1, -1):
+            pt = EvalPoint(d, sign)
+            for p in polys:
+                assert evaluate_at(RatFunc(p), pt) == evaluate_at(p, pt)
+
+
+# -- int coefficients, Fraction only where a denominator appears ---------------
+# Each operation is checked against a plain dict-of-Fraction computation.
+
+mixed_coeffs = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-9, max_value=9).map(Fraction),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+)
+mixed_terms = st.dictionaries(
+    st.integers(min_value=-8, max_value=8), mixed_coeffs, max_size=5
+)
+int_polys = st.dictionaries(
+    st.integers(min_value=-8, max_value=8), st.integers(min_value=-9, max_value=9), max_size=5
+).map(LaurentPoly)
+
+
+def _frac(terms) -> dict:
+    return {e: Fraction(c) for e, c in terms.items() if c}
+
+
+def _terms(p, normalized=True) -> dict:
+    """The terms of p as a dict, after checking that none is a float.
+
+    With ``normalized``, an integral coefficient must also be an int.
+    """
+    out = dict(p.items())
+    for c in out.values():
+        assert type(c) in (int, Fraction)
+        if normalized:
+            assert type(c) is int or c.denominator != 1
+    return out
+
+
+def _ref_add(f, g) -> dict:
+    out = dict(f)
+    for e, c in g.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(f, g) -> dict:
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_polydivmod(f, g):
+    """Quotient and remainder of ordinary polynomials (exponents >= 0)."""
+    rem, top, quo = dict(f), max(g), {}
+    while rem and max(rem) >= top:
+        k = max(rem) - top
+        q = quo[k] = rem[max(rem)] / g[top]
+        rem = _ref_add(rem, {e + k: -q * c for e, c in g.items()})
+    return quo, rem
+
+
+def _ref_divmod(f, g):
+    """LaurentPoly.__divmod__: divide after factoring out the lowest monomials."""
+    if not f:
+        return {}, {}
+    sf, sg = min(f), min(g)
+    quo, rem = _ref_polydivmod({e - sf: c for e, c in f.items()},
+                               {e - sg: c for e, c in g.items()})
+    return ({e + sf - sg: c for e, c in quo.items()},
+            {e + sf: c for e, c in rem.items()})
+
+
+def _ref_monic(f) -> dict:
+    if not f:
+        return {}
+    lo, lead = min(f), f[max(f)]
+    return {e - lo: c / lead for e, c in f.items()}
+
+
+def _ref_gcd(f, g) -> dict:
+    a, b = _ref_monic(f), _ref_monic(g)
+    while b:
+        a, b = b, _ref_monic(_ref_polydivmod(a, b)[1])
+    return _ref_monic(a)
+
+
+@given(mixed_terms, mixed_terms)
+@settings(max_examples=300, deadline=None)
+def test_mixed_coefficients_match_fraction_reference(f_terms, g_terms):
+    f, g = LaurentPoly(f_terms), LaurentPoly(g_terms)
+    rf, rg = _frac(f_terms), _frac(g_terms)
+    assert _terms(f) == rf
+    assert _terms(f + g, normalized=False) == _ref_add(rf, rg)
+    assert _terms(f - g, normalized=False) == _ref_add(rf, {e: -c for e, c in rg.items()})
+    assert _terms(f * g, normalized=False) == _ref_mul(rf, rg)
+    assert _terms(poly_gcd(f, g)) == _ref_gcd(rf, rg)
+    if rg:
+        q, r = divmod(f, g)
+        assert (_terms(q), _terms(r)) == _ref_divmod(rf, rg)
+        for e, c in rg.items():
+            for n in range(1, 4):
+                mono = LaurentPoly({e: g_terms[e]}) ** -n
+                assert _terms(mono) == {-n * e: 1 / c**n}
+
+
+@given(int_polys, int_polys)
+@settings(max_examples=100, deadline=None)
+def test_integer_coefficients_stay_ints(f, g):
+    for p in (f + g, f - g, f * g, -f, f ** 2):
+        assert all(type(c) is int for _, c in p.items())
+    if not g.is_zero() and g.coefficient(g.max_exponent()) in (1, -1):
+        for p in divmod(f, g):
+            assert all(type(c) is int for _, c in p.items())
+
+
+def _ref_cyclotomic(n: int) -> dict:
+    phi = {n: Fraction(1), 0: Fraction(-1)}
+    for k in range(1, n):
+        if n % k == 0:
+            phi, rem = _ref_polydivmod(phi, _ref_cyclotomic(k))
+            assert not rem
+    return phi
+
+
+def _ref_cyclo_mul(d: int, x: tuple, y: tuple) -> tuple:
+    """x * y reduced modulo the 2(2d+1)-th cyclotomic polynomial."""
+    phi = _ref_cyclotomic(2 * (2 * d + 1))
+    prod = _ref_mul(_frac(dict(enumerate(x))), _frac(dict(enumerate(y))))
+    rem = _ref_polydivmod(prod, phi)[1]
+    return tuple(rem.get(j, Fraction(0)) for j in range(max(phi)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 12])
+def test_cyclo_mixed_coefficients_match_fraction_reference(d):
+    rng = random.Random(1000 + d)
+    m = len(CycloNum.one(d).coeffs)
+
+    def coeff():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rng.randint(-9, 9)
+        if kind == 2:
+            return Fraction(rng.randint(-9, 9))
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    for _ in range(20):
+        x = CycloNum(d, tuple(coeff() for _ in range(m)))
+        y = CycloNum(d, tuple(coeff() for _ in range(m)))
+        xy = x * y
+        assert all(type(c) in (int, Fraction) for c in xy.coeffs)
+        assert xy.coeffs == _ref_cyclo_mul(d, x.coeffs, y.coeffs)
+        if x.is_zero():
+            continue
+        inv = x.inverse()
+        assert all(type(c) in (int, Fraction) for c in inv.coeffs)
+        assert _ref_cyclo_mul(d, x.coeffs, inv.coeffs) == (1,) + (0,) * (m - 1)

@@ -269,6 +269,17 @@ def test_compose_is_a_monoid_with_cyclic_trace(n):
                 assert b_xy + b_xy_z == b_yz + b_x_yz
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_compose_product_passes_the_make_check(n):
+    # compose skips TLDiagram.make; its product must still be a valid,
+    # normalized noncrossing matching
+    basis = list(jones_wenzl(n).terms)
+    for x in basis:
+        for y in basis:
+            xy = compose(x, y)[0]
+            assert xy == TLDiagram.make(n, xy.pairs)
+
+
 def test_tl_element_closure_of_identity():
     for n in range(4):
         assert TLElement.identity_element(n).closure() == RatFunc(delta ** n)
