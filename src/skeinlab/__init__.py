@@ -4,7 +4,8 @@ The package is layered: ``algebra`` (Laurent polynomials, rational
 functions, cyclotomic numbers), ``diagrams`` (planar diagrams, links,
 cabling; splicing is kept only as a test reference), ``tl``
 (Temperley-Lieb elements, projectors and the strand walk), ``bracket``
-(state sum, box sweep, colored brackets), ``recoupling`` (closed-form
+(state sum, one box sweep for plain and cabled diagrams, colored brackets
+of a ``FramedLink`` and one color per component), ``recoupling`` (closed-form
 colored-unknot data), ``wrt`` (surgery invariants and d-sweeps), with
 ``verify``/``cli`` on top.  The memoized ``bracket.bracket`` is not
 re-exported, so ``skeinlab.bracket`` is the submodule.
@@ -21,7 +22,6 @@ from .algebra import (
 )
 from .bracket import bracket_state_sum, bracket_tangle_sweep, colored_bracket
 from .diagrams import (
-    ColoredLink,
     FramedLink,
     PlanarDiagram,
     SurgeryPresentation,

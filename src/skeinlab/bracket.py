@@ -3,16 +3,20 @@
 The bracket of a diagram is the state sum over the two smoothings of
 each crossing, with a crossing contributing A or A^-1 and every closed
 circle a factor of -A^2 - A^-2; the empty diagram evaluates to 1.
-``bracket_state_sum`` is the reference, capped at 20 crossings: it
+``bracket_state_sum`` is the reference for plain diagrams: it
 enumerates all 2^n states, counts each one's loops with a fresh
 union-find over the arcs, histograms the states by (A-exponent, loops)
 and builds the polynomial once.
 
-The fast evaluator sweeps over boxes.  A box has legs (arc ids) and
-local states, each a perfect matching of the legs with a weight: a
-crossing is the 4-leg box A*(A-smoothing) + A^-1*(B-smoothing), and a
-width-w Jones-Wenzl projector is the 2w-leg box whose states are its
-terms, numerators over the projector's common denominator.  Taking the
+The one fast evaluator, ``bracket_tangle_sweep``, sweeps over boxes.  A
+box has legs (arc ids) and local states, each a perfect matching of the
+legs with a weight: a crossing is the 4-leg box A*(A-smoothing) +
+A^-1*(B-smoothing), and a width-w Jones-Wenzl projector is the 2w-leg box
+whose states are its terms, numerators over the projector's common
+denominator.  A diagram's ``sites`` say where its projectors sit: an arc
+site cuts w parallel arcs, and a loop site, w crossing-free parallel
+circles, is a box whose leg q shares one arc with leg 2w-1-q, so a
+projector's closure is one more box of the same sweep.  Taking the
 boxes in a greedy order, the sweep carries an {exponent: int} weight
 for every way the processed part can connect the dangling arc ends,
 keyed by sorted (min, max) arc pairs, so its cost is governed by the
@@ -23,13 +27,15 @@ pairs of each local state gives the new pairs and the number of closed
 loops.  Free loops multiply the result by the same binomial expansion
 of delta^k that weights the closed loops.
 
-``bracket_tangle_sweep`` sweeps the crossings of a plain diagram.
+``bracket`` memoizes the sweep by diagram structure and sites.
 ``colored_bracket`` evaluates a link whose components carry natural
 number colors: color n means n parallel blackboard push-offs through the
-n-strand projector.  The link is cabled once, each projector becomes one
-box, and one sweep per coloring gives the numerator over the product of
-the projector denominators; a projector on a crossing-free component
-contributes its closure instead.
+n-strand projector.  It cables the link once and divides ``bracket`` of
+the cabled diagram by the product of the projector denominators.
+
+The caps are module constants, read at call time: crossings of the state
+sum, open arcs of the sweep order, projector width, and the free loops
+whose delta power the sweep expands.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from itertools import product
 from math import comb
 
 from .algebra import EvalPoint, LaurentPoly, RatFunc, evaluate_at, loop_weight
-from .diagrams import NE, NW, OVER_SLASH, SE, SW, ColoredLink, PlanarDiagram, cable, canonical_form
+from .diagrams import NE, NW, OVER_SLASH, SE, SW, PlanarDiagram, cable, canonical_form
 from .errors import (
     ArityError,
     ColorRangeError,
@@ -47,7 +53,7 @@ from .errors import (
     SkeinError,
     SliceWidthError,
 )
-from .tl import _walk, closure_count, jones_wenzl
+from .tl import _walk, jones_wenzl
 
 # A-smoothing and B-smoothing corner pairings for each over flag.  With
 # the "/" strand on top the A-smoothing joins the corners vertically
@@ -60,6 +66,7 @@ _SMOOTHINGS = {
 STATE_SUM_MAX_CROSSINGS = 20
 SWEEP_MAX_WIDTH = 24
 JW_CAP = 8
+FREE_LOOP_CAP = 4000
 
 
 # the states of a crossing box with legs (nw, ne, sw, se)
@@ -69,8 +76,7 @@ _CROSSING_STATES = {
 }
 
 
-def bracket_state_sum(diag: PlanarDiagram,
-                      max_crossings: int = STATE_SUM_MAX_CROSSINGS) -> LaurentPoly:
+def bracket_state_sum(diag: PlanarDiagram) -> LaurentPoly:
     """Reference bracket by brute-force state enumeration.
 
     Every state starts a fresh union-find over the arcs and applies the
@@ -79,9 +85,9 @@ def bracket_state_sum(diag: PlanarDiagram,
     are counted by (A-exponent, loops) and the polynomial is built once.
     """
     n = len(diag.crossings)
-    if n > max_crossings:
+    if n > STATE_SUM_MAX_CROSSINGS:
         raise DiagramTooLargeError(
-            f"{n} crossings exceeds the state-sum cap of {max_crossings}"
+            f"{n} crossings exceeds the state-sum cap of {STATE_SUM_MAX_CROSSINGS}"
         )
     label: dict = {}
     joins = []  # joins[ci][s]: the two (arc, arc) joins of smoothing s
@@ -112,7 +118,7 @@ def bracket_state_sum(diag: PlanarDiagram,
     return total
 
 
-def _sweep_order(arcs, max_width: int):
+def _sweep_order(arcs):
     """Greedy box order keeping the number of open arcs small.
 
     ``arcs`` lists the leg arc ids of each box; ties go to the lowest
@@ -129,14 +135,14 @@ def _sweep_order(arcs, max_width: int):
         order.append(ci)
         open_arcs ^= ends[ci]
         peak = max(peak, len(open_arcs))
-    if peak > max_width:
+    if peak > SWEEP_MAX_WIDTH:
         raise SliceWidthError(
-            f"sweep frontier reaches {peak} open arcs, above the cap of {max_width}"
+            f"sweep frontier reaches {peak} open arcs, above the cap of {SWEEP_MAX_WIDTH}"
         )
     return order
 
 
-def _sweep(legs, states, max_width: int) -> dict:
+def _sweep(legs, states) -> dict:
     """Bracket numerator of a box diagram as {exponent: coefficient}.
 
     ``legs[b]`` lists the arc ids at the legs of box b, every arc
@@ -148,7 +154,7 @@ def _sweep(legs, states, max_width: int) -> dict:
     factors: dict = {}  # (weight, loops) -> weight * delta^loops
     frontier: set = set()
     result: dict = {(): {0: 1}}
-    for bi in _sweep_order(legs, max_width):
+    for bi in _sweep_order(legs):
         box, box_states = legs[bi], states[bi]
         # per leg: ~j when it leads on to leg j, an arc id when it ends
         static = list(box)
@@ -210,85 +216,76 @@ def _times_loops(weight: tuple, loops: int) -> list:
     return list(out.items())
 
 
-def _box_legs(diag: PlanarDiagram, sites=()) -> list:
+def _box_legs(diag: PlanarDiagram) -> list:
     """Int arc ids at the legs of each box: the (nw, ne, sw, se) corners
-    of every crossing, then one box per arc site.
+    of every crossing, then one box per site.
 
-    Each cut arc ``site.arcs[q]`` splits into an in-half, from
-    ``site.in_slots[q]`` to leg q of the site's box, and an out-half, from
-    ``site.out_slots[q]`` to leg 2w-1-q: the point order of a TL diagram.
+    Each cut arc ``site.arcs[q]`` of an arc site splits into an in-half,
+    from ``site.in_slots[q]`` to leg q of the site's box, and an out-half,
+    from ``site.out_slots[q]`` to leg 2w-1-q: the point order of a TL
+    diagram.  Circle q of a loop site is one arc from leg q to leg 2w-1-q.
     """
     label: dict = {}
     legs = [[label.setdefault(c[k], len(label)) for k in (NW, NE, SW, SE)]
             for c in diag.crossings]
     fresh = len(label)
-    for site in sites:
-        if site.kind != "arc":
-            continue
+    for site in diag.sites:
         w = site.width
         box = [0] * (2 * w)
         for q in range(w):
-            for (ci, corner), k in ((site.in_slots[q], q), (site.out_slots[q], 2 * w - 1 - q)):
-                legs[ci][corner] = box[k] = fresh
+            if site.kind == "loop":
+                box[q] = box[2 * w - 1 - q] = fresh
                 fresh += 1
+            else:
+                for (ci, corner), k in ((site.in_slots[q], q), (site.out_slots[q], 2 * w - 1 - q)):
+                    legs[ci][corner] = box[k] = fresh
+                    fresh += 1
         legs.append(box)
     return legs
 
 
-def bracket_tangle_sweep(diag: PlanarDiagram, max_width: int = SWEEP_MAX_WIDTH) -> LaurentPoly:
-    """Bracket by a frontier sweep over the crossing boxes."""
+def bracket_tangle_sweep(diag: PlanarDiagram) -> LaurentPoly:
+    """Bracket by one frontier sweep over the crossing and projector boxes.
+
+    With projector sites this is the colored-bracket numerator over the
+    product of the projector denominators.  The free loops are checked
+    against their cap before any work.
+    """
+    free = diag.free_loops - sum(s.width for s in diag.sites if s.kind == "loop")
+    if free > FREE_LOOP_CAP:
+        raise DiagramTooLargeError(
+            f"{free} free loops exceeds the cap of {FREE_LOOP_CAP}"
+        )
     states = [_CROSSING_STATES[c.over] for c in diag.crossings]
-    num = _sweep(_box_legs(diag), states, max_width)
-    return LaurentPoly(dict(_times_loops(tuple(num.items()), diag.free_loops)))
+    for site in diag.sites:
+        terms = jones_wenzl(site.width).terms.items()
+        states.append([(t.pairs, tuple(c.items())) for t, c in terms])
+    num = _sweep(_box_legs(diag), states)
+    return LaurentPoly(dict(_times_loops(tuple(num.items()), free)))
 
 
-# plain brackets and colored-bracket numerators, keyed by diagram structure
+# brackets keyed by diagram structure and projector sites
 _sweep_memo: dict = {}
 
 
-def bracket(diag: PlanarDiagram, max_width: int = SWEEP_MAX_WIDTH) -> LaurentPoly:
+def bracket(diag: PlanarDiagram) -> LaurentPoly:
     """Memoized bracket of a (validated) diagram."""
-    key = (canonical_form(diag), max_width)
+    key = (canonical_form(diag),
+           tuple((s.kind, s.width, s.in_slots, s.out_slots) for s in diag.sites))
     hit = _sweep_memo.get(key)
     if hit is None:
-        hit = _sweep_memo[key] = bracket_tangle_sweep(diag, max_width)
+        hit = _sweep_memo[key] = bracket_tangle_sweep(diag)
     return hit
 
 
-def _colored_numerator(cabled: PlanarDiagram, max_width: int) -> LaurentPoly:
-    """Numerator of the colored bracket over the product of the
-    projector denominators, by one sweep of the box diagram."""
-    delta = loop_weight()
-    states = [_CROSSING_STATES[c.over] for c in cabled.crossings]
-    num = LaurentPoly.one()
-    free = cabled.free_loops
-    for site in cabled.sites:
-        terms = jones_wenzl(site.width).terms.items()
-        if site.kind == "arc":
-            states.append([(t.pairs, tuple(c.items())) for t, c in terms])
-        else:
-            free -= site.width
-            closure = LaurentPoly.zero()
-            for t, c in terms:
-                closure = closure + c * delta**closure_count(t)
-            num = num * closure
-    swept = _sweep(_box_legs(cabled, cabled.sites), states, max_width)
-    return LaurentPoly(dict(_times_loops(tuple(swept.items()), free))) * num
-
-
-def colored_bracket(link, colors=None, point: EvalPoint | None = None,
-                    jw_cap: int = JW_CAP, max_width: int = SWEEP_MAX_WIDTH):
+def colored_bracket(link, colors, point: EvalPoint | None = None):
     """Bracket of a colored link: RatFunc, or CycloNum at ``point``.
 
-    Accepts a ``ColoredLink``, or a ``FramedLink`` plus a color per
-    component.  Color n puts n parallel copies through the n-strand
+    ``colors`` gives one natural number per component of the
+    ``FramedLink``.  Color n puts n parallel copies through the n-strand
     projector; color 0 deletes the component (so the round unknot
     colored 0 gives 1, and colored n gives (-1)^n [n+1]).
     """
-    if isinstance(link, ColoredLink):
-        if colors is not None:
-            raise ArityError("colors given twice")
-        link, colors = link.link, link.colors
     colors = tuple(colors)
     if len(colors) != link.n_components:
         raise ArityError(
@@ -296,20 +293,15 @@ def colored_bracket(link, colors=None, point: EvalPoint | None = None,
         )
     if any(c < 0 for c in colors):
         raise ColorRangeError(f"negative color in {colors}")
-    if any(c > jw_cap for c in colors):
+    if any(c > JW_CAP for c in colors):
         raise DiagramTooLargeError(
-            f"color {max(colors)} exceeds the projector cap {jw_cap}"
+            f"color {max(colors)} exceeds the projector cap {JW_CAP}"
         )
     cabled = cable(link, list(colors))
     den = LaurentPoly.one()
     for site in cabled.sites:
         den = den * jones_wenzl(site.width).den
-    key = (canonical_form(cabled),
-           tuple((s.kind, s.width, s.in_slots, s.out_slots) for s in cabled.sites),
-           max_width)
-    num = _sweep_memo.get(key)
-    if num is None:
-        num = _sweep_memo[key] = _colored_numerator(cabled, max_width)
+    num = bracket(cabled)
 
     if point is None:
         return RatFunc(num, den)

@@ -391,22 +391,6 @@ def unknot_fixture(kinks: int = 0) -> FramedLink:
 
 
 @dataclass(frozen=True)
-class ColoredLink:
-    """A framed link with one color (natural number) per component."""
-
-    link: FramedLink
-    colors: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.colors) != self.link.n_components:
-            raise ValueError(
-                f"{len(self.colors)} colors for {self.link.n_components} components"
-            )
-        if any(c < 0 for c in self.colors):
-            raise ValueError("colors must be >= 0")
-
-
-@dataclass(frozen=True)
 class SurgeryPresentation:
     """Surgery data plus a residual colored link in the same diagram.
 

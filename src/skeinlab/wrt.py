@@ -2,7 +2,10 @@
 
 ``wrt_invariant`` evaluates a surgery presentation by coloring every
 surgery component with each color 0 .. d-1, weighting by the loop
-values, summing the colored brackets, and scaling by eta^(1+n).  When
+values, summing the colored brackets, and scaling by eta^(1+n).  The sum
+starts at the widest coloring, every surgery component at d-1, so its
+first colored bracket is the check against the projector and frontier
+caps: a run that cannot finish fails before any other sweep.  When
 1+n is even the eta power is an exact field element and the whole
 computation stays in CycloNum; odd powers force the 30-digit float
 path.
@@ -32,20 +35,18 @@ from .algebra import (
     delta_color,
     evaluate_at,
 )
-from .bracket import JW_CAP, SWEEP_MAX_WIDTH, _box_legs, _sweep_order, colored_bracket
+from .bracket import colored_bracket
 from .diagrams import (
     SurgeryPresentation,
     _signature,
     attach_meridian,
     borromean_fixture,
-    cable,
     linking_and_signature,
     unknot_fixture,
 )
 from .errors import (
     BranchCutError,
     ColorRangeError,
-    DiagramTooLargeError,
     FramingError,
     NonzeroSignatureError,
     OddEtaPowerError,
@@ -68,9 +69,9 @@ def wrt_invariant(pres: SurgeryPresentation, p: EvalPoint, mode: str = "auto",
     a 30-digit mpmath complex.  Presentations must have zero-signature
     surgery linking and zero self-writhe on every surgery component
     (apply twist corrections first if not), and the residual colors must
-    fit the level.  The widest coloring (every surgery component at
-    d-1) is checked against the projector and frontier caps before the
-    d^n colorings are summed, so a run that cannot finish fails at once.
+    fit the level.  The d^n colorings are summed from the widest down,
+    so the first colored bracket, every surgery component at d-1, meets
+    the projector and frontier caps before any narrower sweep runs.
     """
     if mode not in ("auto", "exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -106,20 +107,10 @@ def wrt_invariant(pres: SurgeryPresentation, p: EvalPoint, mode: str = "auto",
     colors = [0] * link.n_components
     for j, c in pres.extra_colors.items():
         colors[j] = c
-    # preflight: the widest coloring must fit the projector and width caps
-    widest = list(colors)
-    for j in surgery:
-        widest[j] = p.d - 1
-    if max(widest, default=0) > JW_CAP:
-        raise DiagramTooLargeError(
-            f"color {max(widest)} at d={p.d} exceeds the projector cap {JW_CAP}"
-        )
-    cabled = cable(link, widest)
-    _sweep_order(_box_legs(cabled, cabled.sites), SWEEP_MAX_WIDTH)
 
     loop_values = [evaluate_at(delta_color(c), p) for c in range(p.d)]
     total = CycloNum.zero(p.d)
-    for combo in product(range(p.d), repeat=n):
+    for combo in product(range(p.d - 1, -1, -1), repeat=n):
         weight = CycloNum.one(p.d)
         for j, c in zip(surgery, combo):
             colors[j] = c

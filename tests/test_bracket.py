@@ -5,6 +5,7 @@ import pytest
 from skeinlab.algebra import EvalPoint, LaurentPoly, RatFunc, delta_color, loop_weight, quantum_integer
 from skeinlab.bracket import (
     _SMOOTHINGS,
+    FREE_LOOP_CAP,
     bracket,
     bracket_state_sum,
     bracket_tangle_sweep,
@@ -15,7 +16,6 @@ from skeinlab.diagrams import (
     NW,
     SE,
     SW,
-    ColoredLink,
     FramedLink,
     PlanarDiagram,
     braid_closure,
@@ -216,21 +216,31 @@ def test_many_free_loops():
     assert value.coefficient(6000) == 1
 
 
+def test_free_loop_cap(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the sweep ran before the free-loop cap")
+    monkeypatch.setattr("skeinlab.bracket._sweep", fail)
+    with pytest.raises(DiagramTooLargeError, match="free loops"):
+        bracket_tangle_sweep(PlanarDiagram((), FREE_LOOP_CAP + 1))
+
+
 def test_state_sum_cap():
     big = braid_closure([1] * 21, 2)
     with pytest.raises(DiagramTooLargeError):
         bracket_state_sum(big)
 
 
-def test_sweep_width_cap(borromean):
-    with pytest.raises(SliceWidthError):
-        bracket_tangle_sweep(borromean.diagram, max_width=2)
+@pytest.fixture
+def narrow_sweep(monkeypatch):
+    """A sweep cap of 2 open arcs and an empty memo: the memo is not
+    keyed by the cap, so a cached result would skip the check."""
+    monkeypatch.setattr("skeinlab.bracket.SWEEP_MAX_WIDTH", 2)
+    monkeypatch.setattr("skeinlab.bracket._sweep_memo", {})
 
 
-def test_memo_keeps_width_cap(borromean):
-    bracket(borromean.diagram)
+def test_sweep_width_cap(borromean, narrow_sweep):
     with pytest.raises(SliceWidthError):
-        bracket(borromean.diagram, max_width=2)
+        bracket_tangle_sweep(borromean.diagram)
 
 
 def test_sweep_rejects_open_arcs():
@@ -342,13 +352,6 @@ def test_colored_hopf_matches_closed_form(hopf):
             assert colored_bracket(hopf, (i, a)) == RatFunc(hopf_eval(i, a))
 
 
-def test_colored_link_argument(hopf):
-    colored = ColoredLink(hopf, (1, 1))
-    assert colored_bracket(colored) == RatFunc(quantum_integer(4))
-    with pytest.raises(ArityError):
-        colored_bracket(colored, (1, 1))
-
-
 def test_color_zero_deletes(hopf):
     assert colored_bracket(hopf, (0, 2)) == RatFunc(delta_color(2))
 
@@ -370,9 +373,9 @@ def test_colored_bracket_matches_splicing_reference(hopf):
             _colored_bracket_by_splicing(link, colors), colors
 
 
-def test_colored_bracket_width_cap(borromean):
+def test_colored_bracket_width_cap(borromean, narrow_sweep):
     with pytest.raises(SliceWidthError):
-        colored_bracket(borromean, (2, 2, 2), max_width=2)
+        colored_bracket(borromean, (2, 2, 2))
 
 
 def test_div_unit_rejects_remainder():

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,16 @@ def test_malformed_link_json_exits_2(tmp_path, text):
     rc, out, err = run_cli("bracket", str(path))
     assert rc == 2 and out == ""
     assert "E_SCHEMA" in err
+
+
+def test_bracket_free_loop_cap_exits_2_at_once(tmp_path):
+    path = tmp_path / "loops.json"
+    path.write_text(json.dumps({"crossings": [], "free_loops": 100000}))
+    start = time.perf_counter()
+    rc, out, err = run_cli("bracket", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert rc == 2 and out == ""
+    assert "E_TOO_LARGE" in err
 
 
 _json_values = st.recursive(

@@ -84,21 +84,21 @@ def test_torus_trace_dimensions():
 
 
 @pytest.fixture
-def no_colored_bracket(monkeypatch):
-    """Fail on any colored bracket, so only a preflight can raise."""
+def no_sweep_step(monkeypatch):
+    """Fail on the first step of any sweep, so only a cap check can raise."""
     def fail(*args, **kwargs):
-        raise AssertionError("colored_bracket called before the preflight failed")
-    monkeypatch.setattr("skeinlab.wrt.colored_bracket", fail)
+        raise AssertionError("a sweep step ran before the cap check failed")
+    monkeypatch.setattr("skeinlab.bracket._walk", fail)
 
 
-def test_preflight_width(no_colored_bracket):
+def test_preflight_width(no_sweep_step):
     # every surgery component at color 4 with a 2-colored meridian peaks
     # at 28 open arcs, above the cap of 24
     with pytest.raises(SliceWidthError):
         torus_invariant(2, EvalPoint(5, 1), mode="exact")
 
 
-def test_preflight_projector_cap(no_colored_bracket):
+def test_preflight_projector_cap(no_sweep_step):
     with pytest.raises(DiagramTooLargeError):
         wrt_invariant(s1xs2(), EvalPoint(10, 1), mode="float")
 
