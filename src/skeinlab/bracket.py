@@ -17,29 +17,51 @@ denominator.  A diagram's ``sites`` say where its projectors sit: an arc
 site cuts w parallel arcs, and a loop site, w crossing-free parallel
 circles, is a box whose leg q shares one arc with leg 2w-1-q, so a
 projector's closure is one more box of the same sweep.  Taking the
-boxes in a greedy order, the sweep carries an {exponent: int} weight
-for every way the processed part can connect the dangling arc ends,
-keyed by sorted (min, max) arc pairs, so its cost is governed by the
-frontier width.  The update is local to the box: each leg leads on to
-another leg (an arc with both ends there, or two open arcs the state
-joins) or ends at an open arc, and the strand walk of ``tl`` over the leg
-pairs of each local state gives the new pairs and the number of closed
-loops.  Free loops multiply the result by the same binomial expansion
-of delta^k that weights the closed loops.
+boxes in a greedy order, the sweep carries a weight for every way the
+processed part can connect the dangling arc ends, keyed by sorted
+(min, max) arc pairs, so its cost is governed by the frontier width.
+The update is local to the box: each leg leads on to another leg (an arc
+with both ends there, or two open arcs the state joins) or ends at an
+open arc, and the strand walk of ``tl`` over the leg pairs of each local
+state gives the new pairs and the number of closed loops.  Free loops
+multiply the result by the same binomial expansion of delta^k that
+weights the closed loops.
 
-``bracket`` memoizes the sweep by diagram structure and sites.
-``colored_bracket`` evaluates a link whose components carry natural
-number colors: color n means n parallel blackboard push-offs through the
-n-strand projector.  It cables the link once and divides ``bracket`` of
-the cabled diagram by the product of the projector denominators.
+A weight is packed by Kronecker substitution.  The A-exponents of all
+contributions to one frontier key lie in one residue class mod 4: a
+smoothing moves the exponent by +-1 and delta^l has exponents 2l mod 4,
+so switching one smoothing without changing the key moves both by 2.
+The sweep checks this on every addition.  So the weight
+A^e0 * sum_j c_j A^(4j) is stored as the pair (e0, V) with
+V = sum_j c_j 2^(k*j), one Python int.  Multiplying by a local state's
+packed weight times delta^loops is then an exponent sum and one int
+product, and adding two weights is an int sum after a shift that aligns
+their offsets.  The slot width k is fixed per sweep from a bound on every
+coefficient of every partial weight: the product over the boxes of the
+summed absolute state coefficients, times 2^(number of arcs), since each
+closed loop uses up an arc.  The result is decoded once, as balanced
+base-2^k digits.  A contribution off its key's residue, or a box
+coefficient that is not an integer, raises ``SkeinError``.
+
+``bracket`` memoizes the sweep in ``_sweep_memo``, keyed by the
+canonical form of the diagram and its projector sites.  The memo is
+process-global and unbounded: it lives as long as the process, as one
+CLI run or one benchmark pass does, and a caller that sweeps many
+unrelated diagrams can clear it.  ``colored_bracket`` evaluates a link
+whose components carry natural number colors: color n means n parallel
+blackboard push-offs through the n-strand projector.  It cables the link
+once and divides ``bracket`` of the cabled diagram by the product of the
+projector denominators, whose inverse at an evaluation point is computed
+once per (sorted site widths, point).
 
 The caps are module constants, read at call time: crossings of the state
 sum, open arcs of the sweep order, projector width, and the free loops
-whose delta power the sweep expands.
+whose delta power the sweep and the state sum expand.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -88,6 +110,10 @@ def bracket_state_sum(diag: PlanarDiagram) -> LaurentPoly:
     if n > STATE_SUM_MAX_CROSSINGS:
         raise DiagramTooLargeError(
             f"{n} crossings exceeds the state-sum cap of {STATE_SUM_MAX_CROSSINGS}"
+        )
+    if diag.free_loops > FREE_LOOP_CAP:
+        raise DiagramTooLargeError(
+            f"{diag.free_loops} free loops exceeds the cap of {FREE_LOOP_CAP}"
         )
     label: dict = {}
     joins = []  # joins[ci][s]: the two (arc, arc) joins of smoothing s
@@ -147,13 +173,23 @@ def _sweep(legs, states) -> dict:
 
     ``legs[b]`` lists the arc ids at the legs of box b, every arc
     occurring twice in all, and ``states[b]`` its local states as (leg
-    pairs, weight as (exponent, int) terms).  Equality with
-    ``bracket_state_sum`` for every processing order is what the property
-    suite pins down.
+    pairs, weight as (exponent, integer) terms).  Each frontier key
+    carries its weight packed as (e0, V), for A^e0 * sum_j c_j A^(4j)
+    with V = sum_j c_j 2^(k*j); a factor, a state weight times
+    delta^loops, is packed the same way.  The slot width k is 2 bits
+    above the bound of the module docstring, which one loop at most
+    doubles per arc it uses up, so |c_j| < 2^(k-1): the balanced
+    base-2^k digits of V are its coefficients, and V is 0 exactly when
+    the weight is.  Equality with ``bracket_state_sum`` for every
+    processing order is what the property suite pins down.
     """
-    factors: dict = {}  # (weight, loops) -> weight * delta^loops
+    bound = 2 ** (sum(map(len, legs)) // 2)
+    for box_states in states:
+        bound *= sum(abs(_integral(c)) for _, w in box_states for _, c in w) or 1
+    slot = bound.bit_length() + 2
+    factors: dict = {}  # (weight, loops) -> weight * delta^loops, packed
     frontier: set = set()
-    result: dict = {(): {0: 1}}
+    result: dict = {(): (0, 1)}
     for bi in _sweep_order(legs):
         box, box_states = legs[bi], states[bi]
         # per leg: ~j when it leads on to leg j, an arc id when it ends
@@ -169,7 +205,7 @@ def _sweep(legs, states) -> dict:
         moves = [({**dict(s), **{y: x for x, y in s}}, w) for s, w in box_states]
         walks: dict = {}  # states that meet the box alike share a walk
         new_result: dict = {}
-        for key, weight in result.items():
+        for key, (e0, value) in result.items():
             link = static[:]
             carried = []
             for pair in key:
@@ -191,19 +227,61 @@ def _sweep(legs, states) -> dict:
                     pairs, loops = _walk(link, partner)
                     factor = factors.get((w, loops))
                     if factor is None:
-                        factor = factors[w, loops] = _times_loops(w, loops)
+                        factor = factors[w, loops] = _pack(_times_loops(w, loops), slot)
                     found.append((pairs, factor))
-            for pairs, factor in found:
+            for pairs, (f0, packed) in found:
                 k = tuple(sorted(carried + pairs)) if pairs else tuple(carried)
-                acc = new_result.setdefault(k, {})
-                for f, d in factor:
-                    for e, c in weight.items():
-                        acc[e + f] = acc.get(e + f, 0) + c * d
-        result = {k: w for k, w in new_result.items() if any(w.values())}
+                e = e0 + f0
+                v = value if packed == 1 else value * packed
+                acc = new_result.get(k)
+                if acc is not None:
+                    a0, u = acc
+                    shift = e - a0
+                    if shift % 4:
+                        raise SkeinError(f"key {k} mixes exponents {a0} and {e} mod 4")
+                    if shift >= 0:
+                        e, v = a0, u + (v << slot * shift // 4)
+                    else:
+                        v += u << slot * -shift // 4
+                new_result[k] = e, v
+        result = {k: w for k, w in new_result.items() if w[1]}
 
     if result.keys() - {()}:
         raise SkeinError("open arcs survived the sweep")
-    return result.get((), {})
+    return _unpack(*result.get((), (0, 0)), slot)
+
+
+def _integral(c) -> int:
+    """A box coefficient as an int: packed weights hold integers only."""
+    if getattr(c, "denominator", 1) != 1:
+        raise SkeinError(f"box weight coefficient {c} is not an integer")
+    return int(c)
+
+
+def _pack(terms, slot: int) -> tuple:
+    """(exponent, int) terms of one residue mod 4 as (e0, V)."""
+    e0 = min((e for e, _ in terms), default=0)
+    value = 0
+    for e, c in terms:
+        if (e - e0) % 4:
+            raise SkeinError(f"box weight mixes exponents {e0} and {e} mod 4")
+        value += _integral(c) << slot * (e - e0) // 4
+    return e0, value
+
+
+def _unpack(e0: int, value: int, slot: int) -> dict:
+    """{exponent: coefficient} of (e0, V), read as balanced base-2^slot digits."""
+    out: dict = {}
+    half, mask = 1 << (slot - 1), (1 << slot) - 1
+    while value:
+        c = value & mask
+        if c >= half:
+            c -= 1 << slot
+        if c:
+            out[e0] = c
+        value = (value - c) >> slot
+        e0 += 4
+    return out
 
 
 def _times_loops(weight: tuple, loops: int) -> list:
@@ -298,15 +376,25 @@ def colored_bracket(link, colors, point: EvalPoint | None = None):
             f"color {max(colors)} exceeds the projector cap {JW_CAP}"
         )
     cabled = cable(link, list(colors))
-    den = LaurentPoly.one()
-    for site in cabled.sites:
-        den = den * jones_wenzl(site.width).den
+    widths = tuple(sorted(site.width for site in cabled.sites))
     num = bracket(cabled)
-
     if point is None:
-        return RatFunc(num, den)
-    num_val = evaluate_at(num, point)
-    den_val = evaluate_at(den, point)
+        return RatFunc(num, _projector_den(widths))
+    return evaluate_at(num, point) * _projector_den_inverse(widths, point)
+
+
+def _projector_den(widths: tuple) -> LaurentPoly:
+    """Product of the Jones-Wenzl denominators of the given widths."""
+    den = LaurentPoly.one()
+    for w in widths:
+        den = den * jones_wenzl(w).den
+    return den
+
+
+@lru_cache(maxsize=None)
+def _projector_den_inverse(widths: tuple, point: EvalPoint):
+    """1 / ``_projector_den(widths)`` at ``point``, inverted once per pair."""
+    den_val = evaluate_at(_projector_den(widths), point)
     if den_val.is_zero():
         raise PoleError(f"projector denominator vanishes at d={point.d}")
-    return num_val * den_val.inverse()
+    return den_val.inverse()

@@ -165,13 +165,16 @@ class TLElement:
         if self.n != other.n:
             raise ArityError(f"cannot compose on {self.n} and {other.n} strands")
         delta = loop_weight()
+        powers: dict = {}  # bubbles -> delta^bubbles
         terms: dict = {}
         for da, ca in self.terms.items():
             for db, cb in other.terms.items():
                 comp, bubbles = compose(da, db)
                 c = ca * cb
-                for _ in range(bubbles):
-                    c = c * delta
+                if bubbles:
+                    if bubbles not in powers:
+                        powers[bubbles] = delta**bubbles
+                    c = c * powers[bubbles]
                 terms[comp] = terms.get(comp, LaurentPoly.zero()) + c
         return TLElement(self.n, terms, self.den * other.den)
 

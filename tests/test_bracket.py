@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -6,6 +7,7 @@ from skeinlab.algebra import EvalPoint, LaurentPoly, RatFunc, delta_color, loop_
 from skeinlab.bracket import (
     _SMOOTHINGS,
     FREE_LOOP_CAP,
+    _sweep,
     bracket,
     bracket_state_sum,
     bracket_tangle_sweep,
@@ -16,6 +18,7 @@ from skeinlab.diagrams import (
     NW,
     SE,
     SW,
+    Crossing,
     FramedLink,
     PlanarDiagram,
     braid_closure,
@@ -224,6 +227,47 @@ def test_free_loop_cap(monkeypatch):
         bracket_tangle_sweep(PlanarDiagram((), FREE_LOOP_CAP + 1))
 
 
+def test_state_sum_free_loop_cap(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the state sum ran before the free-loop cap")
+    monkeypatch.setattr("skeinlab.bracket.product", fail)
+    with pytest.raises(DiagramTooLargeError, match="free loops"):
+        bracket_state_sum(PlanarDiagram((), FREE_LOOP_CAP + 1))
+
+
+def _split_union(diagrams) -> PlanarDiagram:
+    """Side-by-side union, arc labels made distinct per copy."""
+    crossings = [
+        Crossing(*((i, label) for label in c[:4]), c.over)
+        for i, d in enumerate(diagrams) for c in d.crossings
+    ]
+    return PlanarDiagram(tuple(crossings), sum(d.free_loops for d in diagrams))
+
+
+def test_sweep_decodes_a_wide_split_union(hopf):
+    # 12 Hopf links and a trefoil: the bracket is the product of the
+    # parts, with coefficients of both signs across 41 exponents
+    trefoil = braid_closure([1, 1, 1], 2)
+    want = bracket_state_sum(hopf.diagram) ** 12 * bracket_state_sum(trefoil)
+    coeffs = [c for _, c in want.items()]
+    assert len(coeffs) == 41 and min(coeffs) < 0 < max(coeffs)
+    assert max(map(abs, coeffs)) > 2 ** 20
+    assert bracket_tangle_sweep(_split_union([hopf.diagram] * 12 + [trefoil])) == want
+
+
+def test_sweep_rejects_mixed_residues():
+    # one 2-leg box closing arc 0 into a loop
+    loop = ((0, 1),)
+    with pytest.raises(SkeinError, match="mod 4"):
+        _sweep([[0, 0]], [[(loop, ((0, 1), (1, 1)))]])
+    with pytest.raises(SkeinError, match="mod 4"):
+        _sweep([[0, 0]], [[(loop, ((0, 1),)), (loop, ((1, 1),))]])
+    with pytest.raises(SkeinError, match="not an integer"):
+        _sweep([[0, 0]], [[(loop, ((0, Fraction(1, 2)),))]])
+    # (1 - A^4) * delta, the A^2 terms cancelling across the two states
+    assert _sweep([[0, 0]], [[(loop, ((0, 1),)), (loop, ((4, -1),))]]) == {-2: -1, 6: 1}
+
+
 def test_state_sum_cap():
     big = braid_closure([1] * 21, 2)
     with pytest.raises(DiagramTooLargeError):
@@ -391,7 +435,8 @@ def test_colored_error_paths(hopf, unknot):
         colored_bracket(hopf, (1, -1))
     with pytest.raises(DiagramTooLargeError):
         colored_bracket(unknot, (9,))
-    with pytest.raises(PoleError):
-        # the three-strand projector has [3] in its denominator, which
-        # vanishes at the level-1 point
-        colored_bracket(unknot, (3,), point=EvalPoint(1, 1))
+    for _ in range(2):  # the cached inverse does not cache the pole
+        with pytest.raises(PoleError):
+            # the three-strand projector has [3] in its denominator, which
+            # vanishes at the level-1 point
+            colored_bracket(unknot, (3,), point=EvalPoint(1, 1))
