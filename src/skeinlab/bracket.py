@@ -168,14 +168,15 @@ def _sweep_order(arcs):
     return order
 
 
-def _sweep(legs, states) -> dict:
+def _sweep(legs, states, order) -> dict:
     """Bracket numerator of a box diagram as {exponent: coefficient}.
 
     ``legs[b]`` lists the arc ids at the legs of box b, every arc
-    occurring twice in all, and ``states[b]`` its local states as (leg
-    pairs, weight as (exponent, integer) terms).  Each frontier key
-    carries its weight packed as (e0, V), for A^e0 * sum_j c_j A^(4j)
-    with V = sum_j c_j 2^(k*j); a factor, a state weight times
+    occurring twice in all, ``states[b]`` its local states as (leg
+    pairs, weight as (exponent, integer) terms), and ``order`` the box
+    order, from ``_sweep_order``.  Each frontier key carries its weight
+    packed as (e0, V), for A^e0 * sum_j c_j A^(4j) with
+    V = sum_j c_j 2^(k*j); a factor, a state weight times
     delta^loops, is packed the same way.  The slot width k is 2 bits
     above the bound of the module docstring, which one loop at most
     doubles per arc it uses up, so |c_j| < 2^(k-1): the balanced
@@ -190,7 +191,7 @@ def _sweep(legs, states) -> dict:
     factors: dict = {}  # (weight, loops) -> weight * delta^loops, packed
     frontier: set = set()
     result: dict = {(): (0, 1)}
-    for bi in _sweep_order(legs):
+    for bi in order:
         box, box_states = legs[bi], states[bi]
         # per leg: ~j when it leads on to leg j, an arc id when it ends
         static = list(box)
@@ -298,10 +299,10 @@ def _box_legs(diag: PlanarDiagram) -> list:
     """Int arc ids at the legs of each box: the (nw, ne, sw, se) corners
     of every crossing, then one box per site.
 
-    Each cut arc ``site.arcs[q]`` of an arc site splits into an in-half,
-    from ``site.in_slots[q]`` to leg q of the site's box, and an out-half,
-    from ``site.out_slots[q]`` to leg 2w-1-q: the point order of a TL
-    diagram.  Circle q of a loop site is one arc from leg q to leg 2w-1-q.
+    The q-th cut arc of an arc site splits into an in-half, from
+    ``site.in_slots[q]`` to leg q of the site's box, and an out-half, from
+    ``site.out_slots[q]`` to leg 2w-1-q: the point order of a TL diagram.
+    Circle q of a loop site is one arc from leg q to leg 2w-1-q.
     """
     label: dict = {}
     legs = [[label.setdefault(c[k], len(label)) for k in (NW, NE, SW, SE)]
@@ -326,19 +327,22 @@ def bracket_tangle_sweep(diag: PlanarDiagram) -> LaurentPoly:
     """Bracket by one frontier sweep over the crossing and projector boxes.
 
     With projector sites this is the colored-bracket numerator over the
-    product of the projector denominators.  The free loops are checked
-    against their cap before any work.
+    product of the projector denominators.  The free loops and the
+    sweep order's width are checked against their caps before any
+    projector is built.
     """
     free = diag.free_loops - sum(s.width for s in diag.sites if s.kind == "loop")
     if free > FREE_LOOP_CAP:
         raise DiagramTooLargeError(
             f"{free} free loops exceeds the cap of {FREE_LOOP_CAP}"
         )
+    legs = _box_legs(diag)
+    order = _sweep_order(legs)
     states = [_CROSSING_STATES[c.over] for c in diag.crossings]
     for site in diag.sites:
         terms = jones_wenzl(site.width).terms.items()
         states.append([(t.pairs, tuple(c.items())) for t, c in terms])
-    num = _sweep(_box_legs(diag), states)
+    num = _sweep(legs, states, order)
     return LaurentPoly(dict(_times_loops(tuple(num.items()), free)))
 
 

@@ -26,6 +26,24 @@ Conventions fixed here and relied on everywhere else:
   module this makes a +1 kink contribute -A^3.
 * Framing is the blackboard framing.  Diagonal entries of the linking
   matrix are per-component self-writhes.
+
+Cabling replaces a component of width w by w parallel copies.  A
+crossing whose "/" strand has width u and "\" strand width v becomes a
+u x v grid of crossings (i, j), numbered offset + i*v + j, where the
+offset counts the grid crossings of the crossings before it.  Copy p at
+a corner sits at grid crossing (0, p) for nw, (u-1-p, 0) for ne,
+(p, v-1) for sw and (u-1, v-1-p) for se, so sw copy p runs along row p
+to ne copy u-1-p, and nw copy p along column p to se copy v-1-p.  Copy q
+at one end of an arc is copy w-1-q at its other end.  When u or v is 0
+the grid is empty and the surviving strand's copies pass straight
+through it by the same joins, so width 0 deletes a component.  The arcs
+of the result are the union-find classes of the copy ends.
+
+Each surviving component gets one site.  One that reaches a grid corner
+gets an arc site, cut at the first grid corner it reaches in (crossing,
+nw, ne, sw, se) order; arc sites come in the order of their cuts.  Loop
+sites follow, in component order, for the surviving components that
+reach no grid corner.
 """
 
 from __future__ import annotations
@@ -66,15 +84,14 @@ class Crossing(NamedTuple):
 class Site:
     """A marked transversal cut through one cabled component.
 
-    ``arcs[q]`` is the q-th parallel strand at the cut.  For an ``arc``
-    site, ``in_slots[q]`` / ``out_slots[q]`` are the crossing slots at
-    the two ends of that strand.  A ``loop`` site marks a bundle of
-    crossing-free circles, for which the strands have no slots at all.
+    For an ``arc`` site, ``in_slots[q]`` / ``out_slots[q]`` are the
+    crossing slots at the two ends of the q-th parallel arc at the cut.
+    A ``loop`` site marks a bundle of crossing-free circles, for which
+    the strands have no slots at all.
     """
 
     kind: str  # "arc" | "loop"
     width: int
-    arcs: tuple = ()
     in_slots: tuple = ()
     out_slots: tuple = ()
 
@@ -317,11 +334,6 @@ def canonical_form(diag: PlanarDiagram):
     return tuple(rows), diag.free_loops
 
 
-def isomorphic(d1: PlanarDiagram, d2: PlanarDiagram) -> bool:
-    """Equality of diagrams up to renaming arcs (same crossing order)."""
-    return canonical_form(d1) == canonical_form(d2)
-
-
 # -- fixtures ----------------------------------------------------------------
 
 
@@ -456,61 +468,7 @@ def attach_meridian(link: FramedLink, component: int, color: int,
     return SurgeryPresentation(new_link, surgery, {mer_comp: color}, name=name)
 
 
-# -- deletion and cabling -----------------------------------------------------
-
-
-def delete_components(link: FramedLink, dead: set) -> PlanarDiagram:
-    """Remove the named components, splicing surviving strands through.
-
-    A crossing between a surviving strand and a deleted one disappears
-    and the surviving strand's two arcs merge; a surviving component
-    that loses all its crossings becomes a free loop.
-    """
-    diag = link.diagram
-    alive_cross = []
-    parent: dict = {}
-    for ci, c in enumerate(diag.crossings):
-        cs, cb = link.crossing_components(ci)
-        s_dead, b_dead = cs in dead, cb in dead
-        if s_dead and b_dead:
-            continue
-        if not s_dead and not b_dead:
-            alive_cross.append(ci)
-            continue
-        # one strand survives: merge its two arcs across the crossing
-        if s_dead:
-            a, b = c[NW], c[SE]
-        else:
-            a, b = c[SW], c[NE]
-        ra, rb = _find(parent, a), _find(parent, b)
-        if ra != rb:
-            parent[ra] = rb
-
-    new_crossings = []
-    for ci in alive_cross:
-        c = diag.crossings[ci]
-        new_crossings.append(
-            Crossing(*(_find(parent, a) for a in c[:4]), c.over)
-        )
-
-    # count surviving classes with no remaining crossing slots: free loops
-    occupancy: dict = {}
-    for c in new_crossings:
-        for corner in (NW, NE, SW, SE):
-            occupancy[c[corner]] = occupancy.get(c[corner], 0) + 1
-    closed = set()
-    for comp_index, comp in enumerate(link.components):
-        if comp_index in dead or not comp:
-            continue
-        for a in comp:
-            r = _find(parent, a)
-            if r not in occupancy:
-                closed.add(r)
-    free = diag.free_loops + len(closed)
-    for comp_index in dead:
-        if not link.components[comp_index]:
-            free -= 1
-    return PlanarDiagram(tuple(new_crossings), free)
+# -- cabling -----------------------------------------------------------------
 
 
 def cable(link: FramedLink, widths) -> PlanarDiagram:
@@ -519,124 +477,74 @@ def cable(link: FramedLink, widths) -> PlanarDiagram:
     ``widths[k]`` is the number of copies of component k; width 0
     deletes the component.  The result carries one marked Site per
     surviving component, the transversal cut where its projector sits.
-    Validity (in particular planarity) is preserved.
+    Validity (in particular planarity) is preserved.  The grid numbering,
+    the pass-through at an empty grid and the site rule are those of the
+    module docstring.
     """
     if len(widths) != link.n_components:
         raise ValueError(f"{len(widths)} widths for {link.n_components} components")
     if any(w < 0 for w in widths):
         raise ValueError("widths must be >= 0")
-    dead = {i for i, w in enumerate(widths) if w == 0}
-    if dead:
-        base = FramedLink(delete_components(link, dead))
-        return cable(base, _map_widths(link, base, widths, dead))
-
     diag = link.diagram
-    sites = []
-    new_crossings: dict = {}
-    slot_arc: dict = {}
-
-    def grid_uv(ci):
-        cs, cb = link.crossing_components(ci)
-        return widths[cs], widths[cb]
-
-    def attach(ci, corner, p):
-        u, v = grid_uv(ci)
-        if corner == SW:
-            return (("g", ci, p, v - 1), SW)
-        if corner == NE:
-            return (("g", ci, u - 1 - p, 0), NE)
-        if corner == NW:
-            return (("g", ci, 0, p), NW)
-        return (("g", ci, u - 1, v - 1 - p), SE)
-
-    for ci, c in enumerate(diag.crossings):
-        u, v = grid_uv(ci)
-        for i in range(u):
-            for j in range(v):
-                new_crossings[("g", ci, i, j)] = [None, None, None, None, c.over]
-        for i in range(u):
-            for j in range(v - 1):
-                a = ("i", ci, i, j)
-                slot_arc[(("g", ci, i, j + 1), NE)] = a
-                slot_arc[(("g", ci, i, j), SW)] = a
-        for j in range(v):
-            for i in range(u - 1):
-                a = ("j", ci, i, j)
-                slot_arc[(("g", ci, i, j), SE)] = a
-                slot_arc[(("g", ci, i + 1, j), NW)] = a
-
-    arc_copy_slots: dict = {}
-    for arc, ends in link._slots.items():
-        w = widths[link.component_of(arc)]
-        (c1, s1), (c2, s2) = ends
-        for q in range(w):
-            a = ("c", arc, q)
-            e1 = attach(c1, s1, q)
-            e2 = attach(c2, s2, w - 1 - q)
-            slot_arc[e1] = a
-            slot_arc[e2] = a
-            arc_copy_slots[a] = (e1, e2)
-
-    for (gid, corner), a in slot_arc.items():
-        new_crossings[gid][corner] = a
-
-    gid_index: dict = {}
-    ordered = []
+    grids = []  # (offset, u, v) per crossing
+    size = 0
     for ci in range(len(diag.crossings)):
-        u, v = grid_uv(ci)
-        for i in range(u):
-            for j in range(v):
-                gid_index[("g", ci, i, j)] = len(ordered)
-                ordered.append(Crossing(*new_crossings[("g", ci, i, j)]))
+        cs, cb = link.crossing_components(ci)
+        grids.append((size, widths[cs], widths[cb]))
+        size += widths[cs] * widths[cb]
 
-    def site_slot(slot):
-        gid, corner = slot
-        return (gid_index[gid], corner)
+    def end(ci, corner, p):
+        """Copy p at a corner: its grid slot, or the copy end itself at an
+        empty grid."""
+        o, u, v = grids[ci]
+        if not u * v:
+            return ci, corner, p
+        i, j = {NW: (0, p), NE: (u - 1 - p, 0), SW: (p, v - 1), SE: (u - 1, v - 1 - p)}[corner]
+        return o + i * v + j, corner
 
-    free = 0
-    for comp_index, comp in enumerate(link.components):
-        w = widths[comp_index]
-        if comp:
-            alpha = comp[0]
-            cut = tuple(("c", alpha, q) for q in range(w))
-            sites.append(
-                Site(
-                    kind="arc",
-                    width=w,
-                    arcs=cut,
-                    in_slots=tuple(site_slot(arc_copy_slots[a][0]) for a in cut),
-                    out_slots=tuple(site_slot(arc_copy_slots[a][1]) for a in cut),
-                )
-            )
-        else:
-            free += w
-            sites.append(Site(kind="loop", width=w))
-    return PlanarDiagram(tuple(ordered), free, tuple(sites))
+    parent: dict = {}
 
+    def join(x, y):
+        parent[_find(parent, x)] = _find(parent, y)
 
-def _map_widths(old: FramedLink, new: FramedLink, widths, dead) -> list:
-    """Carry per-component widths across a deletion."""
-    out = [None] * new.n_components
-    used_loops = []
-    for old_i, comp in enumerate(old.components):
-        if old_i in dead:
+    for ci, (o, u, v) in enumerate(grids):
+        if u * v:
+            for g in range(o, o + u * v):
+                if (g - o) % v:
+                    join((g, NE), (g - 1, SW))
+                if g - o >= v:
+                    join((g, NW), (g - v, SE))
+        else:  # the surviving strand passes straight through
+            for p in range(v):
+                join((ci, NW, p), (ci, SE, v - 1 - p))
+            for p in range(u):
+                join((ci, SW, p), (ci, NE, u - 1 - p))
+    for arc, ((c1, s1), (c2, s2)) in link._slots.items():
+        w = widths[link.component_of(arc)]
+        for q in range(w):
+            join(end(c1, s1, q), end(c2, s2, w - 1 - q))
+
+    crossings = tuple(
+        Crossing(*(_find(parent, (g, k)) for k in (NW, NE, SW, SE)), c.over)
+        for c, (o, u, v) in zip(diag.crossings, grids) for g in range(o, o + u * v)
+    )
+    slots = _arc_slots(PlanarDiagram(crossings))
+    sites = []
+    cut: set = set()  # components with an arc site
+    for ci, c in enumerate(diag.crossings):
+        if not grids[ci][1] * grids[ci][2]:
             continue
-        if comp:
-            # deletion merges arcs within one component and keeps one of its
-            # original labels as the union-find root
-            root_arcs = [a for a in new._comp_of_arc if a in comp]
-            if root_arcs:
-                out[new.component_of(root_arcs[0])] = widths[old_i]
-            else:
-                used_loops.append(widths[old_i])  # component became a free loop
-        else:
-            used_loops.append(widths[old_i])
-    loop_slots = [i for i in range(new.n_components) if out[i] is None]
-    if len(loop_slots) != len(used_loops):
-        raise SkeinError("component widths do not survive the deletion")
-    for i, w in zip(loop_slots, used_loops):
-        out[i] = w
-    return out
+        for corner in (NW, NE, SW, SE):
+            k = link.component_of(c[corner])
+            if k in cut:
+                continue
+            cut.add(k)
+            ins = tuple(end(ci, corner, q) for q in range(widths[k]))
+            outs = tuple(next(s for s in slots[crossings[g][x]] if s != (g, x)) for g, x in ins)
+            sites.append(Site(kind="arc", width=widths[k], in_slots=ins, out_slots=outs))
+    loops = [w for k, w in enumerate(widths) if w and k not in cut]
+    sites += [Site(kind="loop", width=w) for w in loops]
+    return PlanarDiagram(crossings, sum(loops), tuple(sites))
 
 
 # -- splicing a matching into a site ------------------------------------------
@@ -664,7 +572,8 @@ def splice(diag: PlanarDiagram, assignments) -> PlanarDiagram:
     for s_index, (site, pairs) in enumerate(assignments):
         for q in range(site.width):
             if site.kind == "arc":
-                cut_arcs.add(site.arcs[q])
+                ci, corner = site.in_slots[q]
+                cut_arcs.add(diag.crossings[ci][corner])
                 terminal[("end", s_index, "in", q)] = site.in_slots[q]
                 terminal[("end", s_index, "out", q)] = site.out_slots[q]
                 add_edge(("in", s_index, q), ("end", s_index, "in", q))

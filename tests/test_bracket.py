@@ -48,7 +48,7 @@ from skeinlab.tl import (
     jones_wenzl,
 )
 from skeinlab.verify import random_braid_closure
-from skeinlab.wrt import _torus_presentation
+from skeinlab.wrt import _torus_presentation, torus_invariant
 
 delta = loop_weight()
 
@@ -259,13 +259,13 @@ def test_sweep_rejects_mixed_residues():
     # one 2-leg box closing arc 0 into a loop
     loop = ((0, 1),)
     with pytest.raises(SkeinError, match="mod 4"):
-        _sweep([[0, 0]], [[(loop, ((0, 1), (1, 1)))]])
+        _sweep([[0, 0]], [[(loop, ((0, 1), (1, 1)))]], [0])
     with pytest.raises(SkeinError, match="mod 4"):
-        _sweep([[0, 0]], [[(loop, ((0, 1),)), (loop, ((1, 1),))]])
+        _sweep([[0, 0]], [[(loop, ((0, 1),)), (loop, ((1, 1),))]], [0])
     with pytest.raises(SkeinError, match="not an integer"):
-        _sweep([[0, 0]], [[(loop, ((0, Fraction(1, 2)),))]])
+        _sweep([[0, 0]], [[(loop, ((0, Fraction(1, 2)),))]], [0])
     # (1 - A^4) * delta, the A^2 terms cancelling across the two states
-    assert _sweep([[0, 0]], [[(loop, ((0, 1),)), (loop, ((4, -1),))]]) == {-2: -1, 6: 1}
+    assert _sweep([[0, 0]], [[(loop, ((0, 1),)), (loop, ((4, -1),))]], [0]) == {-2: -1, 6: 1}
 
 
 def test_state_sum_cap():
@@ -285,6 +285,17 @@ def narrow_sweep(monkeypatch):
 def test_sweep_width_cap(borromean, narrow_sweep):
     with pytest.raises(SliceWidthError):
         bracket_tangle_sweep(borromean.diagram)
+
+
+def test_sweep_width_checked_before_projectors(monkeypatch):
+    # d = 5, a = 2: the widest colouring's order is over the cap, which
+    # must be found before any projector is built
+    def no_projectors(n):
+        raise AssertionError(f"jones_wenzl({n}) built before the width check")
+
+    monkeypatch.setattr("skeinlab.bracket.jones_wenzl", no_projectors)
+    with pytest.raises(SliceWidthError):
+        torus_invariant(2, EvalPoint(5, 1))
 
 
 def test_sweep_rejects_open_arcs():

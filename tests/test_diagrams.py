@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from test_bracket import _site_tokens
 
@@ -10,9 +12,8 @@ from skeinlab.diagrams import (
     attach_meridian,
     braid_closure,
     cable,
+    _find,
     canonical_form,
-    delete_components,
-    isomorphic,
     link_from_json,
     link_to_json,
     linking_and_signature,
@@ -20,6 +21,8 @@ from skeinlab.diagrams import (
 )
 from skeinlab.errors import ArcCountError, NotPlanarError
 from skeinlab.tl import identity
+from skeinlab.verify import random_braid_closure
+from skeinlab.wrt import _torus_presentation
 
 
 def test_fixture_shapes(borromean, hopf, unknot):
@@ -85,13 +88,13 @@ def test_isomorphism_is_label_blind(hopf):
         ),
         hopf.diagram.free_loops,
     )
-    assert isomorphic(hopf.diagram, relabeled)
+    assert canonical_form(hopf.diagram) == canonical_form(relabeled)
     flipped = PlanarDiagram(
         (hopf.diagram.crossings[0],
          hopf.diagram.crossings[1]._replace(over=OVER_BACK)),
         0,
     )
-    assert not isomorphic(hopf.diagram, flipped)
+    assert canonical_form(hopf.diagram) != canonical_form(flipped)
 
 
 def test_meridian_presentation(borromean):
@@ -117,20 +120,10 @@ def test_meridian_on_free_loop(unknot):
     assert abs(mat[0][1]) == 1
 
 
-def test_delete_components(hopf, borromean):
-    only_one = delete_components(hopf, {1})
-    assert only_one.n_crossings == 0 and only_one.free_loops == 1
-    # removing one Borromean component frees the other two into a clasp
-    rest = delete_components(borromean, {0})
-    assert rest.n_crossings == 2
-    mat, _ = linking_and_signature(FramedLink(rest))
-    assert mat[0][1] == 0  # still pairwise unlinked after the clasp cancels
-
-
 def test_cable_width_one_is_identity(borromean, hopf):
     for link in (borromean, hopf):
         cabled = cable(link, [1] * link.n_components)
-        assert isomorphic(cabled, link.diagram)
+        assert canonical_form(cabled) == canonical_form(link.diagram)
 
 
 def test_cable_crossing_counts(hopf):
@@ -140,9 +133,66 @@ def test_cable_crossing_counts(hopf):
     assert cable(trefoil, [3]).n_crossings == 27
 
 
-def test_cable_zero_width_deletes(hopf):
+def test_delete_components(hopf, borromean):
+    # width 0 deletes a component
+    for widths in ([0, 1], [1, 0]):
+        only_one = cable(hopf, widths)
+        assert only_one.n_crossings == 0 and only_one.free_loops == 1
+    # removing one Borromean component frees the other two into a clasp
+    rest = cable(borromean, [0, 1, 1])
+    assert rest.n_crossings == 2
+    mat, _ = linking_and_signature(FramedLink(rest))
+    assert mat[0][1] == 0  # still pairwise unlinked after the clasp cancels
+
+
+def test_cable_zero_width_deletes(hopf, borromean):
     gone = cable(hopf, [0, 1])
     assert gone.n_crossings == 0 and gone.free_loops == 1
+    # arc sites in the order of each component's first grid corner
+    assert [s.width for s in cable(borromean, [0, 2, 3]).sites] == [3, 2]
+    assert [s.width for s in cable(borromean, [2, 1, 3]).sites] == [2, 1, 3]
+    # then loop sites in component order, a free loop last
+    unlinked = cable(FramedLink(braid_closure([1, 1], 3)), [0, 2, 3])
+    assert [(s.kind, s.width) for s in unlinked.sites] == [("loop", 2), ("loop", 3)]
+
+
+def _delete_components(link, widths):
+    """Reference for width 0: drop the crossings of the width-0
+    components, merge a surviving strand's two arcs across each crossing
+    it had with one, and carry the widths over to the smaller link, whose
+    components that lost every crossing are free loops, in link order."""
+    dead = {k for k, w in enumerate(widths) if w == 0}
+    parent: dict = {}
+    kept = []
+    for ci, c in enumerate(link.diagram.crossings):
+        cs, cb = link.crossing_components(ci)
+        if cs not in dead and cb not in dead:
+            kept.append(c)
+        elif cs not in dead:
+            parent[_find(parent, c.sw)] = _find(parent, c.ne)
+        elif cb not in dead:
+            parent[_find(parent, c.nw)] = _find(parent, c.se)
+    rows = tuple(Crossing(*(_find(parent, a) for a in c[:4]), c.over) for c in kept)
+    arcs = {a for c in rows for a in c[:4]}
+    loops = [k for k, comp in enumerate(link.components)
+             if k not in dead and not any(_find(parent, a) in arcs for a in comp)]
+    base = FramedLink(PlanarDiagram(rows, len(loops)))
+    # each surviving arc is labelled by one of its original arcs
+    base_widths = [widths[link.component_of(comp[0])] for comp in base.components if comp]
+    return base, base_widths + [widths[k] for k in loops]
+
+
+def test_cable_zero_width_matches_deletion(rng):
+    links = [_torus_presentation(a).link for a in range(3)]
+    links += [random_braid_closure(rng) for _ in range(150)]
+    for link in links:
+        n = link.n_components
+        for dead, flip in product(product((False, True), repeat=n), (0, 1)):
+            widths = [0 if gone else 1 + (k + flip) % 2 for k, gone in enumerate(dead)]
+            got = cable(link, widths)
+            want = cable(*_delete_components(link, widths))
+            assert canonical_form(got) == canonical_form(want)
+            assert got.sites == want.sites
 
 
 def test_cable_sites_cover_components(borromean):
@@ -161,7 +211,7 @@ def test_splice_identity_restores_cable(hopf):
     ]
     plain = splice(cabled, assignments)
     FramedLink(plain)
-    assert isomorphic(plain, cable(hopf, [2, 2]))
+    assert canonical_form(plain) == canonical_form(cabled)
 
 
 def test_json_round_trip(borromean, hopf, unknot):
@@ -169,7 +219,6 @@ def test_json_round_trip(borromean, hopf, unknot):
         text = link_to_json(link)
         back, colors = link_from_json(text)
         assert colors is None
-        assert isomorphic(back.diagram, link.diagram)
         assert canonical_form(back.diagram) == canonical_form(link.diagram)
 
 
