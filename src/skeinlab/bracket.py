@@ -18,14 +18,18 @@ site cuts w parallel arcs, and a loop site, w crossing-free parallel
 circles, is a box whose leg q shares one arc with leg 2w-1-q, so a
 projector's closure is one more box of the same sweep.  Taking the
 boxes in a greedy order, the sweep carries a weight for every way the
-processed part can connect the dangling arc ends, keyed by sorted
-(min, max) arc pairs, so its cost is governed by the frontier width.
+processed part can connect the open arcs, so its cost is governed by the
+frontier width.  Each open arc holds a slot, which the box closing it
+frees for the next arc to open, and a frontier key is one int: a
+fixed-width bit field per slot holds the slot of the arc's partner.
 The update is local to the box: each leg leads on to another leg (an arc
 with both ends there, or two open arcs the state joins) or ends at an
 open arc, and the strand walk of ``tl`` over the leg pairs of each local
-state gives the new pairs and the number of closed loops.  Free loops
-multiply the result by the same binomial expansion of delta^k that
-weights the closed loops.
+state gives the new pairs and the number of closed loops.  Keys that
+agree on the fields of the slots a box closes share that walk, and a
+new key is the old one masked and or-ed with the new pairs, with no
+sort and no tuple.  Free loops multiply the result by the same binomial
+expansion of delta^k that weights the closed loops.
 
 A weight is packed by Kronecker substitution.  The A-exponents of all
 contributions to one frontier key lie in one residue class mod 4: a
@@ -36,7 +40,7 @@ A^e0 * sum_j c_j A^(4j) is stored as the pair (e0, V) with
 V = sum_j c_j 2^(k*j), one Python int.  Multiplying by a local state's
 packed weight times delta^loops is then an exponent sum and one int
 product, and adding two weights is an int sum after a shift that aligns
-their offsets.  The slot width k is fixed per sweep from a bound on every
+their offsets.  The digit width k is fixed per sweep from a bound on every
 coefficient of every partial weight: the product over the boxes of the
 summed absolute state coefficients, times 2^(number of arcs), since each
 closed loop uses up an arc.  The result is decoded once, as balanced
@@ -174,82 +178,93 @@ def _sweep(legs, states, order) -> dict:
     ``legs[b]`` lists the arc ids at the legs of box b, every arc
     occurring twice in all, ``states[b]`` its local states as (leg
     pairs, weight as (exponent, integer) terms), and ``order`` the box
-    order, from ``_sweep_order``.  Each frontier key carries its weight
-    packed as (e0, V), for A^e0 * sum_j c_j A^(4j) with
-    V = sum_j c_j 2^(k*j); a factor, a state weight times
-    delta^loops, is packed the same way.  The slot width k is 2 bits
-    above the bound of the module docstring, which one loop at most
-    doubles per arc it uses up, so |c_j| < 2^(k-1): the balanced
-    base-2^k digits of V are its coefficients, and V is 0 exactly when
-    the weight is.  Equality with ``bracket_state_sum`` for every
-    processing order is what the property suite pins down.
+    order.  A first pass over ``order`` gives each opening arc a slot,
+    freed ones first, so the slots number the order's peak count of open
+    arcs, and a key's field s, as wide as the largest slot, holds the
+    slot paired with slot s (0 when s is free).  Keys that agree on the
+    fields a box closes share one walk, cached as (keep, put, factor) so
+    that the new key is ``key & keep | put``.  Weights and factors (a
+    state weight times delta^loops) are packed as (e0, V), with
+    V = sum_j c_j 2^(k*j) for A^e0 * sum_j c_j A^(4j); the digit width
+    k is 2 bits above the bound of the module docstring, which one loop
+    at most doubles per arc it uses up, so |c_j| < 2^(k-1) and the
+    balanced base-2^k digits of V are its coefficients.  Equality with
+    ``bracket_state_sum`` for every processing order is what the
+    property suite pins down.
     """
     bound = 2 ** (sum(map(len, legs)) // 2)
     for box_states in states:
         bound *= sum(abs(_integral(c)) for _, w in box_states for _, c in w) or 1
-    slot = bound.bit_length() + 2
-    factors: dict = {}  # (weight, loops) -> weight * delta^loops, packed
-    frontier: set = set()
-    result: dict = {(): (0, 1)}
+    k = bound.bit_length() + 2
+    slot_of: dict = {}  # open arc -> its slot
+    free, plan = [], []
     for bi in order:
-        box, box_states = legs[bi], states[bi]
-        # per leg: ~j when it leads on to leg j, an arc id when it ends
-        static = list(box)
-        local: dict = {}
-        for k, a in enumerate(box):
-            twin = [j for j in range(len(box)) if j != k and box[j] == a]
-            if twin:
-                static[k] = ~twin[0]
-            elif a in frontier:
-                local[a] = k
-        frontier ^= {a for a in box if box.count(a) == 1}
-        moves = [({**dict(s), **{y: x for x, y in s}}, w) for s, w in box_states]
-        walks: dict = {}  # states that meet the box alike share a walk
+        box = legs[bi]
+        link = [None] * len(box)  # per leg: ~j when it leads on to leg j
+        ends: dict = {}  # slot -> leg, for the arcs the box closes
+        for q, a in enumerate(box):
+            j = box.index(a)
+            if j != q:
+                link[j], link[q] = ~q, ~j
+            elif a in slot_of:
+                ends[slot_of.pop(a)] = q
+        free += ends
+        for q, a in enumerate(box):  # the arcs it opens take slots, freed ones first
+            if link[q] is None and q not in ends.values():
+                link[q] = slot_of[a] = free.pop() if free else len(slot_of)
+        plan.append((link, ends))
+    n = len(slot_of) + len(free)  # every slot is open or free
+    bits = max(n - 1, 1).bit_length()
+    field, full = (1 << bits) - 1, (1 << bits * n) - 1
+    factors: dict = {}  # (weight, loops) -> weight * delta^loops, packed
+    moves_of = {i: [({**dict(s), **{y: x for x, y in s}}, w) for s, w in box_states]
+                for i, box_states in {id(b): b for b in states}.items()}
+    result: dict = {0: (0, 1)}
+    for bi, (static, ends) in zip(order, plan):
+        local = sum(field << bits * s for s in ends)
+        moves = moves_of[id(states[bi])]
+        walks: dict = {}  # keys that meet the box alike share a walk
         new_result: dict = {}
         for key, (e0, value) in result.items():
-            link = static[:]
-            carried = []
-            for pair in key:
-                a, b = pair
-                if a in local:
-                    if b in local:
-                        link[local[a]], link[local[b]] = ~local[b], ~local[a]
-                    else:
-                        link[local[a]] = b
-                elif b in local:
-                    link[local[b]] = a
-                else:
-                    carried.append(pair)
-            link = tuple(link)
-            found = walks.get(link)
+            found = walks.get(key & local)
             if found is None:
-                found = walks[link] = []
+                found = walks[key & local] = []
+                link, keep = static[:], full ^ local
+                for s, q in ends.items():
+                    p = key >> bits * s & field
+                    if p in ends:
+                        link[q] = ~ends[p]
+                    else:
+                        link[q], keep = p, keep ^ field << bits * p
                 for partner, w in moves:
                     pairs, loops = _walk(link, partner)
                     factor = factors.get((w, loops))
                     if factor is None:
-                        factor = factors[w, loops] = _pack(_times_loops(w, loops), slot)
-                    found.append((pairs, factor))
-            for pairs, (f0, packed) in found:
-                k = tuple(sorted(carried + pairs)) if pairs else tuple(carried)
+                        factor = factors[w, loops] = _pack(_times_loops(w, loops), k)
+                    put = 0
+                    for x, y in pairs:
+                        put |= y << bits * x | x << bits * y
+                    found.append((keep, put, factor))
+            for keep, put, (f0, packed) in found:
+                nk = key & keep | put
                 e = e0 + f0
                 v = value if packed == 1 else value * packed
-                acc = new_result.get(k)
+                acc = new_result.get(nk)
                 if acc is not None:
                     a0, u = acc
                     shift = e - a0
                     if shift % 4:
-                        raise SkeinError(f"key {k} mixes exponents {a0} and {e} mod 4")
+                        raise SkeinError(f"key {nk} mixes exponents {a0} and {e} mod 4")
                     if shift >= 0:
-                        e, v = a0, u + (v << slot * shift // 4)
+                        e, v = a0, u + (v << k * shift // 4)
                     else:
-                        v += u << slot * -shift // 4
-                new_result[k] = e, v
-        result = {k: w for k, w in new_result.items() if w[1]}
+                        v += u << k * -shift // 4
+                new_result[nk] = e, v
+        result = {nk: w for nk, w in new_result.items() if w[1]}
 
-    if result.keys() - {()}:
+    if result.keys() - {0}:
         raise SkeinError("open arcs survived the sweep")
-    return _unpack(*result.get((), (0, 0)), slot)
+    return _unpack(*result.get(0, (0, 0)), k)
 
 
 def _integral(c) -> int:

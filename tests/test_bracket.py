@@ -5,9 +5,12 @@ import pytest
 
 from skeinlab.algebra import EvalPoint, LaurentPoly, RatFunc, delta_color, loop_weight, quantum_integer
 from skeinlab.bracket import (
+    _CROSSING_STATES,
     _SMOOTHINGS,
     FREE_LOOP_CAP,
+    _box_legs,
     _sweep,
+    _sweep_order,
     bracket,
     bracket_state_sum,
     bracket_tangle_sweep,
@@ -253,6 +256,58 @@ def test_sweep_decodes_a_wide_split_union(hopf):
     assert len(coeffs) == 41 and min(coeffs) < 0 < max(coeffs)
     assert max(map(abs, coeffs)) > 2 ** 20
     assert bracket_tangle_sweep(_split_union([hopf.diagram] * 12 + [trefoil])) == want
+
+
+def _shuffled(rng):
+    """Box orders drawn uniformly at random."""
+    return lambda legs: rng.sample(range(len(legs)), len(legs))
+
+
+def _greedy_shuffled(rng):
+    """The greedy order of the boxes relabelled at random, so that its
+    ties break differently from ``_sweep_order``'s lowest index."""
+    def pick(legs):
+        perm = rng.sample(range(len(legs)), len(legs))
+        return [perm[i] for i in _sweep_order([legs[p] for p in perm])]
+    return pick
+
+
+def test_sweep_is_order_independent(rng, monkeypatch):
+    # slots are handed on in whatever order the boxes close their arcs
+    diagrams = [random_braid_closure(rng).diagram for _ in range(30)] + _torus_splices()
+    with monkeypatch.context() as m:
+        m.setattr("skeinlab.bracket._sweep_order", _shuffled(rng))
+        for diag in diagrams:
+            want = bracket_state_sum(diag)
+            for _ in range(3):
+                assert bracket_tangle_sweep(diag) == want
+
+
+def test_cabled_sweep_is_order_independent(rng, monkeypatch):
+    # every torus colouring with colours <= 2; fully random orders on the
+    # small ones, shuffled greedy ties on the rest
+    for a in range(3):
+        link = _torus_presentation(a).link
+        for colors in product(range(3), repeat=link.n_components):
+            cabled = cable(link, list(colors))
+            want = bracket_tangle_sweep(cabled)
+            small = len(cabled.crossings) <= 8
+            with monkeypatch.context() as m:
+                m.setattr("skeinlab.bracket._sweep_order",
+                          (_shuffled if small else _greedy_shuffled)(rng))
+                for _ in range(2):
+                    assert bracket_tangle_sweep(cabled) == want
+
+
+def test_sweep_field_width_follows_the_order(hopf):
+    # nine Hopf links, the first crossing of each before any second one:
+    # all 36 arcs are open at once, more than the greedy order ever holds
+    union = _split_union([hopf.diagram] * 9)
+    legs = _box_legs(union)
+    order = list(range(0, 18, 2)) + list(range(1, 18, 2))
+    assert len({a for b in order[:9] for a in legs[b]}) == 36
+    states = [_CROSSING_STATES[c.over] for c in union.crossings]
+    assert LaurentPoly(_sweep(legs, states, order)) == bracket_state_sum(hopf.diagram) ** 9
 
 
 def test_sweep_rejects_mixed_residues():
