@@ -3,10 +3,10 @@
 The bracket of a diagram is the state sum over the two smoothings of
 each crossing, with a crossing contributing A or A^-1 and every closed
 circle a factor of -A^2 - A^-2; the empty diagram evaluates to 1.
-``bracket_state_sum`` is the reference for plain diagrams: it
-enumerates all 2^n states, counts each one's loops with a fresh
-union-find over the arcs, histograms the states by (A-exponent, loops)
-and builds the polynomial once.
+``bracket_state_sum`` is the reference for plain diagrams: a
+depth-first walk over the crossings joins each prefix of smoothings
+once in a union-find over the arcs, counts the 2^n states by loops and
+A-exponent, and adds one exponent row times delta^loops per loop count.
 
 The one fast evaluator, ``bracket_tangle_sweep``, sweeps over boxes.  A
 box has legs (arc ids) and local states, each a perfect matching of the
@@ -66,7 +66,6 @@ whose delta power the sweep and the state sum expand.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from math import comb
 
 from .algebra import EvalPoint, LaurentPoly, RatFunc, evaluate_at, loop_weight
@@ -105,10 +104,11 @@ _CROSSING_STATES = {
 def bracket_state_sum(diag: PlanarDiagram) -> LaurentPoly:
     """Reference bracket by brute-force state enumeration.
 
-    Every state starts a fresh union-find over the arcs and applies the
-    two arc joins of each crossing's smoothing; every arc has two ends,
-    so the loops are the arcs minus the successful unions.  The states
-    are counted by (A-exponent, loops) and the polynomial is built once.
+    A depth-first walk over the crossings on a stack: a child copies its
+    parent's union-find over the arcs and applies its smoothing's two
+    joins, so each prefix is joined once.  Every arc has two ends, so
+    loops are arcs minus successful unions.  Leaves count states by
+    loops, then A-exponent; each loop count adds its row times a delta power.
     """
     n = len(diag.crossings)
     if n > STATE_SUM_MAX_CROSSINGS:
@@ -119,33 +119,33 @@ def bracket_state_sum(diag: PlanarDiagram) -> LaurentPoly:
         raise DiagramTooLargeError(
             f"{diag.free_loops} free loops exceeds the cap of {FREE_LOOP_CAP}"
         )
+    delta = loop_weight()
     label: dict = {}
     joins = []  # joins[ci][s]: the two (arc, arc) joins of smoothing s
     for c in diag.crossings:
         arc = [label.setdefault(c[k], len(label)) for k in (NW, NE, SW, SE)]
         joins.append([[(arc[x], arc[y]) for x, y in pairs] for pairs in _SMOOTHINGS[c.over]])
-
-    counts: dict = {}
-    for state in product((0, 1), repeat=n):
-        parent = list(range(len(label)))
-        loops = len(label)
-        for ci, s in enumerate(state):
-            for x, y in joins[ci][s]:
-                while parent[x] != x:
-                    x = parent[x]
-                while parent[y] != y:
-                    y = parent[y]
+    counts: dict = {}  # loops -> {A-exponent: states}
+    stack = [(0, list(range(len(label))), len(label), 0)]
+    while stack:
+        i, parent, loops, exponent = stack.pop()
+        if i == n:
+            row = counts.setdefault(loops, {})
+            row[exponent] = row.get(exponent, 0) + 1
+            continue
+        for shift, pairs in zip((1, -1), joins[i]):
+            child, left = parent[:], loops
+            for x, y in pairs:
+                while child[x] != x:
+                    x = child[x]
+                while child[y] != y:
+                    y = child[y]
                 if x != y:
-                    parent[x] = y
-                    loops -= 1
-        key = (n - 2 * sum(state), loops)
-        counts[key] = counts.get(key, 0) + 1
-
-    delta = loop_weight()
-    total = LaurentPoly.zero()
-    for (exponent, loops), count in counts.items():
-        total = total + LaurentPoly.monomial(exponent, count) * delta**(loops + diag.free_loops)
-    return total
+                    child[x] = y
+                    left -= 1
+            stack.append((i + 1, child, left, exponent + shift))
+    return sum((LaurentPoly(row) * delta**(loops + diag.free_loops)
+                for loops, row in counts.items()), LaurentPoly.zero())
 
 
 def _sweep_order(arcs):

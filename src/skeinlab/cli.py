@@ -28,7 +28,7 @@ from .diagrams import (
     link_from_json,
     unknot_fixture,
 )
-from .errors import SkeinError
+from .errors import ColorRangeError, SkeinError
 from .recoupling import hopf_eval, meridian_series
 from .verify import build_report, run_checks
 from .wrt import GAMMA_QUANTITIES, _s1xs2_presentation, gamma_tabulate, wrt_invariant
@@ -132,6 +132,8 @@ def cmd_wrt(args) -> int:
 def cmd_recoupling(args) -> int:
     lines = []
     if args.table == "hopf":
+        if args.max_color < 0:
+            raise ColorRangeError(f"--max-color must be nonnegative, got {args.max_color}")
         lines.append("i,a,value")
         for i in range(args.max_color + 1):
             for a in range(args.max_color + 1):

@@ -231,9 +231,10 @@ def test_free_loop_cap(monkeypatch):
 
 
 def test_state_sum_free_loop_cap(monkeypatch):
+    # loop_weight is the first call of the state sum after its caps
     def fail(*args, **kwargs):
         raise AssertionError("the state sum ran before the free-loop cap")
-    monkeypatch.setattr("skeinlab.bracket.product", fail)
+    monkeypatch.setattr("skeinlab.bracket.loop_weight", fail)
     with pytest.raises(DiagramTooLargeError, match="free loops"):
         bracket_state_sum(PlanarDiagram((), FREE_LOOP_CAP + 1))
 
@@ -245,6 +246,23 @@ def _split_union(diagrams) -> PlanarDiagram:
         for i, d in enumerate(diagrams) for c in d.crossings
     ]
     return PlanarDiagram(tuple(crossings), sum(d.free_loops for d in diagrams))
+
+
+def test_state_sum_walks_a_deep_split_union(hopf):
+    # 8 Hopf links and 3 free loops: 16 crossings, the deepest walk here
+    union = _split_union([hopf.diagram] * 8 + [PlanarDiagram((), 3)])
+    got = bracket_state_sum(union)
+    assert got == bracket_state_sum(hopf.diagram) ** 8 * delta ** 3
+    assert got == bracket_tangle_sweep(union)
+
+
+def test_state_sum_matches_fresh_union_find_per_state(rng):
+    # up to 10 crossings keeps the per-state reference quick; the walk's
+    # depth is covered by the split union above
+    for _ in range(40):
+        diag = random_braid_closure(rng, 10).diagram
+        diag = PlanarDiagram(diag.crossings, diag.free_loops + rng.randrange(3))
+        assert bracket_state_sum(diag) == _state_sum_by_slots(diag)
 
 
 def test_sweep_decodes_a_wide_split_union(hopf):

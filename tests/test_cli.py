@@ -245,6 +245,13 @@ def test_recoupling_hopf_table():
     assert lines[-1] == '1,1,"A^6 + A^2 + A^-2 + A^-6"'
 
 
+def test_recoupling_negative_max_color_exits_2():
+    rc, out, err = run_cli("recoupling", "--table", "hopf", "--max-color", "-1")
+    assert rc == 2
+    assert out == ""
+    assert "E_COLOR_RANGE" in err
+
+
 def test_recoupling_series_table():
     rc, out, _ = run_cli("recoupling", "--table", "series", "--color", "0",
                          "--window", "1..5")
