@@ -366,7 +366,7 @@ class RatFunc:
     identical fields.
 
     >>> print(RatFunc(quantum_integer(4), quantum_integer(2)))
-    (A^4 + A^-4)
+    A^4 + A^-4
     """
 
     __slots__ = ("num", "den")

@@ -6,6 +6,11 @@ presentation at one point; ``recoupling`` dumps closed-form tables;
 ``report`` tabulates the window quantities as CSV/markdown/JSON;
 ``verify-paper`` runs the whole check registry and gates on it.
 
+Each subcommand registers only the options its handler reads, so a flag
+another subcommand owns is a usage error (exit 2), never silently ignored.
+Options shared by two or more subcommands are declared once, in
+``_SHARED``.
+
 Output is deliberately boring: fixed column orders, canonical
 polynomial strings, no timestamps, so two runs with the same arguments
 are byte-identical and golden files stay golden.
@@ -31,7 +36,7 @@ from .diagrams import (
 from .errors import ColorRangeError, SkeinError
 from .recoupling import hopf_eval, meridian_series
 from .verify import build_report, run_checks
-from .wrt import GAMMA_QUANTITIES, _s1xs2_presentation, gamma_tabulate, wrt_invariant
+from .wrt import GAMMA_QUANTITIES, gamma_tabulate, wrt_invariant
 
 REPORT_HEADER = "quantity,d,sign,value_re,value_im,prediction,mode,status"
 
@@ -76,8 +81,13 @@ def _fmt_real(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _point(args) -> EvalPoint:
-    return EvalPoint(args.d, 1 if args.sign == "+" else -1)
+def _point(args):
+    """The EvalPoint of --d and --sign, or None when --d is not given."""
+    if args.d is None:
+        if args.sign is not None:
+            raise ValueError("--sign needs --d")
+        return None
+    return EvalPoint(args.d, -1 if args.sign == "-" else 1)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -94,25 +104,19 @@ def cmd_colored_bracket(args) -> int:
     colors = args.colors if args.colors is not None else file_colors
     if colors is None:
         raise ValueError("no colors: pass --colors or store them in the file")
-    point = _point(args) if args.d else None
-    print(colored_bracket(link, colors, point=point))
+    print(colored_bracket(link, colors, point=_point(args)))
     return 0
 
 
 def _presentation(args) -> SurgeryPresentation:
-    if args.fixture == "unknot":
-        return _s1xs2_presentation()
-    if args.fixture:
-        link = _FIXTURES[args.fixture]()
-        if args.color is not None:
-            return attach_meridian(link, 1 if args.fixture == "borromean" else 0,
-                                   args.color, name=f"{args.fixture}+meridian")
-        return SurgeryPresentation(
-            link, tuple(range(link.n_components)), {}, name=args.fixture
-        )
+    if args.color is not None and not args.fixture:
+        raise ValueError("--color attaches a meridian to a --fixture, not to a file")
     link, _ = _load_link(args)
+    if args.color is not None:
+        return attach_meridian(link, 1 if args.fixture == "borromean" else 0,
+                               args.color, name=f"{args.fixture}+meridian")
     return SurgeryPresentation(
-        link, tuple(range(link.n_components)), {}, name=args.path
+        link, tuple(range(link.n_components)), {}, name=args.fixture or args.path
     )
 
 
@@ -150,46 +154,39 @@ def cmd_recoupling(args) -> int:
 
 
 def _report_rows(window: tuple, precision: int) -> list:
+    """One row per (quantity, d, sign): a POLE, a float ``f`` or an exact value."""
     rows = []
     for quantity in GAMMA_QUANTITIES:
         gamma = gamma_tabulate(quantity, window)
         lo, hi = gamma.window
         for d in range(lo, hi + 1):
             for idx, tag in ((0, "+"), (1, "-")):
+                row = {
+                    "quantity": quantity, "d": d, "sign": tag,
+                    "value_re": "", "value_im": "",
+                    "prediction": "", "mode": "exact", "status": "POLE",
+                }
+                rows.append(row)
                 if d in gamma.exceptions:
-                    rows.append({
-                        "quantity": quantity, "d": d, "sign": tag,
-                        "value_re": "", "value_im": "",
-                        "prediction": "", "mode": "exact", "status": "POLE",
-                    })
                     continue
                 value = gamma.values[d][idx]
                 if quantity == "f":
                     pred = (d - 1) / d if tag == "+" else (d + 2) / (d + 1)
-                    ok = abs(value - pred) < 1e-12
-                    rows.append({
-                        "quantity": quantity, "d": d, "sign": tag,
-                        "value_re": _fmt_real(value.real),
-                        "value_im": _fmt_real(value.imag),
-                        "prediction": _fmt_real(pred), "mode": "float",
-                        "status": "PASS" if ok else "FAIL",
-                    })
-                    continue
-                pred = {
-                    "empty": Fraction(d),
-                    "k1": Fraction(1),
-                    "k2": Fraction(d - 1),
-                    "ratio": Fraction(d - 1, d),
-                }[quantity]
-                ok = value.as_rational() == pred
-                approx = cyclo_to_complex(value, precision)
-                rows.append({
-                    "quantity": quantity, "d": d, "sign": tag,
-                    "value_re": _fmt_real(approx.real),
-                    "value_im": _fmt_real(approx.imag),
-                    "prediction": str(pred), "mode": "exact",
-                    "status": "PASS" if ok else "FAIL",
-                })
+                    approx, ok = value, abs(value - pred) < 1e-12
+                    row.update(prediction=_fmt_real(pred), mode="float")
+                else:
+                    pred = {
+                        "empty": Fraction(d),
+                        "k1": Fraction(1),
+                        "k2": Fraction(d - 1),
+                        "ratio": Fraction(d - 1, d),
+                    }[quantity]
+                    ok = value.as_rational() == pred
+                    approx = cyclo_to_complex(value, precision)
+                    row["prediction"] = str(pred)
+                row.update(value_re=_fmt_real(approx.real),
+                           value_im=_fmt_real(approx.imag),
+                           status="PASS" if ok else "FAIL")
     return rows
 
 
@@ -222,6 +219,17 @@ def cmd_verify_paper(args) -> int:
 
 # -- parser --------------------------------------------------------------------
 
+_SHARED = {
+    "path": dict(nargs="?", help="link JSON file"),
+    "--fixture": dict(choices=sorted(_FIXTURES)),
+    "--d": dict(type=int, help="level (d >= 1)"),
+    "--sign": dict(choices=("+", "-"), help="root of unity (default +; needs --d)"),
+    "--mode": dict(choices=("auto", "exact", "float"), default="auto"),
+    "--precision": dict(type=int, default=30,
+                        help="working digits for float results (>= 15)"),
+    "--window": dict(type=_parse_window),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -230,54 +238,39 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, point=False, fixture=False, path=False):
-        p.add_argument("--mode", choices=("auto", "exact", "float"),
-                       default="auto")
-        p.add_argument("--precision", type=int, default=30,
-                       help="working digits for float results (>= 15)")
-        p.add_argument("--format", choices=("csv", "md", "json"), default="csv")
-        if point:
-            p.add_argument("--d", type=int, help="level (d >= 1)")
-            p.add_argument("--sign", choices=("+", "-"), default="+")
-        if fixture:
-            p.add_argument("--fixture", choices=sorted(_FIXTURES))
-        if path:
-            p.add_argument("path", nargs="?", help="link JSON file")
+    def command(name, fn, summary, *shared):
+        p = sub.add_parser(name, help=summary)
+        for option in shared:
+            p.add_argument(option, **_SHARED[option])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("bracket", help="Kauffman bracket of a diagram")
-    common(p, fixture=True, path=True)
-    p.set_defaults(fn=cmd_bracket)
+    command("bracket", cmd_bracket, "Kauffman bracket of a diagram",
+            "path", "--fixture")
 
-    p = sub.add_parser("colored-bracket",
-                       help="bracket with projector-cabled components")
-    common(p, point=True, fixture=True, path=True)
+    p = command("colored-bracket", cmd_colored_bracket,
+                "bracket with projector-cabled components",
+                "path", "--fixture", "--d", "--sign")
     p.add_argument("--colors", type=_parse_colors,
                    help="comma-separated color per component")
-    p.set_defaults(fn=cmd_colored_bracket)
 
-    p = sub.add_parser("wrt", help="surgery invariant at one point")
-    common(p, point=True, fixture=True, path=True)
+    p = command("wrt", cmd_wrt, "surgery invariant at one point",
+                "path", "--fixture", "--d", "--sign", "--mode", "--precision")
     p.add_argument("--color", type=int,
                    help="attach a meridian with this color to the fixture")
-    p.set_defaults(fn=cmd_wrt)
 
-    p = sub.add_parser("recoupling", help="closed-form tables as CSV")
-    common(p)
+    p = command("recoupling", cmd_recoupling, "closed-form tables as CSV",
+                "--window")
     p.add_argument("--table", choices=("hopf", "series"), default="hopf")
     p.add_argument("--max-color", type=int, default=3)
     p.add_argument("--color", type=int, default=1)
-    p.add_argument("--window", type=_parse_window)
-    p.set_defaults(fn=cmd_recoupling)
 
-    p = sub.add_parser("report", help="window tables of the named quantities")
-    common(p)
-    p.add_argument("--window", type=_parse_window)
-    p.set_defaults(fn=cmd_report)
+    p = command("report", cmd_report, "window tables of the named quantities",
+                "--window", "--precision")
+    p.add_argument("--format", choices=("csv", "md", "json"), default="csv")
 
-    p = sub.add_parser("verify-paper", help="run every check; exit 0 iff all pass")
-    common(p)
-    p.add_argument("--window", type=_parse_window)
-    p.set_defaults(fn=cmd_verify_paper)
+    command("verify-paper", cmd_verify_paper,
+            "run every check; exit 0 iff all pass", "--window", "--mode")
 
     return parser
 
@@ -287,15 +280,12 @@ def main(argv=None) -> int:
     if getattr(args, "d", None) is not None and args.d < 1:
         print("error: --d must be >= 1", file=sys.stderr)
         return 2
-    if args.precision < 15:
+    if "precision" in args and args.precision < 15:
         print("error: precision must be >= 15 digits", file=sys.stderr)
         return 2
     try:
         return args.fn(args)
-    except SkeinError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (SkeinError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

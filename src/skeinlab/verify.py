@@ -5,8 +5,10 @@ independent route and compared exactly: series identities against their
 stated values, the surgery pipeline against the series, the sweep
 evaluator against the naive state sum on random diagrams, projector
 laws, and the Mobius-function values of the independence argument.
-Each check yields one record (id, anchor, expected, got, status) so the
-report is diffable byte for byte.
+Each check is declared with ``@_check(id, anchor)`` and returns
+``(expected, got)``; the decorator turns that into its record (id,
+anchor, expected, got, status), so each id and anchor is written once
+and the report is diffable byte for byte.
 
 A window narrows the level range of the checks that run over levels.
 The checks that do not, oracle-sweep, jw-projectors, colored-closed-forms
@@ -16,6 +18,7 @@ and hopf-meridian-poly, ignore it and run in full under every window.
 from __future__ import annotations
 
 import cmath
+import functools
 import random
 
 import mpmath
@@ -57,14 +60,28 @@ def _window_range(window, lo: int, hi: int) -> range:
     return range(max(lo, a), min(hi, b) + 1)
 
 
-def _record(check_id: str, anchor: str, expected: str, got: str) -> dict:
-    return {
-        "id": check_id,
-        "anchor": anchor,
-        "expected": expected,
-        "got": got,
-        "status": "PASS" if expected == got else "FAIL",
-    }
+def _check(check_id: str, anchor: str):
+    """Register a check's id and anchor once.
+
+    The decorated function returns ``(expected, got)``, or
+    ``(expected, got, "SKIPPED")`` when it cannot run in this mode; the
+    wrapper returns its record (id, anchor, expected, got, status), with
+    status PASS iff ``expected == got``.
+    """
+    def wrap(fn):
+        @functools.wraps(fn)
+        def run(*args, **kwargs) -> dict:
+            expected, got, *skipped = fn(*args, **kwargs)
+            status = skipped[0] if skipped else "PASS" if expected == got else "FAIL"
+            return {
+                "id": check_id,
+                "anchor": anchor,
+                "expected": expected,
+                "got": got,
+                "status": status,
+            }
+        return run
+    return wrap
 
 
 def random_braid_closure(rng: random.Random, size: int = 12) -> FramedLink:
@@ -77,64 +94,45 @@ def random_braid_closure(rng: random.Random, size: int = 12) -> FramedLink:
     return FramedLink(braid_closure(word, strands))
 
 
-def check_series_one(window) -> dict:
+@_check("series-one", "color-1 meridian series is the constant 1")
+def check_series_one(window):
     ds = _window_range(window, 1, 50)
     expected = f"1 at every level {ds.start}..{ds.stop - 1}, both signs"
     for d in ds:
         for sign in (1, -1):
             if not meridian_series(1, EvalPoint(d, sign)).is_one():
-                return _record(
-                    "series-one",
-                    "color-1 meridian series is the constant 1",
-                    expected,
-                    f"mismatch at d={d} sign={sign:+d}",
-                )
-    return _record(
-        "series-one", "color-1 meridian series is the constant 1",
-        expected, expected,
-    )
+                return expected, f"mismatch at d={d} sign={sign:+d}"
+    return expected, expected
 
 
-def check_series_dims(window) -> dict:
+@_check("series-dims", "color-0 and color-2 meridian series")
+def check_series_dims(window):
     ds = _window_range(window, 1, 50)
     expected = f"d and d-1 at every level {ds.start}..{ds.stop - 1}, both signs"
     for d in ds:
         for sign in (1, -1):
             p = EvalPoint(d, sign)
             if meridian_series(0, p).as_rational() != d:
-                return _record(
-                    "series-dims", "color-0 and color-2 meridian series",
-                    expected, f"series(0) wrong at d={d} sign={sign:+d}",
-                )
+                return expected, f"series(0) wrong at d={d} sign={sign:+d}"
             if meridian_series(2, p).as_rational() != d - 1:
-                return _record(
-                    "series-dims", "color-0 and color-2 meridian series",
-                    expected, f"series(2) wrong at d={d} sign={sign:+d}",
-                )
-    return _record(
-        "series-dims", "color-0 and color-2 meridian series",
-        expected, expected,
-    )
+                return expected, f"series(2) wrong at d={d} sign={sign:+d}"
+    return expected, expected
 
 
-def check_hopf_meridian_poly(window) -> dict:
+@_check("hopf-meridian-poly", "meridian eigenvalue closed form")
+def check_hopf_meridian_poly(window):
     expected = "hopf_eval(i,1) = delta(i) * (-A^(2i+2)-A^(-2i-2)) for i = 0..30"
     for i in range(31):
         rhs = delta_color(i) * (
             -(LaurentPoly.monomial(2 * i + 2) + LaurentPoly.monomial(-2 * i - 2))
         )
         if hopf_eval(i, 1) != rhs:
-            return _record(
-                "hopf-meridian-poly", "meridian eigenvalue closed form",
-                expected, f"mismatch at i={i}",
-            )
-    return _record(
-        "hopf-meridian-poly", "meridian eigenvalue closed form",
-        expected, expected,
-    )
+            return expected, f"mismatch at i={i}"
+    return expected, expected
 
 
-def check_torus_pipeline(window, mode: str) -> dict:
+@_check("torus-pipeline", "full surgery pipeline vs series")
+def check_torus_pipeline(window, mode: str):
     ds = [d for d in _window_range(window, 2, 3)]
     expected = (
         f"surgery value = meridian series for a in 0..2, d in {ds}, both signs"
@@ -151,17 +149,12 @@ def check_torus_pipeline(window, mode: str) -> dict:
                 else:
                     ok = abs(got - cyclo_to_complex(want)) < mpmath.mpf(10) ** -9
                 if not ok:
-                    return _record(
-                        "torus-pipeline", "full surgery pipeline vs series",
-                        expected, f"mismatch at a={a} d={d} sign={sign:+d}",
-                    )
-    return _record(
-        "torus-pipeline", "full surgery pipeline vs series",
-        expected, expected,
-    )
+                    return expected, f"mismatch at a={a} d={d} sign={sign:+d}"
+    return expected, expected
 
 
-def check_s1xs2(window, mode: str) -> dict:
+@_check("s1xs2", "0-framed unknot surgery normalizes to 1")
+def check_s1xs2(window, mode: str):
     ds = _window_range(window, 2, 5)
     expected = f"1 at every level {ds.start}..{ds.stop - 1}"
     for d in ds:
@@ -172,145 +165,119 @@ def check_s1xs2(window, mode: str) -> dict:
             v = wrt_invariant(_s1xs2_presentation(), p, mode="float")
             ok = abs(v - 1) < mpmath.mpf(10) ** -9
         if not ok:
-            return _record(
-                "s1xs2", "0-framed unknot surgery normalizes to 1",
-                expected, f"mismatch at d={d}",
-            )
-    return _record(
-        "s1xs2", "0-framed unknot surgery normalizes to 1",
-        expected, expected,
-    )
+            return expected, f"mismatch at d={d}"
+    return expected, expected
 
 
-def check_eta_normalization(window, mode: str) -> dict:
-    anchor = "empty surgery evaluates to eta"
+@_check("eta-normalization", "empty surgery evaluates to eta")
+def check_eta_normalization(window, mode: str):
+    if mode == "exact":
+        return "skipped: eta^1 has no exact form", "E_ETA_ODD_POWER", "SKIPPED"
     ds = _window_range(window, 2, 5)
     empty = SurgeryPresentation(
         FramedLink(PlanarDiagram((), 0)), (), {}, name="empty"
     )
-    if mode == "exact":
-        record = _record("eta-normalization", anchor, "", "E_ETA_ODD_POWER")
-        record["expected"] = "skipped: eta^1 has no exact form"
-        record["status"] = "SKIPPED"
-        return record
     expected = f"eta at every level {ds.start}..{ds.stop - 1}"
     for d in ds:
         v = wrt_invariant(empty, EvalPoint(d, 1), mode="float")
         if abs(v - omega_data(d).eta) > mpmath.mpf(10) ** -25:
-            return _record("eta-normalization", anchor, expected,
-                           f"mismatch at d={d}")
-    return _record("eta-normalization", anchor, expected, expected)
+            return expected, f"mismatch at d={d}"
+    return expected, expected
 
 
-def check_recoloring(window) -> dict:
+@_check("recoloring", "top-color recoloring invariance")
+def check_recoloring(window):
     ds = _window_range(window, 2, 25)
     expected = f"series(1) = series(2d-2) = 1 for d = {ds.start}..{ds.stop - 1}"
     for d in ds:
         for sign in (1, -1):
             if not recolor_check(EvalPoint(d, sign)):
-                return _record(
-                    "recoloring", "top-color recoloring invariance",
-                    expected, f"mismatch at d={d} sign={sign:+d}",
-                )
-    return _record(
-        "recoloring", "top-color recoloring invariance",
-        expected, expected,
-    )
+                return expected, f"mismatch at d={d} sign={sign:+d}"
+    return expected, expected
 
 
-def check_mobius_values(window) -> dict:
+@_check("mobius-values", "Mobius function values on the parameter circle")
+def check_mobius_values(window):
     ds = _window_range(window, 1, 1000)
     expected = (
         f"f(1)=1; f at unit arguments matches (d-1)/d and (d+2)/(d+1), "
         f"d = {ds.start}..{ds.stop - 1}"
     )
-    anchor = "Mobius function values on the parameter circle"
     if f_mobius(1) != 1:
-        return _record("mobius-values", anchor, expected, "f(1) != 1")
+        return expected, "f(1) != 1"
     for d in ds:
         zp = cmath.exp(1j * cmath.pi / (2 * d + 1))
         zm = cmath.exp(-1j * cmath.pi / (2 * d + 1))
         if abs(f_mobius(zp) - (d - 1) / d) > 1e-12:
-            return _record("mobius-values", anchor, expected,
-                           f"sign + mismatch at d={d}")
+            return expected, f"sign + mismatch at d={d}"
         if abs(f_mobius(zm) - (d + 2) / (d + 1)) > 1e-12:
-            return _record("mobius-values", anchor, expected,
-                           f"sign - mismatch at d={d}")
-    return _record("mobius-values", anchor, expected, expected)
+            return expected, f"sign - mismatch at d={d}"
+    return expected, expected
 
 
-def check_independence(window) -> dict:
+@_check("independence", "2x2 independence certificates")
+def check_independence(window):
     ds = list(_window_range(window, 1, 20))
     expected = f"det = d2-d1 != 0 for all pairs in {ds[0]}..{ds[-1]}" if ds else "no pairs"
-    anchor = "2x2 independence certificates"
     for i, d1 in enumerate(ds):
         for d2 in ds[i + 1:]:
             det, independent = independence_certificate(d1, d2)
             if det != d2 - d1 or not independent:
-                return _record("independence", anchor, expected,
-                               f"mismatch at ({d1},{d2})")
-    return _record("independence", anchor, expected, expected)
+                return expected, f"mismatch at ({d1},{d2})"
+    return expected, expected
 
 
-def check_oracle_sweep(window, n_samples: int = 500, seed: int = 20250807) -> dict:
+@_check("oracle-sweep", "two bracket evaluators agree")
+def check_oracle_sweep(window, n_samples: int = 500, seed: int = 20250807):
     rng = random.Random(seed)
     expected = f"sweep = state sum on {n_samples} random diagrams (seed {seed})"
-    anchor = "two bracket evaluators agree"
     for k in range(n_samples):
         link = random_braid_closure(rng)
         if bracket_tangle_sweep(link.diagram) != bracket_state_sum(link.diagram):
-            return _record("oracle-sweep", anchor, expected,
-                           f"mismatch at sample {k}")
-    return _record("oracle-sweep", anchor, expected, expected)
+            return expected, f"mismatch at sample {k}"
+    return expected, expected
 
 
-def check_jw_projectors(window, n_max: int = 6) -> dict:
+@_check("jw-projectors", "projector laws")
+def check_jw_projectors(window, n_max: int = 6):
     expected = f"idempotent, hook-killed, closure (-1)^n [n+1], n <= {n_max}"
-    anchor = "projector laws"
     for n in range(n_max + 1):
         e = jones_wenzl(n)
         if not (e * e == e):
-            return _record("jw-projectors", anchor, expected,
-                           f"e_{n} not idempotent")
+            return expected, f"e_{n} not idempotent"
         zero = TLElement(n, {}, LaurentPoly.one())
         for i in range(1, n):
             hook = TLElement.hook_element(n, i)
             if not (hook * e == zero and e * hook == zero):
-                return _record("jw-projectors", anchor, expected,
-                               f"hook {i} does not kill e_{n}")
+                return expected, f"hook {i} does not kill e_{n}"
         sign = 1 if n % 2 == 0 else -1
         if e.closure() != RatFunc(quantum_integer(n + 1).scale(sign)):
-            return _record("jw-projectors", anchor, expected,
-                           f"closure of e_{n} wrong")
+            return expected, f"closure of e_{n} wrong"
         if n and e.coefficient(identity(n)) != RatFunc(LaurentPoly.one()):
-            return _record("jw-projectors", anchor, expected,
-                           f"identity coefficient of e_{n} wrong")
-    return _record("jw-projectors", anchor, expected, expected)
+            return expected, f"identity coefficient of e_{n} wrong"
+    return expected, expected
 
 
-def check_colored_closed_forms(window) -> dict:
+@_check("colored-closed-forms", "colored fixtures vs closed forms")
+def check_colored_closed_forms(window):
     expected = "unknot n<=5; Hopf and encirclement match closed forms for colors <= 2"
-    anchor = "colored fixtures vs closed forms"
     unknot = unknot_fixture(0)
     for n in range(6):
         if colored_bracket(unknot, (n,)) != RatFunc(delta_color(n)):
-            return _record("colored-closed-forms", anchor, expected,
-                           f"unknot color {n}")
+            return expected, f"unknot color {n}"
     hopf = hopf_fixture()
     for i in range(3):
         for a in range(3):
             if colored_bracket(hopf, (i, a)) != RatFunc(hopf_eval(i, a)):
-                return _record("colored-closed-forms", anchor, expected,
-                               f"hopf colors ({i},{a})")
+                return expected, f"hopf colors ({i},{a})"
             pres = attach_meridian(unknot_fixture(0), 0, a)
             colors = [0, 0]
             colors[pres.surgery_components[0]] = i
             for j, c in pres.extra_colors.items():
                 colors[j] = c
             if colored_bracket(pres.link, colors) != RatFunc(hopf_eval(i, a)):
-                return _record("colored-closed-forms", anchor, expected,
-                               f"encirclement colors ({i},{a})")
-    return _record("colored-closed-forms", anchor, expected, expected)
+                return expected, f"encirclement colors ({i},{a})"
+    return expected, expected
 
 
 def run_checks(window=None, mode: str = "auto") -> list:

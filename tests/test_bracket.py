@@ -81,8 +81,9 @@ def test_hopf_value(hopf):
 
 def _state_sum_by_slots(diag):
     """Slow reference for ``bracket_state_sum``: every state unions the
-    arc mates and the smoothing pairs over the 4n corner slots and adds
-    its monomial times delta^loops."""
+    arc mates and the smoothing pairs over the 4n corner slots afresh;
+    states are counted by (loops, exponent) and each loop count adds
+    its monomials times delta^loops once."""
     n = len(diag.crossings)
     ends: dict = {}
     for ci, c in enumerate(diag.crossings):
@@ -91,29 +92,29 @@ def _state_sum_by_slots(diag):
     mates = [tuple(v) for v in ends.values()]
     smooth = [_SMOOTHINGS[c.over] for c in diag.crossings]
 
-    total = LaurentPoly.zero()
+    def find(parent, x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    counts: dict = {}
     for state in product((0, 1), repeat=n):
         parent = list(range(4 * n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for a, b in mates:
-            union(a, b)
-        for ci, s in enumerate(state):
-            for x, y in smooth[ci][s]:
-                union(4 * ci + x, 4 * ci + y)
-        loops = len({find(x) for x in range(4 * n)})
+        loops = 4 * n  # one class per slot; each merge of two classes drops one
+        pairs = mates + [(4 * ci + x, 4 * ci + y)
+                         for ci, s in enumerate(state) for x, y in smooth[ci][s]]
+        for a, b in pairs:
+            ra, rb = find(parent, a), find(parent, b)
+            if ra != rb:
+                parent[ra] = rb
+                loops -= 1
         exponent = sum(1 if s == 0 else -1 for s in state)
-        total = total + LaurentPoly.monomial(exponent) * delta ** (loops + diag.free_loops)
+        row = counts.setdefault(loops, {})
+        row[exponent] = row.get(exponent, 0) + 1
+    total = LaurentPoly.zero()
+    for loops, row in counts.items():
+        total = total + LaurentPoly(row) * delta ** (loops + diag.free_loops)
     return total
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -9,8 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skeinlab.cli import REPORT_HEADER, main
-from skeinlab.diagrams import hopf_fixture, link_to_json
+from skeinlab.algebra import EvalPoint
+from skeinlab.cli import REPORT_HEADER, _build_parser, main
+from skeinlab.diagrams import attach_meridian, hopf_fixture, link_to_json, unknot_fixture
+from skeinlab.wrt import wrt_invariant
 
 GOLDEN_VERIFY_PAPER = Path(__file__).parent / "golden" / "verify-paper-window-1-2.json"
 
@@ -63,6 +66,13 @@ def test_colored_bracket_flag_overrides_nothing_stored():
                          "--colors", "1,1", "--d", "2", "--sign", "+")
     assert rc == 0
     assert out.strip() == "-1"
+
+
+def test_colored_bracket_sign_needs_d():
+    rc, out, err = run_cli("colored-bracket", "--fixture", "hopf",
+                           "--colors", "1,1", "--sign", "-")
+    assert rc == 2 and out == ""
+    assert "--sign needs --d" in err
 
 
 def test_colored_bracket_needs_colors():
@@ -176,6 +186,23 @@ def test_wrt_s1xs2():
     assert abs(complex(re, im) - 1) < 1e-9
 
 
+@pytest.mark.parametrize("color, want", [(0, "1"), (1, "0"), (2, "0")])
+def test_wrt_unknot_color_attaches_meridian(color, want):
+    rc, out, _ = run_cli("wrt", "--fixture", "unknot", "--color", str(color),
+                         "--d", "3")
+    assert rc == 0
+    pres = attach_meridian(unknot_fixture(0), 0, color)
+    assert out.strip() == str(wrt_invariant(pres, EvalPoint(3, 1))) == want
+
+
+def test_wrt_color_with_path_exits_2(tmp_path):
+    path = tmp_path / "hopf.json"
+    path.write_text(link_to_json(hopf_fixture()))
+    rc, out, err = run_cli("wrt", str(path), "--color", "2", "--d", "3")
+    assert rc == 2 and out == ""
+    assert "--color" in err
+
+
 def test_wrt_needs_d():
     rc, _, err = run_cli("wrt", "--fixture", "hopf")
     assert rc == 2
@@ -219,7 +246,7 @@ def test_report_json_format():
 
 
 def test_verify_paper_window_passes():
-    rc, out, _ = run_cli("verify-paper", "--window", "1..2", "--format", "json")
+    rc, out, _ = run_cli("verify-paper", "--window", "1..2")
     assert rc == 0
     report = json.loads(out)
     assert report["summary"]["fail"] == 0
@@ -267,3 +294,55 @@ def test_bad_precision_exits_2():
                          "--mode", "float", "--precision", "3")
     assert rc == 2
     assert "precision" in err
+
+
+def test_report_bad_precision_exits_2():
+    rc, out, err = run_cli("report", "--window", "1..2", "--precision", "3")
+    assert rc == 2 and out == ""
+    assert "precision" in err
+
+
+# every settable value of each subcommand; each is read by its handler
+OPTION_TABLE = {
+    "bracket": {"path", "--fixture"},
+    "colored-bracket": {"path", "--fixture", "--d", "--sign", "--colors"},
+    "wrt": {"path", "--fixture", "--d", "--sign", "--mode", "--precision",
+            "--color"},
+    "recoupling": {"--window", "--table", "--max-color", "--color"},
+    "report": {"--window", "--precision", "--format"},
+    "verify-paper": {"--window", "--mode"},
+}
+
+
+def test_option_table():
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {(a.option_strings or [a.dest])[0] for a in p._actions
+               if not isinstance(a, argparse._HelpAction)}
+        for name, p in sub.choices.items()
+    }
+    assert got == OPTION_TABLE
+    assert sum(len(v) for v in OPTION_TABLE.values()) == 23
+
+
+@pytest.mark.parametrize("argv", [
+    ("bracket", "--fixture", "hopf", "--mode", "exact"),
+    ("bracket", "--fixture", "hopf", "--precision", "40"),
+    ("bracket", "--fixture", "hopf", "--format", "json"),
+    ("colored-bracket", "--fixture", "hopf", "--colors", "1,1", "--mode", "exact"),
+    ("colored-bracket", "--fixture", "hopf", "--colors", "1,1", "--precision", "40"),
+    ("colored-bracket", "--fixture", "hopf", "--colors", "1,1", "--format", "md"),
+    ("recoupling", "--mode", "float"),
+    ("recoupling", "--precision", "40"),
+    ("recoupling", "--format", "json"),
+    ("wrt", "--fixture", "unknot", "--d", "2", "--format", "json"),
+    ("report", "--window", "1..2", "--mode", "exact"),
+    ("verify-paper", "--window", "1..2", "--precision", "40"),
+    ("verify-paper", "--window", "1..2", "--format", "json"),
+])
+def test_removed_option_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
