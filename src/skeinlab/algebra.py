@@ -10,7 +10,10 @@ true division goes through ``Fraction``, never ``/`` on two ints.
 * ``LaurentPoly`` -- sparse Laurent polynomials in A over Q, stored as a
   map ``exponent -> int``, or ``Fraction`` where a denominator appears.
 * ``RatFunc`` -- quotients of Laurent polynomials kept in a canonical
-  reduced form, so equality is plain field-by-field comparison.
+  reduced form, so equality is plain field-by-field comparison.  The form
+  comes from ``_reduce``, which also puts the numerators of a
+  Temperley-Lieb element (``tl.TLElement``) over their shared
+  denominator: RatFunc and TL elements share one canonical quotient.
 * ``CycloNum`` -- residues modulo the 2(2d+1)-th cyclotomic polynomial,
   i.e. exact elements of Q(zeta) for zeta = exp(i*pi/(2d+1)).  The two
   evaluation points of level d differ by zeta -> 1/zeta and therefore
@@ -270,25 +273,30 @@ class LaurentPoly:
     # -- presentation --------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for e in sorted(self._terms, reverse=True):
-            c = self._terms[e]
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "A" if e == 1 else f"A^{e}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
+        return _format_terms(self._terms, "A")
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
+
+
+def _format_terms(terms: dict, var: str) -> str:
+    """``c*var^e`` terms by falling exponent, as in ``A^2 + 2 - A^-2``."""
+    parts = []
+    for e in sorted(terms, reverse=True):
+        c = terms[e]
+        if not c:
+            continue
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            power = var if e == 1 else f"{var}^{e}"
+            body = power if mag == 1 else f"{mag}*{power}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f" + {body}" if c > 0 else f" - {body}")
+    return "".join(parts) or "0"
 
 
 def _coerce_poly(x):
@@ -305,22 +313,10 @@ def poly_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     Monomial unit factors are irrelevant: the result always has nonzero
     constant term and leading coefficient one.
     """
-    if f.is_zero():
-        return _shifted_monic(g)
-    if g.is_zero():
-        return _shifted_monic(f)
-    a = _shifted_monic(f)
-    b = _shifted_monic(g)
-    # Exact-division fast paths cover the common structured cases cheaply.
-    if (a % b).is_zero():
-        return b
-    if (b % a).is_zero():
-        return a
+    a, b = _shifted_monic(f), _shifted_monic(g)
     while not b.is_zero():
-        a, b = b, a % b
-        if not b.is_zero():
-            b = _shifted_monic(b)
-    return _shifted_monic(a)
+        a, b = b, _shifted_monic(a % b)
+    return a
 
 
 def _shifted_monic(f: LaurentPoly) -> LaurentPoly:
@@ -329,6 +325,33 @@ def _shifted_monic(f: LaurentPoly) -> LaurentPoly:
     shift = -f.min_exponent()
     lead = f.coefficient(f.max_exponent())
     return LaurentPoly({e + shift: _div(c, lead) for e, c in f.items()})
+
+
+def _reduce(nums: list, den: LaurentPoly) -> tuple:
+    """The canonical form (nums, den) of numerators over one denominator.
+
+    Divides out the joint gcd of ``den`` and every numerator, then the
+    unit left in the denominator (its leading coefficient times its
+    lowest A-power).  The denominator comes back monic with nonzero
+    constant term, so equal quotients have identical fields.  This is the
+    one reduction behind both ``RatFunc`` and ``tl.TLElement``.
+    """
+    if all(c.is_zero() for c in nums):
+        return [LaurentPoly.zero() for _ in nums], LaurentPoly.one()
+    g = den
+    for c in nums:
+        g = poly_gcd(g, c)
+        if g.is_one():
+            break
+    if not g.is_one():
+        nums, den = [c // g for c in nums], den // g
+    shift = den.min_exponent()
+    lead = den.coefficient(den.max_exponent())
+
+    def unit(p):
+        return LaurentPoly({e - shift: _div(c, lead) for e, c in p.items()})
+
+    return [unit(c) for c in nums], unit(den)
 
 
 @functools.lru_cache(maxsize=None)
@@ -358,12 +381,9 @@ def loop_weight() -> LaurentPoly:
 
 
 class RatFunc:
-    """A quotient of Laurent polynomials in canonical reduced form.
-
-    The denominator is normalized to an ordinary polynomial with nonzero
-    constant term and leading coefficient one; monomial units are folded
-    into the numerator.  Two equal rational functions therefore have
-    identical fields.
+    """A quotient of Laurent polynomials in the canonical form of
+    ``_reduce``: the denominator is monic with nonzero constant term, so
+    two equal rational functions have identical fields.
 
     >>> print(RatFunc(quantum_integer(4), quantum_integer(2)))
     A^4 + A^-4
@@ -376,24 +396,9 @@ class RatFunc:
         den = LaurentPoly.one() if den is None else _coerce_poly(den)
         if den.is_zero():
             raise ZeroDenominatorError("rational function with denominator 0")
-        if num.is_zero():
-            object.__setattr__(self, "num", LaurentPoly.zero())
-            object.__setattr__(self, "den", LaurentPoly.one())
-            return
-        a = num.min_exponent()
-        b = den.min_exponent()
-        n_poly = LaurentPoly({e - a: c for e, c in num.items()})
-        d_poly = LaurentPoly({e - b: c for e, c in den.items()})
-        g = poly_gcd(n_poly, d_poly)
-        if not g.is_one():
-            n_poly //= g
-            d_poly //= g
-        lead = d_poly.coefficient(d_poly.max_exponent())
-        if lead != 1:
-            n_poly = n_poly.scale(_div(1, lead))
-            d_poly = d_poly.scale(_div(1, lead))
-        object.__setattr__(self, "num", LaurentPoly({e + a - b: c for e, c in n_poly.items()}))
-        object.__setattr__(self, "den", d_poly)
+        (num,), den = _reduce([num], den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *_):
         raise AttributeError("RatFunc is immutable")
@@ -673,18 +678,8 @@ class CycloNum:
 
     def conjugate(self) -> "CycloNum":
         """The image under zeta -> 1/zeta (complex conjugation)."""
-        n = 2 * (2 * self.d + 1)
-        _, rows = _field_data(self.d)
-        out = None
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            row = rows[(-j) % n]
-            term = tuple(c * x for x in row)
-            out = term if out is None else tuple(a + b for a, b in zip(out, term))
-        if out is None:
-            return CycloNum.zero(self.d)
-        return CycloNum(self.d, out)
+        poly = LaurentPoly(dict(enumerate(self.coeffs)))
+        return evaluate_at(poly, EvalPoint(self.d, -1))
 
     def _coerce(self, x):
         if isinstance(x, CycloNum):
@@ -697,22 +692,8 @@ class CycloNum:
         r = self.as_rational()
         if r is not None:
             return str(r)
-        parts = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if not c:
-                continue
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "z" if e == 1 else f"z^{e}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts) + f" [z = exp(i*pi/{2 * self.d + 1})]"
+        body = _format_terms(dict(enumerate(self.coeffs)), "z")
+        return f"{body} [z = exp(i*pi/{2 * self.d + 1})]"
 
     def __repr__(self) -> str:
         return f"CycloNum(d={self.d}, {self})"

@@ -8,6 +8,8 @@ presentation at one point; ``recoupling`` dumps closed-form tables;
 
 Each subcommand registers only the options its handler reads, so a flag
 another subcommand owns is a usage error (exit 2), never silently ignored.
+So are a JSON path given with ``--fixture`` and an option of the other
+``recoupling`` table.
 Options shared by two or more subcommands are declared once, in
 ``_SHARED``.
 
@@ -69,6 +71,8 @@ def _parse_colors(text: str) -> tuple:
 
 def _load_link(args) -> tuple:
     """(FramedLink, colors-or-None) from --fixture or a JSON file path."""
+    if args.fixture and args.path:
+        raise ValueError("pass either a JSON path or --fixture, not both")
     if args.fixture:
         return _FIXTURES[args.fixture](), None
     if not args.path:
@@ -136,18 +140,24 @@ def cmd_wrt(args) -> int:
 def cmd_recoupling(args) -> int:
     lines = []
     if args.table == "hopf":
-        if args.max_color < 0:
-            raise ColorRangeError(f"--max-color must be nonnegative, got {args.max_color}")
+        if args.color is not None or args.window is not None:
+            raise ValueError("--table hopf reads --max-color, not --color or --window")
+        max_color = 3 if args.max_color is None else args.max_color
+        if max_color < 0:
+            raise ColorRangeError(f"--max-color must be nonnegative, got {max_color}")
         lines.append("i,a,value")
-        for i in range(args.max_color + 1):
-            for a in range(args.max_color + 1):
+        for i in range(max_color + 1):
+            for a in range(max_color + 1):
                 lines.append(f'{i},{a},"{hopf_eval(i, a)}"')
     else:
+        if args.max_color is not None:
+            raise ValueError("--table series reads --color and --window, not --max-color")
+        color = 1 if args.color is None else args.color
         lo, hi = args.window or (1, 10)
         lines.append("d,sign,value")
         for d in range(lo, hi + 1):
             for sign, tag in ((1, "+"), (-1, "-")):
-                v = meridian_series(args.color, EvalPoint(d, sign))
+                v = meridian_series(color, EvalPoint(d, sign))
                 lines.append(f'{d},{tag},"{v}"')
     print("\n".join(lines))
     return 0
@@ -262,8 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("recoupling", cmd_recoupling, "closed-form tables as CSV",
                 "--window")
     p.add_argument("--table", choices=("hopf", "series"), default="hopf")
-    p.add_argument("--max-color", type=int, default=3)
-    p.add_argument("--color", type=int, default=1)
+    p.add_argument("--max-color", type=int, help="hopf table only (default 3)")
+    p.add_argument("--color", type=int, help="series table only (default 1)")
 
     p = command("report", cmd_report, "window tables of the named quantities",
                 "--window", "--precision")

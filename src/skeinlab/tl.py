@@ -14,8 +14,10 @@ for every local state of a box.
 ``TLElement`` is a formal sum of diagrams with Laurent-polynomial
 coefficients over one shared polynomial denominator; keeping the
 denominator common is what makes repeated projector arithmetic cheap.
+``normalized`` is ``RatFunc``'s canonical quotient (``algebra._reduce``).
 Multiplication stacks the second factor on top of the first and turns
 every closed bubble into a factor of the loop value -A^2 - A^-2.
+``jones_wenzl`` sums its recursion over [n] den(e)^2, then reduces.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import LaurentPoly, RatFunc, loop_weight, poly_gcd, quantum_integer
-from .errors import ArityError, SkeinError
+from .algebra import LaurentPoly, RatFunc, _reduce, loop_weight, quantum_integer
+from .errors import ArityError
 
 
 @dataclass(frozen=True)
@@ -147,20 +149,6 @@ class TLElement:
     def hook_element(n: int, i: int) -> "TLElement":
         return TLElement.from_diagram(hook(n, i))
 
-    def __add__(self, other: "TLElement") -> "TLElement":
-        if self.n != other.n:
-            raise ValueError("strand mismatch")
-        g = poly_gcd(self.den, other.den)
-        s1, s2 = other.den // g, self.den // g
-        terms = {d: c * s1 for d, c in self.terms.items()}
-        for d, c in other.terms.items():
-            terms[d] = terms.get(d, LaurentPoly.zero()) + c * s2
-        return TLElement(self.n, terms, self.den * s1)
-
-    def scale(self, num: LaurentPoly, den: LaurentPoly | None = None) -> "TLElement":
-        terms = {d: c * num for d, c in self.terms.items()}
-        return TLElement(self.n, terms, self.den if den is None else self.den * den)
-
     def __mul__(self, other: "TLElement") -> "TLElement":
         if self.n != other.n:
             raise ArityError(f"cannot compose on {self.n} and {other.n} strands")
@@ -189,21 +177,8 @@ class TLElement:
         return RatFunc(self.terms.get(d, LaurentPoly.zero()), self.den)
 
     def normalized(self) -> "TLElement":
-        if not self.terms:
-            return TLElement(self.n, {}, LaurentPoly.one())
-        g = self.den
-        for c in self.terms.values():
-            g = poly_gcd(g, c)
-            if g.is_one():
-                break
-        terms = {d: c // g for d, c in self.terms.items()}
-        den = self.den // g
-        # fold the remaining unit (leading coefficient and A-power) away
-        lead = den.coefficient(den.max_exponent())
-        unit = LaurentPoly.monomial(den.min_exponent(), lead)
-        den = den // unit
-        terms = {d: _div_unit(c, unit) for d, c in terms.items()}
-        return TLElement(self.n, terms, den)
+        nums, den = _reduce(list(self.terms.values()), self.den)
+        return TLElement(self.n, dict(zip(self.terms, nums)), den)
 
     def __eq__(self, other):
         if not isinstance(other, TLElement) or self.n != other.n:
@@ -217,13 +192,6 @@ class TLElement:
     def __str__(self):
         body = " + ".join(f"({c})*{d}" for d, c in sorted(self.terms.items(), key=str))
         return f"[{body or '0'}] / ({self.den})"
-
-
-def _div_unit(c: LaurentPoly, unit: LaurentPoly) -> LaurentPoly:
-    q, r = divmod(c, unit)
-    if not r.is_zero():
-        raise SkeinError(f"{c} is not divisible by the unit {unit}")
-    return q
 
 
 def extend(elem: TLElement) -> TLElement:
@@ -245,8 +213,11 @@ def jones_wenzl(n: int) -> TLElement:
 
     Characterized by: coefficient 1 on the identity, and composing with
     any hook on either side gives zero.  Computed by the two-term
-    recursion whose mixing coefficient is [n-1]/[n]; its closure is the
-    loop evaluation (-1)^n [n+1].
+    recursion e_n = e + e u e [n-1]/[n], with e the extended e_{n-1} and
+    u the last hook (Kauffman-Lins 1994).  Both terms are summed over the
+    common denominator [n] den(e)^2, so each numerator takes one product,
+    and the sum is reduced once.  The closure is the loop evaluation
+    (-1)^n [n+1].
     """
     if n < 0:
         raise ValueError("negative strand count")
@@ -256,6 +227,10 @@ def jones_wenzl(n: int) -> TLElement:
     if n == 1:
         return TLElement.identity_element(1)
     e = extend(jones_wenzl(n - 1))
-    u = TLElement.hook_element(n, n - 1)
-    correction = (e * u * e).scale(quantum_integer(n - 1), quantum_integer(n))
-    return (e + correction).normalized()
+    eue = e * TLElement.hook_element(n, n - 1) * e
+    qn, mix = quantum_integer(n), quantum_integer(n - 1)
+    lift = e.den * qn  # e's numerators over [n] den(e)^2 = [n] den(eue)
+    terms = {d: c * lift for d, c in e.terms.items()}  # e's diagrams first
+    for d, c in eue.terms.items():
+        terms[d] = terms.get(d, LaurentPoly.zero()) + c * mix
+    return TLElement(n, terms, eue.den * qn).normalized()

@@ -52,6 +52,12 @@ from .wrt import (
     wrt_invariant,
 )
 
+# the oracle-sweep check: this many random braid closures, each with at
+# most BRAID_MAX_CROSSINGS crossings, drawn from this seed
+BRAID_MAX_CROSSINGS = 12
+ORACLE_SAMPLES = 500
+ORACLE_SEED = 20250807
+
 
 def _window_range(window, lo: int, hi: int) -> range:
     if window is None:
@@ -84,10 +90,10 @@ def _check(check_id: str, anchor: str):
     return wrap
 
 
-def random_braid_closure(rng: random.Random, size: int = 12) -> FramedLink:
-    """A random braid-closure diagram with at most ``size`` crossings."""
+def random_braid_closure(rng: random.Random) -> FramedLink:
+    """A random braid-closure diagram with at most BRAID_MAX_CROSSINGS crossings."""
     strands = rng.randint(2, 5)
-    length = rng.randint(0, size)
+    length = rng.randint(0, BRAID_MAX_CROSSINGS)
     word = [
         rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)
     ]
@@ -228,10 +234,10 @@ def check_independence(window):
 
 
 @_check("oracle-sweep", "two bracket evaluators agree")
-def check_oracle_sweep(window, n_samples: int = 500, seed: int = 20250807):
-    rng = random.Random(seed)
-    expected = f"sweep = state sum on {n_samples} random diagrams (seed {seed})"
-    for k in range(n_samples):
+def check_oracle_sweep(window):
+    rng = random.Random(ORACLE_SEED)
+    expected = f"sweep = state sum on {ORACLE_SAMPLES} random diagrams (seed {ORACLE_SEED})"
+    for k in range(ORACLE_SAMPLES):
         link = random_braid_closure(rng)
         if bracket_tangle_sweep(link.diagram) != bracket_state_sum(link.diagram):
             return expected, f"mismatch at sample {k}"

@@ -10,6 +10,7 @@ from skeinlab.algebra import (
     EvalPoint,
     LaurentPoly,
     RatFunc,
+    _reduce,
     cyclo_to_complex,
     delta_color,
     evaluate_at,
@@ -17,6 +18,7 @@ from skeinlab.algebra import (
     quantum_integer,
 )
 from skeinlab.errors import PoleError, ZeroDenominatorError
+from skeinlab.tl import jones_wenzl
 
 A = LaurentPoly.gen()
 one = LaurentPoly.one()
@@ -400,3 +402,28 @@ def test_cyclo_mixed_coefficients_match_fraction_reference(d):
         inv = x.inverse()
         assert all(type(c) in (int, Fraction) for c in inv.coeffs)
         assert _ref_cyclo_mul(d, x.coeffs, inv.coeffs) == (1,) + (0,) * (m - 1)
+
+
+# -- one canonical quotient for RatFunc and TLElement --------------------------
+
+
+@given(st.lists(polys, min_size=1, max_size=4), polys.filter(lambda p: not p.is_zero()))
+@settings(max_examples=200, deadline=None)
+def test_reduce_gives_the_canonical_quotient(nums, den):
+    out_nums, out_den = _reduce(nums, den)
+    assert len(out_nums) == len(nums)
+    assert out_den.min_exponent() == 0
+    assert out_den.coefficient(out_den.max_exponent()) == 1
+    g = _frac(dict(out_den.items()))
+    for c in out_nums:
+        g = _ref_gcd(g, _frac(dict(c.items())))
+    assert g == {0: 1}
+    for c, out in zip(nums, out_nums):
+        assert out * den == c * out_den
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_jones_wenzl_is_in_canonical_form(n):
+    e = jones_wenzl(n)
+    f = e.normalized()
+    assert (f.n, list(f.terms), f.terms, f.den) == (e.n, list(e.terms), e.terms, e.den)

@@ -203,6 +203,18 @@ def test_wrt_color_with_path_exits_2(tmp_path):
     assert "--color" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("bracket",),
+    ("colored-bracket", "--colors", "1,1"),
+    ("wrt", "--d", "3"),
+])
+def test_fixture_with_path_exits_2(argv):
+    # the path names no file: the contradiction is reported before any read
+    rc, out, err = run_cli(*argv, "--fixture", "hopf", "nonexistent.json")
+    assert rc == 2 and out == ""
+    assert "not both" in err
+
+
 def test_wrt_needs_d():
     rc, _, err = run_cli("wrt", "--fixture", "hopf")
     assert rc == 2
@@ -287,6 +299,27 @@ def test_recoupling_series_table():
     values = [line.split(",")[2] for line in lines[1:]]
     assert values == ['"1"', '"1"', '"2"', '"2"', '"3"', '"3"', '"4"', '"4"',
                       '"5"', '"5"']
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (("--table", "hopf", "--color", "5"), "--color"),
+    (("--table", "hopf", "--window", "1..3"), "--window"),
+    (("--max-color", "1", "--window", "1..3", "--color", "5"), "--color"),
+    (("--table", "series", "--max-color", "7"), "--max-color"),
+])
+def test_recoupling_foreign_option_exits_2(argv, flags):
+    rc, out, err = run_cli("recoupling", *argv)
+    assert rc == 2 and out == ""
+    assert flags in err
+
+
+@pytest.mark.parametrize("argv, same", [
+    ((), ("--table", "hopf", "--max-color", "3")),
+    (("--table", "series"), ("--table", "series", "--color", "1", "--window", "1..10")),
+])
+def test_recoupling_defaults_are_the_table_defaults(argv, same):
+    got = run_cli("recoupling", *argv)
+    assert got[0] == 0 and got == run_cli("recoupling", *same)
 
 
 def test_bad_precision_exits_2():

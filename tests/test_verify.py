@@ -33,11 +33,14 @@ def test_windowed_checks_respect_window():
     assert check_hopf_meridian_poly((0, 8))["status"] == "PASS"
 
 
-def test_oracle_sweep_deterministic():
-    a = check_oracle_sweep(None, n_samples=40, seed=11)
-    b = check_oracle_sweep(None, n_samples=40, seed=11)
+def test_oracle_sweep_deterministic(monkeypatch):
+    monkeypatch.setattr("skeinlab.verify.ORACLE_SAMPLES", 40)
+    monkeypatch.setattr("skeinlab.verify.ORACLE_SEED", 11)
+    a = check_oracle_sweep(None)
+    b = check_oracle_sweep(None)
     assert a == b
     assert a["status"] == "PASS"
+    assert a["expected"] == "sweep = state sum on 40 random diagrams (seed 11)"
 
 
 def test_build_report_counts():
