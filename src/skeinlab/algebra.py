@@ -17,7 +17,16 @@ true division goes through ``Fraction``, never ``/`` on two ints.
 * ``CycloNum`` -- residues modulo the 2(2d+1)-th cyclotomic polynomial,
   i.e. exact elements of Q(zeta) for zeta = exp(i*pi/(2d+1)).  The two
   evaluation points of level d differ by zeta -> 1/zeta and therefore
-  share a single field.
+  share a single field.  A product clears each operand's denominators
+  with one lcm, multiplies and reduces in ints and divides once, so its
+  coefficients come back as ints wherever they are integral.
+
+One Kronecker kernel serves the packed products of the package:
+``_kron_pack`` substitutes A -> 2^k into an integer coefficient list, and
+``_kron_digits`` reads an int back as balanced base-2^k digits.
+``CycloNum`` products above degree ``_SCHOOLBOOK_DEGREE``, the products
+of ``tl.TLElement`` and the frontier weights of ``bracket._sweep`` all
+go through it.
 
 ``evaluate_at`` is the ring homomorphism A -> zeta^{sign}; it is the only
 bridge from symbolic objects to cyclotomic ones, and ``cyclo_to_complex``
@@ -31,6 +40,7 @@ and the loop weight of color n is ``delta_color(n) = (-1)^n [n+1]``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,6 +64,50 @@ def _div(a, b) -> int | Fraction:
         return a
     q = Fraction(a, b)
     return q.numerator if q.denominator == 1 else q
+
+
+def _cleared(coeffs) -> tuple:
+    """(ints, den) with coeffs[j] = ints[j] / den, den the lcm of the
+    denominators: one lcm instead of a gcd per ``Fraction`` operation."""
+    if type(sum(coeffs)) is int:  # no Fraction among them
+        return coeffs, 1
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _kron_pack(terms, k: int) -> int:
+    """sum c 2^(k*j) over the (j, c) pairs of terms, int c and j >= 0.
+
+    This is Kronecker substitution A -> 2^k (Harvey, J. Symb. Comp.
+    2009) of the polynomial sum c A^j.  It is a ring homomorphism
+    Z[A] -> Z, so sums and products of packed polynomials are the packed
+    sums and products, however their digits carry on the way.  Only the
+    final coefficients must lie in [-2^(k-1), 2^(k-1)) for
+    ``_kron_digits`` to read them back.
+
+    >>> v = _kron_pack(enumerate([-1, 0, 7, -2]), 4)
+    >>> v
+    -6401
+    >>> _kron_digits(v, 4)
+    [-1, 0, 7, -2]
+    >>> _kron_digits(_kron_pack([(0, 1), (1, 1)], 4) * _kron_pack([(0, 1), (2, -1)], 4), 4, 5)
+    [1, 1, -1, -1, 0]
+    """
+    return sum(c << k * j for j, c in terms)
+
+
+def _kron_digits(value: int, k: int, count: int = 0) -> list:
+    """The balanced base-2^k digits of value (k >= 2), lowest first, each
+    in [-2^(k-1), 2^(k-1)): up to the last nonzero one, then zeros up to
+    ``count`` digits."""
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    out = []
+    while value:
+        c = (value + half & mask) - half
+        out.append(c)
+        value = (value - c) >> k
+    out += [0] * (count - len(out))
+    return out
 
 
 class LaurentPoly:
@@ -531,19 +585,21 @@ def _field_data(d: int):
     """Modulus and power-reduction rows for the level-d field.
 
     Returns (degree m, rows) where rows[k] is x^k reduced modulo the
-    2(2d+1)-th cyclotomic polynomial, for 0 <= k < 2(2d+1).  Because
+    2(2d+1)-th cyclotomic polynomial, for 0 <= k < 2(2d+1), as the
+    (j, coefficient) pairs of its nonzero coefficients.  Because
     zeta^{2(2d+1)} = 1 every power of zeta is covered by reducing the
-    exponent first.
+    exponent first.  Most rows have one entry: x^k for k < m, and
+    x^k = -x^(k-2d-1) for k > 2d, since zeta^(2d+1) = -1.
     """
     n = 2 * (2 * d + 1)
     mod = _cyclotomic_poly(n)
     m = mod.max_exponent()
     mod = [mod.coefficient(j) for j in range(m)]
-    rows: list[tuple[int, ...]] = []
+    rows: list[tuple] = []
     cur = [0] * m
     cur[0] = 1
     for _ in range(n):
-        rows.append(tuple(cur))
+        rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
         # multiply by x, reduce the overflow with x^m = -(mod below x^m)
         top = cur[m - 1]
         cur = [0] + cur[:-1]
@@ -552,6 +608,12 @@ def _field_data(d: int):
                 if mod[j]:
                     cur[j] -= top * mod[j]
     return m, tuple(rows)
+
+
+# Field degree up to which CycloNum multiplies with an int schoolbook loop:
+# below it, packing and decoding 2m digits costs more than the m^2 products
+# (measured on the torus workload's products, which are mostly at m <= 6).
+_SCHOOLBOOK_DEGREE = 8
 
 
 @dataclass(frozen=True)
@@ -586,7 +648,10 @@ class CycloNum:
     def root_power(d: int, k: int) -> "CycloNum":
         """zeta^k as a field element (k may be negative)."""
         m, rows = _field_data(d)
-        return CycloNum(d, rows[k % (2 * (2 * d + 1))])
+        vec = [0] * m
+        for j, c in rows[k % (2 * (2 * d + 1))]:
+            vec[j] = c
+        return CycloNum(d, tuple(vec))
 
     def _check(self, other: "CycloNum"):
         if self.d != other.d:
@@ -626,27 +691,42 @@ class CycloNum:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
+        """The product, reduced with the rows of ``_field_data``.
+
+        Each operand with a Fraction is cleared with one lcm of its
+        denominators, so the product and the reduction run on ints and
+        the result is divided once.  Above ``_SCHOOLBOOK_DEGREE`` the
+        product is one int product of Kronecker-packed operands: each of
+        its 2m-1 coefficients is a sum of at most m products, so
+        max|a| max|b| m bounds it and sets the digit width.
+        """
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         self._check(other)
         m, rows = _field_data(self.d)
-        prod = [0] * (2 * m - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    prod[i + j] += a * b
-        out = list(prod[:m])
-        for k in range(m, 2 * m - 1):
-            c = prod[k]
+        a, b, den = self.coeffs, other.coeffs, 1
+        if type(sum(a + b)) is not int:  # a Fraction among them
+            (a, den_a), (b, den_b) = _cleared(a), _cleared(b)
+            den = den_a * den_b
+        if m <= _SCHOOLBOOK_DEGREE:
+            prod = [0] * (2 * m - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        if y:
+                            prod[i + j] += x * y
+        else:
+            k = (max(map(abs, a)) * max(map(abs, b)) * m).bit_length() + 2
+            packed = _kron_pack(enumerate(a), k) * _kron_pack(enumerate(b), k)
+            prod = _kron_digits(packed, k, 2 * m - 1)
+        out = prod[:m]
+        for i in range(m, 2 * m - 1):
+            c = prod[i]
             if c:
-                row = rows[k]
-                for j in range(m):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return CycloNum(self.d, tuple(out))
+                for j, r in rows[i]:
+                    out[j] += c * r
+        return CycloNum(self.d, tuple(out) if den == 1 else tuple(_div(c, den) for c in out))
 
     __rmul__ = __mul__
 
@@ -729,10 +809,8 @@ def evaluate_at(value, point: EvalPoint) -> CycloNum:
     m, rows = _field_data(d)
     acc = [0] * m
     for e, c in value.items():
-        row = rows[(point.sign * e) % n]
-        for j in range(m):
-            if row[j]:
-                acc[j] += c * row[j]
+        for j, r in rows[(point.sign * e) % n]:
+            acc[j] += c * r
     return CycloNum(d, tuple(acc))
 
 

@@ -44,8 +44,11 @@ their offsets.  The digit width k is fixed per sweep from a bound on every
 coefficient of every partial weight: the product over the boxes of the
 summed absolute state coefficients, times 2^(number of arcs), since each
 closed loop uses up an arc.  The result is decoded once, as balanced
-base-2^k digits.  A contribution off its key's residue, or a box
-coefficient that is not an integer, raises ``SkeinError``.
+base-2^k digits.  Packing and decoding are the Kronecker kernel of
+``algebra`` (``_kron_pack``, ``_kron_digits``) that the Temperley-Lieb
+and cyclotomic products share; the stride-4 exponent map stays here.  A
+contribution off its key's residue, or a box coefficient that is not an
+integer, raises ``SkeinError``.
 
 ``bracket`` memoizes the sweep in ``_sweep_memo``, keyed by the
 canonical form of the diagram and its projector sites.  The memo is
@@ -68,7 +71,15 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .algebra import EvalPoint, LaurentPoly, RatFunc, evaluate_at, loop_weight
+from .algebra import (
+    EvalPoint,
+    LaurentPoly,
+    RatFunc,
+    _kron_digits,
+    _kron_pack,
+    evaluate_at,
+    loop_weight,
+)
 from .diagrams import NE, NW, OVER_SLASH, SE, SW, PlanarDiagram, cable, canonical_form
 from .errors import (
     ArityError,
@@ -277,27 +288,15 @@ def _integral(c) -> int:
 def _pack(terms, slot: int) -> tuple:
     """(exponent, int) terms of one residue mod 4 as (e0, V)."""
     e0 = min((e for e, _ in terms), default=0)
-    value = 0
-    for e, c in terms:
+    for e, _ in terms:
         if (e - e0) % 4:
             raise SkeinError(f"box weight mixes exponents {e0} and {e} mod 4")
-        value += _integral(c) << slot * (e - e0) // 4
-    return e0, value
+    return e0, _kron_pack((((e - e0) // 4, _integral(c)) for e, c in terms), slot)
 
 
 def _unpack(e0: int, value: int, slot: int) -> dict:
     """{exponent: coefficient} of (e0, V), read as balanced base-2^slot digits."""
-    out: dict = {}
-    half, mask = 1 << (slot - 1), (1 << slot) - 1
-    while value:
-        c = value & mask
-        if c >= half:
-            c -= 1 << slot
-        if c:
-            out[e0] = c
-        value = (value - c) >> slot
-        e0 += 4
-    return out
+    return {e0 + 4 * j: c for j, c in enumerate(_kron_digits(value, slot)) if c}
 
 
 def _times_loops(weight: tuple, loops: int) -> list:

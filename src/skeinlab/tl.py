@@ -12,20 +12,33 @@ loops.  It is the one strand walk of the package: ``compose`` and
 for every local state of a box.
 
 ``TLElement`` is a formal sum of diagrams with Laurent-polynomial
-coefficients over one shared polynomial denominator; keeping the
-denominator common is what makes repeated projector arithmetic cheap.
-``normalized`` is ``RatFunc``'s canonical quotient (``algebra._reduce``).
-Multiplication stacks the second factor on top of the first and turns
-every closed bubble into a factor of the loop value -A^2 - A^-2.
-``jones_wenzl`` sums its recursion over [n] den(e)^2, then reduces.
+coefficients over one shared polynomial denominator.  ``normalized`` is
+``RatFunc``'s canonical quotient (``algebra._reduce``).  Multiplication
+stacks the second factor on top of the first and turns every closed
+bubble into a factor of the loop value -A^2 - A^-2.  It packs each
+numerator into one int by Kronecker substitution (``algebra._kron_pack``),
+so a pair of diagrams costs one strand walk and two int products, and
+each numerator of the product is decoded once.  ``jones_wenzl`` sums its
+recursion over [n] den(e)^2, then reduces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb, gcd
 
-from .algebra import LaurentPoly, RatFunc, _reduce, loop_weight, quantum_integer
+from .algebra import (
+    LaurentPoly,
+    RatFunc,
+    _cleared,
+    _div,
+    _kron_digits,
+    _kron_pack,
+    _reduce,
+    loop_weight,
+    quantum_integer,
+)
 from .errors import ArityError
 
 
@@ -69,26 +82,32 @@ def _walk(link, partner):
     ``partner[k]`` is the leg the matching joins to leg k, and ``link[k]``
     says where leg k goes outside it: ``~j`` when it leads on to leg j, or
     a label >= 0 when it ends there.  Each path between two ends becomes
-    the sorted pair of their labels; a circuit that never ends is a loop.
+    the sorted pair of their labels, in the order of their first ends;
+    a circuit that never ends is a loop.
     """
-    seen: set = set()
-    pairs, loops = [], 0
-    for start in sorted(range(len(link)), key=lambda k: link[k] < 0):
-        if start in seen:
+    seen = [False] * len(link)
+    pairs = []
+    for start, a in enumerate(link):
+        if a < 0 or seen[start]:
             continue
-        cur = start
-        while True:
-            seen.add(cur)
-            cur = partner[cur]
-            seen.add(cur)
-            if link[cur] >= 0 or ~link[cur] == start:
-                break
-            cur = ~link[cur]
-        if link[cur] >= 0:
-            a, b = link[start], link[cur]
-            pairs.append((a, b) if a < b else (b, a))
-        else:
+        seen[start] = True
+        cur = partner[start]
+        while link[cur] < 0:
+            nxt = ~link[cur]
+            seen[cur] = seen[nxt] = True
+            cur = partner[nxt]
+        seen[cur] = True
+        b = link[cur]
+        pairs.append((a, b) if a < b else (b, a))
+    loops = 0
+    for start in range(len(link)):  # every leg left unseen lies on a loop
+        if not seen[start]:
             loops += 1
+            cur = start
+            while not seen[cur]:
+                p = partner[cur]
+                seen[cur] = seen[p] = True
+                cur = ~link[p]
     return pairs, loops
 
 
@@ -99,25 +118,32 @@ def _partner(d: TLDiagram) -> list:
     return out
 
 
-def compose(d1: TLDiagram, d2: TLDiagram):
-    """Stack d2 on top of d1; returns (diagram, closed bubble count).
+def _stacked(d: TLDiagram) -> tuple:
+    """(link, top pairs) of d stacked on top of an n-strand diagram.
 
-    The walk runs over the points of d1: bottom point q ends at label q,
-    and top point k meets bottom point 2n-1-k of d2, whose chord leads on
-    to another top point of d1 or ends at a top point of d2.
+    ``link`` is for the walk over the points of the lower diagram:
+    bottom point q ends at label q, and top point k meets bottom point
+    2n-1-k of d, whose chord leads on to another top point of the lower
+    diagram or ends at a top point of d.  The chords among d's top
+    points pass through unchanged.
     """
-    if d1.n != d2.n:
-        raise ValueError(f"strand mismatch: {d1.n} vs {d2.n}")
-    n = d1.n
-    up = _partner(d2)
+    n = d.n
+    up = _partner(d)
     link = list(range(n))
     for k in range(n, 2 * n):
         p = up[2 * n - 1 - k]
         link.append(~(2 * n - 1 - p) if p < n else p)
+    return link, [(a, b) for a, b in d.pairs if a >= n]
+
+
+def compose(d1: TLDiagram, d2: TLDiagram):
+    """Stack d2 on top of d1; returns (diagram, closed bubble count)."""
+    if d1.n != d2.n:
+        raise ValueError(f"strand mismatch: {d1.n} vs {d2.n}")
+    link, tops = _stacked(d2)
     pairs, bubbles = _walk(link, _partner(d1))
-    pairs += [(a, b) for a, b in d2.pairs if a >= n]
     # noncrossing by construction, so skip the check in TLDiagram.make
-    return TLDiagram(n, tuple(sorted(pairs))), bubbles
+    return TLDiagram(d1.n, tuple(sorted(pairs + tops))), bubbles
 
 
 def closure_count(d: TLDiagram) -> int:
@@ -125,6 +151,20 @@ def closure_count(d: TLDiagram) -> int:
     point directly above it around the side of the rectangle."""
     m = 2 * d.n - 1
     return _walk([~(m - k) for k in range(m + 1)], _partner(d))[1]
+
+
+def _cleared_terms(elem: "TLElement") -> tuple:
+    """elem's numerators as ints over one lcm of their denominators.
+
+    Returns (lowest exponent e0, lcm, per numerator its (exponent - e0,
+    int) pairs, sum of the l1 norms of the ints).
+    """
+    polys = list(elem.terms.values())
+    ints, den = _cleared([c for p in polys for _, c in p.items()])
+    lo = min((e for p in polys for e, _ in p.items()), default=0)
+    it = iter(ints)
+    nums = [list(zip((e - lo for e, _ in p.items()), it)) for p in polys]
+    return lo, den, nums, sum(map(abs, ints))
 
 
 class TLElement:
@@ -150,21 +190,60 @@ class TLElement:
         return TLElement.from_diagram(hook(n, i))
 
     def __mul__(self, other: "TLElement") -> "TLElement":
+        """Stack other on top of self, over the product of the denominators.
+
+        Each factor's numerators are cleared with one lcm of their
+        denominators and packed by Kronecker substitution A -> 2^k
+        (``algebra._kron_pack``) from the factor's lowest exponent, one
+        digit per step of g in the exponent: g = 2 when every exponent
+        offset is even, as in every Jones-Wenzl projector, else 1.  The
+        walk data of each diagram is worked out once per product, so a
+        pair of diagrams costs one ``_walk`` and two int products: the
+        numerators, then delta^b for its b closed bubbles, pre-packed for
+        b = 0..n from the exponent -2n.  Each numerator of the product is
+        decoded once and divided by the two lcms with ``_div``.
+
+        Digit width: with s and t the sums of the l1 norms of the cleared
+        numerators of the two factors, an output coefficient is a sum of
+        coefficients of products c c' delta^b, so its absolute value is at
+        most s t 2^n (||delta^b||_1 = 2^b and b <= n).  k is two bits more
+        than the bit length of s t 2^n.  A -> 2^k is a ring homomorphism
+        Z[A] -> Z, so each packed sum is the image of the true numerator
+        however the digits of the partial sums carry: only the final
+        coefficients need the bound.
+        """
         if self.n != other.n:
             raise ArityError(f"cannot compose on {self.n} and {other.n} strands")
-        delta = loop_weight()
-        powers: dict = {}  # bubbles -> delta^bubbles
-        terms: dict = {}
-        for da, ca in self.terms.items():
-            for db, cb in other.terms.items():
-                comp, bubbles = compose(da, db)
-                c = ca * cb
-                if bubbles:
-                    if bubbles not in powers:
-                        powers[bubbles] = delta**bubbles
-                    c = c * powers[bubbles]
-                terms[comp] = terms.get(comp, LaurentPoly.zero()) + c
-        return TLElement(self.n, terms, self.den * other.den)
+        n = self.n
+        lo_a, den_a, nums_a, norm_a = _cleared_terms(self)
+        lo_b, den_b, nums_b, norm_b = _cleared_terms(other)
+        k = (norm_a * norm_b << n).bit_length() + 2
+        g = gcd(2, *(j for c in nums_a + nums_b for j, _ in c))
+
+        def pack(terms):
+            return _kron_pack(((j // g, c) for j, c in terms), k)
+
+        left = [(_partner(d), pack(c)) for d, c in zip(self.terms, nums_a)]
+        right = [(*_stacked(d), pack(c)) for d, c in zip(other.terms, nums_b)]
+        # delta^b = (-1)^b sum_i C(b, i) A^(4i-2b), exponents shifted up by 2n
+        deltas = [
+            pack((2 * (n - b) + 4 * i, (-1) ** b * comb(b, i)) for i in range(b + 1))
+            for b in range(n + 1)
+        ]
+        sums: dict = {}  # pairs of a product diagram -> its packed numerator
+        for partner, u in left:
+            for link, tops, v in right:
+                pairs, bubbles = _walk(link, partner)
+                key = tuple(sorted(pairs + tops))
+                sums[key] = sums.get(key, 0) + u * v * deltas[bubbles]
+        lo, den = lo_a + lo_b - 2 * n, den_a * den_b
+        terms = {}
+        for key, v in sums.items():
+            digits = _kron_digits(v, k)
+            terms[TLDiagram(n, key)] = LaurentPoly(
+                {lo + g * j: _div(c, den) for j, c in enumerate(digits) if c}
+            )
+        return TLElement(n, terms, self.den * other.den)
 
     def closure(self) -> RatFunc:
         delta = loop_weight()

@@ -1,10 +1,13 @@
+import functools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skeinlab import algebra
 from skeinlab.algebra import (
     CycloNum,
     EvalPoint,
@@ -359,6 +362,7 @@ def test_integer_coefficients_stay_ints(f, g):
             assert all(type(c) is int for _, c in p.items())
 
 
+@functools.lru_cache(maxsize=None)
 def _ref_cyclotomic(n: int) -> dict:
     phi = {n: Fraction(1), 0: Fraction(-1)}
     for k in range(1, n):
@@ -402,6 +406,62 @@ def test_cyclo_mixed_coefficients_match_fraction_reference(d):
         inv = x.inverse()
         assert all(type(c) in (int, Fraction) for c in inv.coeffs)
         assert _ref_cyclo_mul(d, x.coeffs, inv.coeffs) == (1,) + (0,) * (m - 1)
+
+
+cyclo_coeffs = st.one_of(
+    st.just(0),
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.fractions(min_value=-9, max_value=9, max_denominator=10),
+    st.integers(min_value=-9, max_value=9).map(Fraction),
+)
+
+
+def _assert_normalized(x: CycloNum):
+    """Every coefficient an int or a non-integral Fraction, never a float."""
+    for c in x.coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+# 0 sends every product through Kronecker packing, 100 through the int
+# schoolbook loop; the default threshold picks one of the two by degree
+@pytest.mark.parametrize("schoolbook_degree", [None, 0, 100])
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_cyclo_mul_matches_schoolbook_reference(schoolbook_degree, data):
+    d = data.draw(st.integers(min_value=1, max_value=12))  # 2d+1 = 9, 15, 25 are composite
+    m = len(CycloNum.one(d).coeffs)
+    vectors = st.lists(cyclo_coeffs, min_size=m, max_size=m).map(tuple)
+    x, y = CycloNum(d, data.draw(vectors)), CycloNum(d, data.draw(vectors))
+    degree = algebra._SCHOOLBOOK_DEGREE if schoolbook_degree is None else schoolbook_degree
+    with mock.patch.object(algebra, "_SCHOOLBOOK_DEGREE", degree):
+        for a, b in ((x, y), (y, x), (x, CycloNum.zero(d)), (CycloNum.zero(d), y)):
+            ab = a * b
+            assert ab.coeffs == _ref_cyclo_mul(d, a.coeffs, b.coeffs)
+            _assert_normalized(ab)
+
+
+@pytest.mark.parametrize("schoolbook_degree", [0, 100])
+@pytest.mark.parametrize("d", range(1, 13))
+def test_cyclo_mul_of_zeros_and_units(d, schoolbook_degree):
+    m = len(CycloNum.one(d).coeffs)
+    zero, one, half = CycloNum.zero(d), CycloNum.one(d), CycloNum.from_rational(d, Fraction(1, 2))
+    z = CycloNum.root_power(d, 1)
+    with mock.patch.object(algebra, "_SCHOOLBOOK_DEGREE", schoolbook_degree):
+        assert (zero * zero).coeffs == (0,) * m
+        assert (zero * z).coeffs == (0,) * m
+        assert one * z == z
+        assert (half * 2).coeffs == (1,) + (0,) * (m - 1)
+        assert type((half * 2).coeffs[0]) is int
+        assert z * CycloNum.root_power(d, -1) == one
+        assert CycloNum.root_power(d, 2 * d + 1) == -one
+
+
+def test_cyclo_mul_rejects_mixed_levels():
+    with pytest.raises(ValueError, match="cannot mix cyclotomic numbers of different levels"):
+        CycloNum.one(2) * CycloNum.one(3)
+    with pytest.raises(ValueError, match="cannot mix cyclotomic numbers of different levels"):
+        CycloNum.root_power(5, 1) * CycloNum.from_rational(4, Fraction(1, 3))
 
 
 # -- one canonical quotient for RatFunc and TLElement --------------------------
