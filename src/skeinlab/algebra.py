@@ -26,7 +26,10 @@ One Kronecker kernel serves the packed products of the package:
 ``_kron_digits`` reads an int back as balanced base-2^k digits.
 ``CycloNum`` products above degree ``_SCHOOLBOOK_DEGREE``, the products
 of ``tl.TLElement`` and the frontier weights of ``bracket._sweep`` all
-go through it.
+go through it.  Beside it, one integer remainder-sequence kernel,
+``_prs``, runs Euclid on int coefficient lists with pseudo-division:
+``poly_gcd`` takes its last remainder and ``CycloNum.inverse`` the
+cofactor, so neither divides ``Fraction``s step by step.
 
 ``evaluate_at`` is the ring homomorphism A -> zeta^{sign}; it is the only
 bridge from symbolic objects to cyclotomic ones, and ``cyclo_to_complex``
@@ -108,6 +111,51 @@ def _kron_digits(value: int, k: int, count: int = 0) -> list:
         value = (value - c) >> k
     out += [0] * (count - len(out))
     return out
+
+
+def _prs(r0: list, r1: list, s1: list = ()) -> tuple:
+    """Euclid in ints: (r, s), r the last nonzero remainder of r0 and r1.
+
+    r0 and r1 are int coefficient lists, lowest first, each with a
+    nonzero last entry.  This is the primitive polynomial remainder
+    sequence (Collins, J. ACM 1967; Knuth, TAOCP vol. 2, 4.6.1): each
+    step pseudo-divides, lc(r1)^k r0 = q r1 + r, so no coefficient is
+    ever a Fraction.  It stops when the next remainder is zero; r is then
+    the gcd of r0 and r1 up to an int factor.
+
+    Every step applies the same combination to a cofactor that starts at
+    0 for r0 and at s1 for r1, and divides the new remainder and its
+    cofactor by the gcd of all their coefficients, so they stay small and
+    s r1 = r s1 modulo r0.  With s1 = [1], s/r is the inverse of r1
+    modulo r0 when r is a constant; with s1 = () there is no cofactor.
+
+    >>> _prs([-1, 0, 1], [1, 1])
+    ([1, 1], [])
+    >>> _prs([1, -1, 1], [0, 1], [1])
+    ([1], [1, -1])
+    """
+    s0, s1 = [], list(s1)
+    while True:
+        lc, top = r1[-1], len(r1) - 1
+        r, s = r0, s0
+        while len(r) > top:
+            t, shift = r[-1], len(r) - 1 - top
+            r = [lc * c for c in r[:shift]] + [
+                lc * c - t * b for c, b in zip(r[shift:], r1)
+            ]
+            while r and not r[-1]:
+                r.pop()
+            s = [lc * c for c in s]
+            if s1:
+                s += [0] * (shift + len(s1) - len(s))
+                for j, c in enumerate(s1, shift):
+                    s[j] -= t * c
+        if not r:
+            return r1, s1
+        g = math.gcd(*r, *s)
+        if g > 1:
+            r, s = [c // g for c in r], [c // g for c in s]
+        r0, s0, r1, s1 = r1, s1, r, s
 
 
 class LaurentPoly:
@@ -197,18 +245,12 @@ class LaurentPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = out
-        res._hash = None
-        return res
+        return _poly(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = {e: -c for e, c in self._terms.items()}
-        res._hash = None
-        return res
+        return _poly({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         other = _coerce_poly(other)
@@ -238,10 +280,7 @@ class LaurentPoly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = out
-        res._hash = None
-        return res
+        return _poly(out)
 
     __rmul__ = __mul__
 
@@ -304,9 +343,6 @@ class LaurentPoly:
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def scale(self, c) -> "LaurentPoly":
         c = _as_rational(c)
         return LaurentPoly({e: k * c for e, k in self._terms.items()})
@@ -361,16 +397,39 @@ def _coerce_poly(x):
     return NotImplemented
 
 
+def _poly(terms: dict) -> LaurentPoly:
+    """A LaurentPoly on terms as they are: int exponents and nonzero
+    coefficients that are ints or non-integral Fractions, so the checks
+    of the constructor are skipped."""
+    res = LaurentPoly.__new__(LaurentPoly)
+    res._terms = terms
+    res._hash = None
+    return res
+
+
+def _dense(f: LaurentPoly, step: int = 1) -> list:
+    """The coefficients of A^min(f), A^(min(f) + step), ... up to
+    A^max(f), as ints over the lcm of their denominators (f nonzero)."""
+    lo, hi = f.min_exponent(), f.max_exponent()
+    return _cleared([f.coefficient(e) for e in range(lo, hi + 1, step)])[0]
+
+
 def poly_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Monic gcd in Q[A] of the ordinary-polynomial parts of f and g.
 
     Monomial unit factors are irrelevant: the result always has nonzero
-    constant term and leading coefficient one.
+    constant term and leading coefficient one.  It is the last remainder
+    of the integer remainder sequence ``_prs``, made monic.  When every
+    exponent of f / A^min(f) and g / A^min(g) is a multiple of k, as in
+    polynomials of A^4, f = F(A^k) and g = G(A^k) give gcd(F, G)(A^k):
+    Euclid runs on lists k times shorter.
     """
-    a, b = _shifted_monic(f), _shifted_monic(g)
-    while not b.is_zero():
-        a, b = b, _shifted_monic(a % b)
-    return a
+    if f.is_zero() or g.is_zero():
+        return _shifted_monic(g if f.is_zero() else f)
+    lo_f, lo_g = f.min_exponent(), g.min_exponent()
+    k = math.gcd(*(e - lo_f for e, _ in f.items()), *(e - lo_g for e, _ in g.items())) or 1
+    r, _ = _prs(_dense(f, k), _dense(g, k))
+    return _shifted_monic(_poly({k * e: r[e] for e in reversed(range(len(r))) if r[e]}))
 
 
 def _shifted_monic(f: LaurentPoly) -> LaurentPoly:
@@ -378,7 +437,7 @@ def _shifted_monic(f: LaurentPoly) -> LaurentPoly:
         return f
     shift = -f.min_exponent()
     lead = f.coefficient(f.max_exponent())
-    return LaurentPoly({e + shift: _div(c, lead) for e, c in f.items()})
+    return _poly({e + shift: _div(c, lead) for e, c in f.items()})
 
 
 def _reduce(nums: list, den: LaurentPoly) -> tuple:
@@ -403,7 +462,7 @@ def _reduce(nums: list, den: LaurentPoly) -> tuple:
     lead = den.coefficient(den.max_exponent())
 
     def unit(p):
-        return LaurentPoly({e - shift: _div(c, lead) for e, c in p.items()})
+        return _poly({e - shift: _div(c, lead) for e, c in p.items()})
 
     return [unit(c) for c in nums], unit(den)
 
@@ -567,17 +626,46 @@ class EvalPoint:
 # -- the cyclotomic field of level d ----------------------------------------
 
 
+def _mobius(k: int) -> int:
+    """0 if a square > 1 divides k, else (-1)^(number of primes of k)."""
+    mu, p = 1, 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if k > 1 else mu
+
+
 @functools.lru_cache(maxsize=None)
 def _cyclotomic_poly(n: int) -> LaurentPoly:
-    """The n-th cyclotomic polynomial."""
-    # Divide x^n - 1 by the cyclotomic polynomials of the proper divisors.
-    num = LaurentPoly({n: 1, 0: -1})
-    for d in range(1, n):
-        if n % d == 0:
-            num, rem = divmod(num, _cyclotomic_poly(d))
-            if not rem.is_zero():
-                raise SkeinError("cyclotomic division leaves a remainder")
-    return num
+    """The n-th cyclotomic polynomial, the product of (x^e - 1)^mu(n/e)
+    over the divisors e of n.
+
+    On an int coefficient list it multiplies by each binomial with
+    mu(n/e) = 1, then divides exactly by each one with mu(n/e) = -1,
+    from the top.
+
+    >>> print(_cyclotomic_poly(6))
+    A^2 - A + 1
+    >>> print(_cyclotomic_poly(10))
+    A^4 - A^3 + A^2 - A + 1
+    """
+    mu = {e: _mobius(n // e) for e in range(1, n + 1) if n % e == 0}
+    p = [1]
+    for e in (e for e, m in mu.items() if m == 1):
+        p = [b - a for a, b in zip(p + [0] * e, [0] * e + p)]
+    for e in (e for e, m in mu.items() if m == -1):
+        # p = q (x^e - 1) gives q[j] = p[j + e] + q[j + e]; q[j] is stored
+        # at p[j + e], and what is left in p[:e] is the remainder
+        for j in reversed(range(len(p) - e)):
+            p[j] += p[j + e]
+        if any(p[:e]):
+            raise SkeinError("cyclotomic division leaves a remainder")
+        p = p[e:]
+    return _poly({j: p[j] for j in reversed(range(len(p))) if p[j]})
 
 
 @functools.lru_cache(maxsize=None)
@@ -731,20 +819,24 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
+        """The inverse, from the int remainder sequence (``_prs``) of the
+        modulus and the element's numerators over their lcm, den.
+
+        The modulus is irreducible, so the last remainder of a nonzero
+        element is a constant c, and its cofactor s has s x = c modulo
+        the modulus: the inverse is den s / c.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
-        # extended Euclid in the Laurent ring, s*self = r mod the modulus,
-        # until r is a monomial: a unit, whose inverse is exact
-        r0 = _cyclotomic_poly(2 * (2 * self.d + 1))
-        r1 = LaurentPoly(dict(enumerate(self.coeffs)))
-        s0, s1 = LaurentPoly.zero(), LaurentPoly.one()
-        while not r1.is_monomial():
-            if r1.is_zero():
-                raise ArithmeticError("element not invertible; modulus not squarefree?")
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        return evaluate_at(s1 * r1**-1, EvalPoint(self.d))
+        ints, den = _cleared(list(self.coeffs))
+        while not ints[-1]:
+            ints.pop()
+        r, s = _prs(_dense(_cyclotomic_poly(2 * (2 * self.d + 1))), ints, [1])
+        if len(r) > 1:
+            raise SkeinError(f"{self} is not invertible: it shares a factor with the modulus")
+        c = r[0]
+        inv = _poly({j: _div(den * x, c) for j, x in enumerate(s) if x})
+        return evaluate_at(inv, EvalPoint(self.d))
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -35,6 +35,7 @@ from .algebra import (
     _div,
     _kron_digits,
     _kron_pack,
+    _poly,
     _reduce,
     loop_weight,
     quantum_integer,
@@ -240,7 +241,7 @@ class TLElement:
         terms = {}
         for key, v in sums.items():
             digits = _kron_digits(v, k)
-            terms[TLDiagram(n, key)] = LaurentPoly(
+            terms[TLDiagram(n, key)] = _poly(
                 {lo + g * j: _div(c, den) for j, c in enumerate(digits) if c}
             )
         return TLElement(n, terms, self.den * other.den)

@@ -20,7 +20,8 @@ from skeinlab.algebra import (
     poly_gcd,
     quantum_integer,
 )
-from skeinlab.errors import PoleError, ZeroDenominatorError
+from skeinlab.errors import PoleError, SkeinError, ZeroDenominatorError
+from skeinlab.recoupling import hopf_eval
 from skeinlab.tl import jones_wenzl
 
 A = LaurentPoly.gen()
@@ -370,6 +371,71 @@ def _ref_cyclotomic(n: int) -> dict:
             phi, rem = _ref_polydivmod(phi, _ref_cyclotomic(k))
             assert not rem
     return phi
+
+
+def test_cyclotomic_poly_matches_reference():
+    for n in range(1, 151):
+        phi = algebra._cyclotomic_poly(n)
+        assert _terms(phi) == _ref_cyclotomic(n)
+        assert all(type(c) is int for _, c in phi.items())
+
+
+def _ref_cyclo_inverse(x: CycloNum) -> CycloNum:
+    """Extended Euclid over Fraction coefficients in the Laurent ring:
+    s x = r modulo the modulus, until r is a monomial, a unit whose
+    inverse is exact."""
+    r0 = LaurentPoly(_ref_cyclotomic(2 * (2 * x.d + 1)))
+    r1 = LaurentPoly(dict(enumerate(x.coeffs)))
+    s0, s1 = LaurentPoly.zero(), LaurentPoly.one()
+    while not r1.is_monomial():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    return evaluate_at(s1 * r1**-1, EvalPoint(x.d))
+
+
+def _omega_sum(d: int) -> CycloNum:
+    """The weight-squared sum that ``recoupling.omega_data`` inverts."""
+    total = CycloNum.zero(d)
+    for i in range(d):
+        v = evaluate_at(delta_color(i), EvalPoint(d))
+        total = total + v * v
+    return total
+
+
+def test_cyclo_inverse_matches_fraction_euclid():
+    for d in range(1, 51):
+        x = _omega_sum(d)
+        inv = x.inverse()
+        assert inv == _ref_cyclo_inverse(x)
+        _assert_normalized(inv)
+    rng = random.Random(5150)
+    for d in (1, 2, 5, 12):
+        m = len(CycloNum.one(d).coeffs)
+        for _ in range(8):
+            x = CycloNum(d, tuple(
+                Fraction(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(m)
+            ))
+            if x.is_zero():
+                continue
+            inv = x.inverse()
+            assert inv == _ref_cyclo_inverse(x)
+            _assert_normalized(inv)
+
+
+def test_cyclo_inverse_rejects_a_reducible_modulus(monkeypatch):
+    # x^2 - 1 in place of the level-1 modulus x^2 - x + 1: z - 1 divides it
+    monkeypatch.setattr(algebra, "_cyclotomic_poly", lambda n: LaurentPoly({2: 1, 0: -1}))
+    with pytest.raises(SkeinError, match="E_SKEIN: .* is not invertible"):
+        CycloNum(1, (-1, 1)).inverse()
+    assert CycloNum(1, (2, 1)).inverse() == CycloNum(1, (Fraction(2, 3), Fraction(-1, 3)))
+
+
+@pytest.mark.parametrize("a", [0, 1, 2])
+def test_poly_gcd_on_meridian_eigenvalue_pairs(a):
+    for i in range(50):
+        f, g = hopf_eval(i, a), delta_color(i)
+        assert _terms(poly_gcd(f, g)) == _ref_gcd(_frac(dict(f.items())), _frac(dict(g.items())))
 
 
 def _ref_cyclo_mul(d: int, x: tuple, y: tuple) -> tuple:
