@@ -879,7 +879,9 @@ def evaluate_at(value, point: EvalPoint) -> CycloNum:
 
     Accepts LaurentPoly, RatFunc (raising PoleError when its denominator
     vanishes at the point), CycloNum (returned unchanged after a level
-    check), and plain rationals.
+    check), and plain rationals.  A LaurentPoly with Fraction
+    coefficients is cleared with one lcm and the reduced sum divided
+    once, so an integral coefficient of the result is an int.
     """
     if isinstance(value, CycloNum):
         if value.d != point.d:
@@ -899,11 +901,13 @@ def evaluate_at(value, point: EvalPoint) -> CycloNum:
     d = point.d
     n = 2 * (2 * d + 1)
     m, rows = _field_data(d)
+    terms = value._terms
+    coeffs, den = _cleared(list(terms.values()))
     acc = [0] * m
-    for e, c in value.items():
+    for e, c in zip(terms, coeffs):
         for j, r in rows[(point.sign * e) % n]:
             acc[j] += c * r
-    return CycloNum(d, tuple(acc))
+    return CycloNum(d, tuple(acc) if den == 1 else tuple(_div(c, den) for c in acc))
 
 
 def cyclo_to_complex(x: CycloNum, precision: int = 30) -> mpmath.mpc:

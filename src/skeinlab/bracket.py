@@ -40,26 +40,41 @@ A^e0 * sum_j c_j A^(4j) is stored as the pair (e0, V) with
 V = sum_j c_j 2^(k*j), one Python int.  Multiplying by a local state's
 packed weight times delta^loops is then an exponent sum and one int
 product, and adding two weights is an int sum after a shift that aligns
-their offsets.  The digit width k is fixed per sweep from a bound on every
-coefficient of every partial weight: the product over the boxes of the
-summed absolute state coefficients, times 2^(number of arcs), since each
-closed loop uses up an arc.  The result is decoded once, as balanced
-base-2^k digits.  Packing and decoding are the Kronecker kernel of
-``algebra`` (``_kron_pack``, ``_kron_digits``) that the Temperley-Lieb
-and cyclotomic products share; the stride-4 exponent map stays here.  A
-contribution off its key's residue, or a box coefficient that is not an
-integer, raises ``SkeinError``.
+their offsets.  Packing is a ring homomorphism from Z[x] to Z, so a
+partial weight's digits may carry into each other, and a key whose V is
+0 adds 0 to everything after it: only the result's coefficients must
+fit.  The digit width k is fixed per sweep from a bound on them: the
+product over the boxes of the summed absolute state coefficients, times
+2^L, where L bounds the loops of any state.  A loop that closes at box b
+passes through b on two legs whose arcs close at b, and the legs whose
+arcs close at their box number the arcs plus the arcs with both ends at
+one box, so L is half of that, rounded up.  The result is decoded
+once, as balanced base-2^k digits.  Packing and decoding are the
+Kronecker kernel of ``algebra`` (``_kron_pack``, ``_kron_digits``) that
+the Temperley-Lieb and cyclotomic products share; the stride-4 exponent
+map stays here.  A contribution off its key's residue, or a box
+coefficient that is not an integer, raises ``SkeinError``.
 
 ``bracket`` memoizes the sweep in ``_sweep_memo``, keyed by the
-canonical form of the diagram and its projector sites.  The memo is
+canonical form of the diagram and its projector sites; every memo that
+can skip a sweep lives there, so emptying it makes the next call check
+the caps again.  The memo is
 process-global and unbounded: it lives as long as the process, as one
 CLI run or one benchmark pass does, and a caller that sweeps many
 unrelated diagrams can clear it.  ``colored_bracket`` evaluates a link
 whose components carry natural number colors: color n means n parallel
-blackboard push-offs through the n-strand projector.  It cables the link
-once and divides ``bracket`` of the cabled diagram by the product of the
-projector denominators, whose inverse at an evaluation point is computed
-once per (sorted site widths, point).
+blackboard push-offs through the n-strand projector.  Colorings in one
+orbit of the link's diagram automorphisms have one colored bracket, so
+it first replaces the colors with the least tuple of their orbit under
+the component permutations of the sublink on the nonzero colors
+(``FramedLink.symmetries``).  It looks the numerator up in
+``_sweep_memo`` under the canonical form of the uncabled diagram and
+those least colors, and only on a miss cables the link and takes
+``bracket`` of the cabled diagram, whose memo still merges colorings
+that cable to one diagram, such as one component alone at one color.
+The numerator is divided by the product of the projector denominators,
+one per nonzero color, whose inverse at an evaluation point is computed
+once per (sorted widths, point).
 
 The caps are module constants, read at call time: crossings of the state
 sum, open arcs of the sweep order, projector width, and the free loops
@@ -197,13 +212,16 @@ def _sweep(legs, states, order) -> dict:
     that the new key is ``key & keep | put``.  Weights and factors (a
     state weight times delta^loops) are packed as (e0, V), with
     V = sum_j c_j 2^(k*j) for A^e0 * sum_j c_j A^(4j); the digit width
-    k is 2 bits above the bound of the module docstring, which one loop
-    at most doubles per arc it uses up, so |c_j| < 2^(k-1) and the
-    balanced base-2^k digits of V are its coefficients.  Equality with
+    k is 2 bits above the module docstring's bound on the result's
+    coefficients, so they satisfy |c_j| < 2^(k-1) and the balanced
+    base-2^k digits of the final V are its coefficients.  Partial
+    weights may exceed the bound: packing is a ring homomorphism, so
+    their carries cancel by the end.  Equality with
     ``bracket_state_sum`` for every processing order is what the
     property suite pins down.
     """
-    bound = 2 ** (sum(map(len, legs)) // 2)
+    closing = sum(map(len, legs)) // 2 + sum(len(box) - len(set(box)) for box in legs)
+    bound = 2 ** -(-closing // 2)
     for box_states in states:
         bound *= sum(abs(_integral(c)) for _, w in box_states for _, c in w) or 1
     k = bound.bit_length() + 2
@@ -393,9 +411,13 @@ def colored_bracket(link, colors, point: EvalPoint | None = None):
         raise DiagramTooLargeError(
             f"color {max(colors)} exceeds the projector cap {JW_CAP}"
         )
-    cabled = cable(link, list(colors))
-    widths = tuple(sorted(site.width for site in cabled.sites))
-    num = bracket(cabled)
+    support = tuple(k for k, c in enumerate(colors) if c)
+    colors = min(tuple(colors[k] for k in p) for p in link.symmetries(support))
+    key = ("colored", canonical_form(link.diagram), colors)
+    num = _sweep_memo.get(key)
+    if num is None:
+        num = _sweep_memo[key] = bracket(cable(link, list(colors)))
+    widths = tuple(sorted(c for c in colors if c))
     if point is None:
         return RatFunc(num, _projector_den(widths))
     return evaluate_at(num, point) * _projector_den_inverse(widths, point)

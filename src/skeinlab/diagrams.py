@@ -44,6 +44,20 @@ gets an arc site, cut at the first grid corner it reaches in (crossing,
 nw, ne, sw, se) order; arc sites come in the order of their cuts.  Loop
 sites follow, in component order, for the surviving components that
 reach no grid corner.
+
+A diagram automorphism of a sublink (``FramedLink.symmetries``) is a
+bijection of its crossings that turns each crossing's corners by r
+quarter turns (counterclockwise order ne, nw, sw, se), keeps arc mates
+mates, and flips ``over`` when r is odd, because a quarter turn takes the
+"/" diagonal to the "\" one.  It keeps the cyclic order at every
+crossing, so it is an orientation-preserving map of the sphere; a
+reflection would mirror the link and is not one.  In a connected
+diagram the image of one corner fixes the whole map, so trying the 4n
+images of crossing 0's ne corner finds every automorphism.  The
+automorphisms permute the components, and a colored bracket is
+unchanged when its colors are permuted by one of those permutations.
+A sublink whose crossings are not connected gets the identity only, and
+so do its crossing-free components.
 """
 
 from __future__ import annotations
@@ -70,6 +84,8 @@ _CCW_TURN = {NE: NW, NW: SW, SW: SE, SE: NE}
 
 # counterclockwise rotation order of the corner slots around a crossing
 _ROTATION_NEXT = {NE: NW, NW: SW, SW: SE, SE: NE}
+_CCW_ORDER = (NE, NW, SW, SE)
+_CCW_PLACE = {corner: i for i, corner in enumerate(_CCW_ORDER)}
 
 
 class Crossing(NamedTuple):
@@ -221,6 +237,7 @@ class FramedLink:
         self.diagram = diag
         self.components = tuple(comps) + ((),) * diag.free_loops
         self._slots = slots
+        self._symmetries: dict = {}  # support -> component permutations
         self._comp_of_arc = {a: i for i, comp in enumerate(comps) for a in comp}
         self._crossing_data = []
         for ci, c in enumerate(diag.crossings):
@@ -246,6 +263,20 @@ class FramedLink:
         """(component of the "/" strand, component of the "\\" strand)."""
         comp_slash, comp_back, _ = self._crossing_data[ci]
         return comp_slash, comp_back
+
+    def symmetries(self, support: tuple) -> tuple:
+        """Component permutations of the sublink on ``support``.
+
+        ``support`` lists component indices in increasing order.  Each
+        permutation ``p`` maps component k to ``p[k]`` under one
+        orientation-preserving automorphism of the sublink's diagram (see
+        the module docstring); components outside ``support`` stay fixed.
+        The identity is always among them.  Cached per support.
+        """
+        perms = self._symmetries.get(support)
+        if perms is None:
+            perms = self._symmetries[support] = _sublink_symmetries(self, support)
+        return perms
 
     def self_writhe(self, comp: int) -> int:
         total = 0
@@ -313,6 +344,72 @@ def _signature(mat) -> int:
                     m[l][k] -= f * m[l][pivot]
         active.remove(pivot)
     return sig
+
+
+# -- symmetries ----------------------------------------------------------------
+
+
+def _sublink_symmetries(link: FramedLink, support: tuple) -> tuple:
+    """Sorted component permutations of the sublink's automorphisms."""
+    identity = tuple(range(link.n_components))
+    keep = set(support)
+    sub = cable(link, [int(k in keep) for k in identity])  # the sublink, one strand each
+    # sublink crossing g is the g-th crossing of the link with both strands kept
+    strands = [cs for cs in map(link.crossing_components, range(link.diagram.n_crossings))
+               if keep.issuperset(cs)]
+    slots = _arc_slots(sub)
+
+    def mate(ci, corner):
+        a, b = slots[sub.crossings[ci][corner]]
+        return b if a == (ci, corner) else a
+
+    def component(ci, corner):
+        return strands[ci][corner in (NW, SE)]
+
+    found = {identity}
+    for target in range(sub.n_crossings):
+        for turn in range(4):
+            image = _automorphism(sub.crossings, mate, target, turn)
+            if image is not None:
+                perm = list(identity)
+                for ci, (cj, r) in image.items():
+                    for corner in (NE, NW):
+                        perm[component(ci, corner)] = component(cj, _turned(corner, r))
+                found.add(tuple(perm))
+    return tuple(sorted(found))
+
+
+def _turned(corner: int, r: int) -> int:
+    """The corner r counterclockwise quarter turns on from ``corner``."""
+    return _CCW_ORDER[(_CCW_PLACE[corner] + r) % 4]
+
+
+def _automorphism(crossings, mate, target: int, turn: int):
+    """{crossing: (image, quarter turns)} of the automorphism that takes
+    crossing 0 to ``target`` turned by ``turn``, or None when there is
+    none or it does not reach every crossing."""
+    image = {0: (target, turn)}
+    used = {target}
+    todo = [0]
+    while todo:
+        ci = todo.pop()
+        cj, r = image[ci]
+        if crossings[cj].over != crossings[ci].over ^ (r & 1):
+            return None
+        for corner in _CCW_ORDER:
+            ci2, k2 = mate(ci, corner)
+            cj2, m2 = mate(cj, _turned(corner, r))
+            want = cj2, (_CCW_PLACE[m2] - _CCW_PLACE[k2]) % 4
+            if ci2 in image:
+                if image[ci2] != want:
+                    return None
+            elif cj2 in used:
+                return None
+            else:
+                image[ci2] = want
+                used.add(cj2)
+                todo.append(ci2)
+    return image if len(image) == len(crossings) else None
 
 
 # -- canonical form -----------------------------------------------------------

@@ -199,6 +199,18 @@ def test_evaluation_is_ring_homomorphism():
         assert lhs == rhs
 
 
+def test_evaluation_gives_ints_where_integral():
+    v = evaluate_at(LaurentPoly({0: Fraction(1, 2), 6: Fraction(1, 2)}), EvalPoint(1))
+    assert v.coeffs == (1, 0)
+    assert all(type(c) is int for c in v.coeffs)
+    rng = random.Random(4099)
+    for _ in range(300):
+        f = _random_poly(rng)
+        for d in (1, 2, 3):
+            v = evaluate_at(f, EvalPoint(d, rng.choice((1, -1))))
+            assert all(type(c) is int or c.denominator != 1 for c in v.coeffs)
+
+
 def test_conjugation_symmetry():
     rng = random.Random(11)
     for _ in range(200):

@@ -39,7 +39,7 @@ from skeinlab.errors import (
     SkeinError,
     SliceWidthError,
 )
-from skeinlab.recoupling import hopf_eval, twist_coefficient
+from skeinlab.recoupling import hopf_eval, meridian_series, twist_coefficient
 from skeinlab.tl import (
     TLDiagram,
     TLElement,
@@ -329,6 +329,16 @@ def test_sweep_field_width_follows_the_order(hopf):
     assert LaurentPoly(_sweep(legs, states, order)) == bracket_state_sum(hopf.diagram) ** 9
 
 
+def test_sweep_digit_width_holds_the_most_loops():
+    # one box, w arcs each with both ends on it, one state closing all of
+    # them: delta^w, whose middle coefficient C(w, w/2) needs nearly all
+    # of the 2^L loop factor, L = (w arcs + w at one box) / 2
+    w = 12
+    legs = [[q // 2 for q in range(2 * w)]]
+    state = (tuple((2 * i, 2 * i + 1) for i in range(w)), ((0, 1),))
+    assert LaurentPoly(_sweep(legs, [[state]], [0])) == delta ** w
+
+
 def test_sweep_rejects_mixed_residues():
     # one 2-leg box closing arc 0 into a loop
     loop = ((0, 1),)
@@ -505,6 +515,71 @@ def test_colored_bracket_matches_splicing_reference(hopf):
 def test_colored_bracket_width_cap(borromean, narrow_sweep):
     with pytest.raises(SliceWidthError):
         colored_bracket(borromean, (2, 2, 2))
+
+
+def test_colored_bracket_width_cap_after_a_hit(borromean, request):
+    # every memo that can skip a sweep lives in _sweep_memo, which the
+    # fixture empties
+    colored_bracket(borromean, (2, 2, 2))
+    request.getfixturevalue("narrow_sweep")
+    with pytest.raises(SliceWidthError):
+        colored_bracket(borromean, (2, 2, 2))
+
+
+def _swept_colored_bracket(link, colors):
+    """``colored_bracket`` by one unmemoized sweep of the cabled link, over
+    the product of its projector denominators."""
+    cabled = cable(link, list(colors))
+    den = LaurentPoly.one()
+    for site in cabled.sites:
+        den = den * jones_wenzl(site.width).den
+    return RatFunc(bracket_tangle_sweep(cabled), den)
+
+
+def test_colored_bracket_is_one_sweep_per_orbit(borromean, hopf, monkeypatch):
+    # each coloring, least in its orbit or not, against a sweep of its own
+    monkeypatch.setattr("skeinlab.bracket._sweep_memo", {})
+    pres = _torus_presentation(0)
+    (meridian,) = pres.extra_colors
+    cases = [(borromean, c) for c in product(range(3), repeat=3)]
+    cases += [(hopf, c) for c in product(range(3), repeat=2)]
+    cases += [(FramedLink(braid_closure([1, 2] * 3, 3)), c) for c in product(range(3), repeat=3)]
+    for c in product(range(3), repeat=3):
+        for a in range(2):
+            colors = list(c)
+            colors.insert(meridian, a)
+            cases.append((pres.link, tuple(colors)))
+    for link, colors in cases:
+        assert colored_bracket(link, colors) == _swept_colored_bracket(link, colors), colors
+
+
+def test_colored_bracket_looks_up_before_cabling(borromean, monkeypatch):
+    monkeypatch.setattr("skeinlab.bracket._sweep_memo", {})
+    want = colored_bracket(borromean, (1, 2, 2))
+
+    def no_cable(*args):
+        raise AssertionError("cabled on a memo hit")
+
+    monkeypatch.setattr("skeinlab.bracket.cable", no_cable)
+    for colors in ((2, 1, 2), (2, 2, 1)):
+        assert colored_bracket(borromean, colors) == want
+
+
+def test_torus_sweep_count(monkeypatch):
+    # d = 3, a = 0 has 27 colorings.  The rotations merge the 8 with full
+    # support into 4 orbits; the cabled-diagram memo merges the 6 of one
+    # component into 2 and the 12 of two components into 8; the empty
+    # coloring is one more sweep
+    monkeypatch.setattr("skeinlab.bracket._sweep_memo", {})
+    swept = []
+
+    def counted(diag):
+        swept.append(diag)
+        return bracket_tangle_sweep(diag)
+
+    monkeypatch.setattr("skeinlab.bracket.bracket_tangle_sweep", counted)
+    assert torus_invariant(0, EvalPoint(3, 1)) == meridian_series(0, EvalPoint(3, 1))
+    assert len(swept) == 15
 
 
 def test_colored_error_paths(hopf, unknot):

@@ -195,6 +195,34 @@ def test_cable_zero_width_matches_deletion(rng):
             assert got.sites == want.sites
 
 
+def test_symmetries(borromean, hopf):
+    rotations = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    assert borromean.symmetries((0, 1, 2)) == rotations
+    assert hopf.symmetries((0, 1)) == ((0, 1), (1, 0))
+    torus = _torus_presentation(0).link
+    # the meridian on component 1 breaks the rotations; without it they return
+    assert torus.symmetries((0, 1, 2, 3)) == ((0, 1, 2, 3),)
+    assert torus.symmetries((0, 1, 2)) == tuple(p + (3,) for p in rotations)
+    # two Borromean components: one passes over the other at both
+    # crossings, so swapping them needs a mirror
+    for pair in ((0, 1), (0, 2), (1, 2)):
+        assert borromean.symmetries(pair) == ((0, 1, 2),)
+    # a lone component is crossing-free in its sublink
+    assert borromean.symmetries((1,)) == ((0, 1, 2),)
+    assert borromean.symmetries(()) == ((0, 1, 2),)
+    # on the sphere the closure of (s1 s2)^3 can also swap its inner and
+    # outer strands
+    assert len(FramedLink(braid_closure([1, 2] * 3, 3)).symmetries((0, 1, 2))) == 6
+
+
+def test_symmetries_of_a_split_sublink():
+    # two Hopf clasps, side by side: the crossings of the sublink are not
+    # connected, so it gets the identity only
+    link = FramedLink(braid_closure([1, 1, 3, 3], 4))
+    assert link.n_components == 4
+    assert link.symmetries((0, 1, 2, 3)) == ((0, 1, 2, 3),)
+
+
 def test_cable_sites_cover_components(borromean):
     cabled = cable(borromean, [2, 1, 3])
     widths = sorted(site.width for site in cabled.sites)

@@ -1,0 +1,174 @@
+"""Alternating parent/change pairs of the benchmark, written to one JSON file.
+
+    python3 tools/benchpair.py --tag TAG --seed N [--parent REV]
+
+Run from anywhere inside the repository.  Each side is a clean copy of the
+tree in a temporary directory (``TMPDIR`` chooses where): the parent is
+``git archive`` of REV (default ``HEAD``), and the change is the working
+tree's tracked and untracked files that git does not ignore.  An archive
+copy leaves no entry in the repository's git metadata, so an interrupted
+run needs no clean-up there.  To measure a commit against its parent,
+run from a clean checkout of it with ``--parent HEAD~1``.
+
+For every workload of ``BENCHMARK.json``, pair i runs
+``perfbench/run.py --workload W --seed S --seconds T --trace 0`` on both
+sides with seed S = N + 100*w + i, where w is the workload's place in
+``BENCHMARK.json`` and T its ``run_seconds``.  The side that runs first
+alternates, parent first in even pairs.  Then one ``--trace 1`` run per
+side gives the per-layer counters, at seed N + 100*w + 99.
+
+``BENCH_<TAG>.json`` at the repository root gets every run's end-to-end
+metrics, and per workload and metric the medians, the inclusive quartiles
+(``statistics.quantiles(n=4, method="inclusive")``, first and third), the
+number of pairs in which the change reads lower, the relative change of
+the median, whether the change's median is within the metric's bound of
+``BENCHMARK.json``, and whether the medians differ by more than the
+parent's interquartile range.  Claims and notes are for the reader to add.
+Progress goes to standard error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          stdout=subprocess.PIPE).stdout
+
+
+def _checkout(rev: str | None, dest: Path) -> str:
+    """Copy ``rev`` (None: the working tree) into ``dest``; return its name."""
+    dest.mkdir()
+    if rev is None:
+        listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+        for name in filter(None, listed.decode().split("\0")):
+            src = ROOT / name
+            if src.is_file():  # a tracked file deleted in the working tree is skipped
+                (dest / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(src, dest / name)
+        return "working tree of " + _git("rev-parse", "--short", "HEAD").decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", rev))) as tar:
+        tar.extractall(dest, filter="data")
+    return _git("rev-parse", "--short", rev).decode().strip()
+
+
+def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+    """One ``perfbench/run.py`` run: its metric values, counts and exit status."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, stdout=subprocess.PIPE, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return {"attempted": 0, "failed": 0, "exit": proc.returncode}
+    out = {name: m["value"] for name, m in result["metrics"].items()}
+    out.update(attempted=result["attempted"], failed=result["failed"], exit=proc.returncode)
+    return out
+
+
+def _quartiles(values: list) -> list:
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    return [round(q[0], 4), round(q[2], 4)]
+
+
+def summarize(pairs: list, end_to_end: list) -> dict:
+    """Medians, quartiles and pair wins of each end-to-end metric."""
+    out = {}
+    for metric in end_to_end:
+        name = metric["name"]
+        parent = [p["parent"].get(name) for p in pairs]
+        change = [p["change"].get(name) for p in pairs]
+        if None in parent or None in change:
+            out[name] = {"missing": True}
+            continue
+        pm, cm = statistics.median(parent), statistics.median(change)
+        pq = _quartiles(parent)
+        sign = 1 if metric["better"] == "lower" else -1
+        out[name] = {
+            "parent_median": round(pm, 4),
+            "parent_quartiles": pq,
+            "change_median": round(cm, 4),
+            "change_quartiles": _quartiles(change),
+            "change_lower_in": sum(c < p for p, c in zip(parent, change)),
+            "relative": round(cm / pm - 1, 4),
+            "within_bound": sign * (cm - pm) <= metric["bound"] * pm,
+            "gap_exceeds_parent_iqr": abs(cm - pm) > pq[1] - pq[0],
+        }
+    out["failed"] = {side: sum(p[side]["failed"] for p in pairs)
+                     for side in ("parent", "change")}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--tag", required=True, help="writes BENCH_<TAG>.json")
+    ap.add_argument("--seed", type=int, required=True, help="first seed; use fresh ones")
+    ap.add_argument("--parent", default="HEAD", help="parent revision (default HEAD)")
+    args = ap.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench["workloads"]]
+    seconds, pairs_per_workload = bench["run_seconds"], 10
+
+    report: dict = {"tag": args.tag}
+    with tempfile.TemporaryDirectory(prefix="benchpair-") as tmp:
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        report["parent"] = _checkout(args.parent, trees["parent"])
+        report["change"] = _checkout(None, trees["change"])
+        report["command"] = (f"python3 perfbench/run.py --workload W --seed N "
+                             f"--seconds {seconds} --trace 0")
+        seeds = {w: args.seed + 100 * i for i, w in enumerate(names)}
+        report["method"] = (
+            f"{pairs_per_workload} pairs per workload, seeds "
+            + ", ".join(f"{s}-{s + pairs_per_workload - 1} ({w})" for w, s in seeds.items())
+            + "; the two sides alternate which runs first, parent first in even pairs; "
+            "each side runs from its own copy of the tree; quartiles by "
+            "statistics.quantiles(n=4, method='inclusive'); one --trace 1 run per side "
+            "per workload at seed +99")
+        report["host"] = (f"{os.cpu_count()} cores, Python {platform.python_version()}, "
+                          f"{platform.system()}")
+        report["workloads"], report["summary"] = {}, {}
+        for w in names:
+            runs = []
+            for i in range(pairs_per_workload):
+                seed = seeds[w] + i
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = _run(trees[side], w, seed, seconds, 0)
+                    print(f"# {w} seed {seed} {side}: wall_s {pair[side].get('wall_s')}",
+                          file=sys.stderr, flush=True)
+                runs.append(pair)
+            report["workloads"][w] = runs
+            report["summary"][w] = summarize(runs, bench["end_to_end"])
+            trace_seed = seeds[w] + 99
+            report["trace_" + w.replace("-", "_")] = {
+                "command": (f"python3 perfbench/run.py --workload {w} --seed {trace_seed} "
+                            f"--seconds {seconds} --trace 1"),
+                **{side: _run(trees[side], w, trace_seed, seconds, 1) for side in trees},
+            }
+    out = ROOT / f"BENCH_{args.tag}.json"
+    out.write_text(json.dumps(report, indent=1, ensure_ascii=False) + "\n")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
