@@ -616,9 +616,6 @@ class EvalPoint:
         """Order of the root of unity: 2(2d+1)."""
         return 2 * (2 * self.d + 1)
 
-    def conjugate(self) -> "EvalPoint":
-        return EvalPoint(self.d, -self.sign)
-
     def __str__(self) -> str:
         return f"(d={self.d}, sign={'+' if self.sign > 0 else '-'})"
 
@@ -847,11 +844,6 @@ class CycloNum:
 
     def __rtruediv__(self, other):
         return self._coerce(other) * self.inverse()
-
-    def conjugate(self) -> "CycloNum":
-        """The image under zeta -> 1/zeta (complex conjugation)."""
-        poly = LaurentPoly(dict(enumerate(self.coeffs)))
-        return evaluate_at(poly, EvalPoint(self.d, -1))
 
     def _coerce(self, x):
         if isinstance(x, CycloNum):

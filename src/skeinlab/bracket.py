@@ -55,26 +55,23 @@ the Temperley-Lieb and cyclotomic products share; the stride-4 exponent
 map stays here.  A contribution off its key's residue, or a box
 coefficient that is not an integer, raises ``SkeinError``.
 
-``bracket`` memoizes the sweep in ``_sweep_memo``, keyed by the
-canonical form of the diagram and its projector sites; every memo that
-can skip a sweep lives there, so emptying it makes the next call check
-the caps again.  The memo is
-process-global and unbounded: it lives as long as the process, as one
-CLI run or one benchmark pass does, and a caller that sweeps many
-unrelated diagrams can clear it.  ``colored_bracket`` evaluates a link
-whose components carry natural number colors: color n means n parallel
-blackboard push-offs through the n-strand projector.  Colorings in one
-orbit of the link's diagram automorphisms have one colored bracket, so
-it first replaces the colors with the least tuple of their orbit under
-the component permutations of the sublink on the nonzero colors
-(``FramedLink.symmetries``).  It looks the numerator up in
-``_sweep_memo`` under the canonical form of the uncabled diagram and
-those least colors, and only on a miss cables the link and takes
-``bracket`` of the cabled diagram, whose memo still merges colorings
-that cable to one diagram, such as one component alone at one color.
-The numerator is divided by the product of the projector denominators,
-one per nonzero color, whose inverse at an evaluation point is computed
-once per (sorted widths, point).
+``bracket`` memoizes the sweep of a diagram passed to it in
+``_sweep_memo``, keyed by the canonical form of the diagram and its
+projector sites.  ``colored_bracket`` evaluates a link whose components
+carry natural number colors: color n means n parallel blackboard
+push-offs through the n-strand projector.  It looks the numerator up in
+``_sweep_memo`` under the key of ``FramedLink.orbit``, one key for every
+coloring, of any link, whose sublink on the nonzero colors is the same
+up to an orientation-preserving map of the sphere, and only on a miss
+cables the link at the least coloring ``orbit`` gives and sweeps it
+with ``bracket_tangle_sweep``.  Every memo that can skip a sweep lives
+in ``_sweep_memo``, so emptying it makes the next call check the caps
+again.  The memo is process-global and unbounded: it lives as long as
+the process, as one CLI run or one benchmark pass does, and a caller
+that sweeps many unrelated diagrams can clear it.  The numerator is
+divided by the product of the projector denominators, one per nonzero
+color, whose inverse at an evaluation point is computed once per
+(sorted widths, point).
 
 The caps are module constants, read at call time: crossings of the state
 sum, open arcs of the sweep order, projector width, and the free loops
@@ -383,7 +380,11 @@ _sweep_memo: dict = {}
 
 
 def bracket(diag: PlanarDiagram) -> LaurentPoly:
-    """Memoized bracket of a (validated) diagram."""
+    """Memoized bracket of a (validated) diagram.
+
+    ``colored_bracket`` does not come through here: it keys its own
+    lookups on the colored sublink.
+    """
     key = (canonical_form(diag),
            tuple((s.kind, s.width, s.in_slots, s.out_slots) for s in diag.sites))
     hit = _sweep_memo.get(key)
@@ -411,12 +412,10 @@ def colored_bracket(link, colors, point: EvalPoint | None = None):
         raise DiagramTooLargeError(
             f"color {max(colors)} exceeds the projector cap {JW_CAP}"
         )
-    support = tuple(k for k, c in enumerate(colors) if c)
-    colors = min(tuple(colors[k] for k in p) for p in link.symmetries(support))
-    key = ("colored", canonical_form(link.diagram), colors)
-    num = _sweep_memo.get(key)
+    key, least = link.orbit(colors)
+    num = _sweep_memo.get(("colored", key))
     if num is None:
-        num = _sweep_memo[key] = bracket(cable(link, list(colors)))
+        num = _sweep_memo["colored", key] = bracket_tangle_sweep(cable(link, list(least)))
     widths = tuple(sorted(c for c in colors if c))
     if point is None:
         return RatFunc(num, _projector_den(widths))

@@ -45,19 +45,24 @@ nw, ne, sw, se) order; arc sites come in the order of their cuts.  Loop
 sites follow, in component order, for the surviving components that
 reach no grid corner.
 
-A diagram automorphism of a sublink (``FramedLink.symmetries``) is a
-bijection of its crossings that turns each crossing's corners by r
-quarter turns (counterclockwise order ne, nw, sw, se), keeps arc mates
-mates, and flips ``over`` when r is odd, because a quarter turn takes the
-"/" diagonal to the "\" one.  It keeps the cyclic order at every
-crossing, so it is an orientation-preserving map of the sphere; a
-reflection would mirror the link and is not one.  In a connected
-diagram the image of one corner fixes the whole map, so trying the 4n
-images of crossing 0's ne corner finds every automorphism.  The
-automorphisms permute the components, and a colored bracket is
-unchanged when its colors are permuted by one of those permutations.
-A sublink whose crossings are not connected gets the identity only, and
-so do its crossing-free components.
+The colored bracket of a link depends only on its sublink on the
+nonzero colors, ``cable`` at width 1 there and 0 elsewhere, and
+``FramedLink.orbit`` keys that sublink.  From each of the 4n starts of a
+connected piece, a crossing turned by r quarter turns, a walk numbers the
+crossings as it reaches them, turns each so that the corner it was
+reached by comes first in the counterclockwise order ne, nw, sw, se, and
+emits its ``over ^ (r & 1)`` (a quarter turn takes the "/" diagonal to
+the "\" one), then the number and turned corner of each corner's arc
+mate.  Pieces with one least code map onto each other by an
+orientation-preserving map of the sphere that keeps over-strands; a
+reflection is not one.  The key is the sorted pairs (least code, least
+color tuple along the component orders of the starts that give it), then
+the sorted colors of the crossing-free components: the bracket is
+invariant under such maps, split pieces multiply, and a projector may sit
+anywhere on its component.  The least-code starts of one piece are its
+automorphisms, which take the first start's component order to each
+other's.  The coloring ``orbit`` gives to cable is the least image of the
+colors under them when the sublink has one piece, else the colors.
 """
 
 from __future__ import annotations
@@ -237,7 +242,7 @@ class FramedLink:
         self.diagram = diag
         self.components = tuple(comps) + ((),) * diag.free_loops
         self._slots = slots
-        self._symmetries: dict = {}  # support -> component permutations
+        self._sublinks: dict = {}  # support -> (pieces, loose) of ``_sublink``
         self._comp_of_arc = {a: i for i, comp in enumerate(comps) for a in comp}
         self._crossing_data = []
         for ci, c in enumerate(diag.crossings):
@@ -264,26 +269,22 @@ class FramedLink:
         comp_slash, comp_back, _ = self._crossing_data[ci]
         return comp_slash, comp_back
 
-    def symmetries(self, support: tuple) -> tuple:
-        """Component permutations of the sublink on ``support``.
-
-        ``support`` lists component indices in increasing order.  Each
-        permutation ``p`` maps component k to ``p[k]`` under one
-        orientation-preserving automorphism of the sublink's diagram (see
-        the module docstring); components outside ``support`` stay fixed.
-        The identity is always among them.  Cached per support.
-        """
-        perms = self._symmetries.get(support)
-        if perms is None:
-            perms = self._symmetries[support] = _sublink_symmetries(self, support)
-        return perms
-
-    def self_writhe(self, comp: int) -> int:
-        total = 0
-        for cs, cb, sign in self._crossing_data:
-            if cs == comp and cb == comp:
-                total += sign
-        return total
+    def orbit(self, colors: tuple) -> tuple:
+        """(key, coloring to cable) of ``colors``: one key for all colorings,
+        of any link, whose sublinks on the nonzero colors are one diagram
+        up to an orientation-preserving map of the sphere (see the module
+        docstring).  The sublink is cached per support."""
+        support = tuple(k for k, c in enumerate(colors) if c)
+        found = self._sublinks.get(support)
+        if found is None:
+            found = self._sublinks[support] = _sublink(self, support)
+        pieces, loose = found
+        key = (tuple(sorted((code, min(tuple(colors[k] for k in order) for order in orders))
+                            for code, orders in pieces)),
+               tuple(sorted(colors[k] for k in loose)))
+        orders = pieces[0][1] if len(pieces) == 1 else ((),)
+        perms = (dict(zip(orders[0], order)) for order in orders)  # first[i] -> order[i]
+        return key, min(tuple(colors[p.get(j, j)] for j in range(len(colors))) for p in perms)
 
 
 def linking_and_signature(link: FramedLink):
@@ -346,14 +347,15 @@ def _signature(mat) -> int:
     return sig
 
 
-# -- symmetries ----------------------------------------------------------------
+# -- the key of a colored sublink ---------------------------------------------
 
 
-def _sublink_symmetries(link: FramedLink, support: tuple) -> tuple:
-    """Sorted component permutations of the sublink's automorphisms."""
-    identity = tuple(range(link.n_components))
+def _sublink(link: FramedLink, support: tuple) -> tuple:
+    """(pieces, loose) of the sublink on ``support``: for each connected
+    piece of its crossings, the least code and the component orders of
+    the starts that give it; then the crossing-free components."""
     keep = set(support)
-    sub = cable(link, [int(k in keep) for k in identity])  # the sublink, one strand each
+    sub = cable(link, [int(k in keep) for k in range(link.n_components)])
     # sublink crossing g is the g-th crossing of the link with both strands kept
     strands = [cs for cs in map(link.crossing_components, range(link.diagram.n_crossings))
                if keep.issuperset(cs)]
@@ -363,53 +365,38 @@ def _sublink_symmetries(link: FramedLink, support: tuple) -> tuple:
         a, b = slots[sub.crossings[ci][corner]]
         return b if a == (ci, corner) else a
 
-    def component(ci, corner):
-        return strands[ci][corner in (NW, SE)]
-
-    found = {identity}
-    for target in range(sub.n_crossings):
-        for turn in range(4):
-            image = _automorphism(sub.crossings, mate, target, turn)
-            if image is not None:
-                perm = list(identity)
-                for ci, (cj, r) in image.items():
-                    for corner in (NE, NW):
-                        perm[component(ci, corner)] = component(cj, _turned(corner, r))
-                found.add(tuple(perm))
-    return tuple(sorted(found))
+    pieces, seen = [], set()
+    for first in range(sub.n_crossings):
+        if first in seen:
+            continue
+        piece = _walk_code(sub.crossings, mate, strands, first, 0)[2]
+        seen.update(piece)
+        walks = [_walk_code(sub.crossings, mate, strands, ci, turn) for ci in piece for turn in range(4)]
+        least = min(code for code, _, _ in walks)
+        pieces.append((least, tuple(order for code, order, _ in walks if code == least)))
+    touched = {k for cs in strands for k in cs}
+    return tuple(pieces), tuple(k for k in support if k not in touched)
 
 
-def _turned(corner: int, r: int) -> int:
-    """The corner r counterclockwise quarter turns on from ``corner``."""
-    return _CCW_ORDER[(_CCW_PLACE[corner] + r) % 4]
-
-
-def _automorphism(crossings, mate, target: int, turn: int):
-    """{crossing: (image, quarter turns)} of the automorphism that takes
-    crossing 0 to ``target`` turned by ``turn``, or None when there is
-    none or it does not reach every crossing."""
-    image = {0: (target, turn)}
-    used = {target}
-    todo = [0]
-    while todo:
-        ci = todo.pop()
-        cj, r = image[ci]
-        if crossings[cj].over != crossings[ci].over ^ (r & 1):
-            return None
-        for corner in _CCW_ORDER:
-            ci2, k2 = mate(ci, corner)
-            cj2, m2 = mate(cj, _turned(corner, r))
-            want = cj2, (_CCW_PLACE[m2] - _CCW_PLACE[k2]) % 4
-            if ci2 in image:
-                if image[ci2] != want:
-                    return None
-            elif cj2 in used:
-                return None
-            else:
-                image[ci2] = want
-                used.add(cj2)
-                todo.append(ci2)
-    return image if len(image) == len(crossings) else None
+def _walk_code(crossings, mate, strands, start: int, turn: int) -> tuple:
+    """(code, component order, crossing order) of the walk from ``start``
+    turned by ``turn``, as the module docstring says."""
+    number, turns, order, code, comps = {start: 0}, [turn], [start], [], []
+    for i, ci in enumerate(order):  # the walk appends as it goes
+        r = turns[i]
+        code.append(crossings[ci].over ^ (r & 1))
+        for place in range(4):
+            corner = _CCW_ORDER[(place + r) % 4]
+            k = strands[ci][corner in (NW, SE)]
+            if k not in comps:
+                comps.append(k)
+            cj, m = mate(ci, corner)
+            if cj not in number:
+                number[cj] = len(order)
+                order.append(cj)
+                turns.append(_CCW_PLACE[m])
+            code += (number[cj], (_CCW_PLACE[m] - turns[number[cj]]) % 4)
+    return tuple(code), tuple(comps), order
 
 
 # -- canonical form -----------------------------------------------------------

@@ -1,0 +1,47 @@
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "benchpair.py"
+spec = importlib.util.spec_from_file_location("benchpair", TOOL)
+benchpair = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(benchpair)
+
+METRICS = [
+    {"name": "wall_s", "better": "lower", "bound": 0.2},
+    {"name": "rate", "better": "higher", "bound": 0.1},
+]
+
+
+def _pair(parent, change):
+    return {"parent": {"failed": 0, "exit": 0, **parent},
+            "change": {"failed": 0, "exit": 0, **change}}
+
+
+def test_summarize_counts_wins_in_the_better_direction():
+    pairs = [_pair({"wall_s": 1.0 + i / 10, "rate": 10.0 + i},
+                   {"wall_s": 0.9 + i / 10, "rate": 9.0 + i}) for i in range(4)]
+    pairs.append(_pair({"wall_s": 1.0, "rate": 10.0}, {"wall_s": 1.1, "rate": 12.0}))
+    out = benchpair.summarize(pairs, METRICS)
+    assert out["wall_s"]["change_better_in"] == 4
+    assert out["rate"]["change_better_in"] == 1
+    assert out["wall_s"]["parent_median"] == out["wall_s"]["change_median"] == 1.1
+    assert out["wall_s"]["within_bound"] and out["rate"]["within_bound"]
+    assert out["failed"] == {"parent": 0, "change": 0}
+
+
+def test_summarize_reports_a_missing_metric():
+    pairs = [_pair({"wall_s": 1.0, "rate": 1.0}, {"rate": 1.0}) for _ in range(3)]
+    assert benchpair.summarize(pairs, METRICS)["wall_s"] == {"missing": True}
+
+
+def test_a_crashed_run_counts_as_failed(tmp_path):
+    for body, code in (("raise SystemExit(3)", 3),
+                       ("print('{\"attempted\": 5, \"failed\": 0, \"metrics\": {}}')\n"
+                        "raise SystemExit(2)", 2)):
+        (tmp_path / "perfbench").mkdir(exist_ok=True)
+        (tmp_path / "perfbench" / "run.py").write_text(body + "\n")
+        run = benchpair._run(tmp_path, "torus", 1, 1, 0)
+        assert run["exit"] == code and run["failed"] == 1
+    crashed = {"attempted": 0, "failed": 1, "exit": 3}
+    pairs = [{"parent": {"failed": 0, "exit": 0}, "change": crashed} for _ in range(3)]
+    assert benchpair.summarize(pairs, [])["failed"] == {"parent": 0, "change": 3}

@@ -24,6 +24,7 @@ from skeinlab.diagrams import (
     Crossing,
     FramedLink,
     PlanarDiagram,
+    attach_meridian,
     braid_closure,
     cable,
     canonical_form,
@@ -537,13 +538,15 @@ def _swept_colored_bracket(link, colors):
 
 
 def test_colored_bracket_is_one_sweep_per_orbit(borromean, hopf, monkeypatch):
-    # each coloring, least in its orbit or not, against a sweep of its own
+    # each coloring, least in its orbit or not, against a sweep of its
+    # own; every link shares one memo, so a false merge across links fails
     monkeypatch.setattr("skeinlab.bracket._sweep_memo", {})
     pres = _torus_presentation(0)
     (meridian,) = pres.extra_colors
-    cases = [(borromean, c) for c in product(range(3), repeat=3)]
-    cases += [(hopf, c) for c in product(range(3), repeat=2)]
-    cases += [(FramedLink(braid_closure([1, 2] * 3, 3)), c) for c in product(range(3), repeat=3)]
+    links = [borromean, hopf, FramedLink(braid_closure([1, 2] * 3, 3)),
+             FramedLink(braid_closure([-1, 2] * 3, 3)), FramedLink(braid_closure([1, 1, 3, 3], 4))]
+    links += [unknot_fixture(k) for k in (1, -1, 2, -2)]
+    cases = [(link, c) for link in links for c in product(range(3), repeat=link.n_components)]
     for c in product(range(3), repeat=3):
         for a in range(2):
             colors = list(c)
@@ -553,24 +556,30 @@ def test_colored_bracket_is_one_sweep_per_orbit(borromean, hopf, monkeypatch):
         assert colored_bracket(link, colors) == _swept_colored_bracket(link, colors), colors
 
 
-def test_colored_bracket_looks_up_before_cabling(borromean, monkeypatch):
+def test_colored_bracket_looks_up_before_cabling(borromean, hopf, monkeypatch):
+    # rotated Borromean colorings share a key, and so do the Hopf link and
+    # an unknot with a meridian, which are one diagram
     monkeypatch.setattr("skeinlab.bracket._sweep_memo", {})
-    want = colored_bracket(borromean, (1, 2, 2))
+    clasped = attach_meridian(unknot_fixture(0), 0, 2).link
+    cases = [((borromean, (1, 2, 2)), [(borromean, (2, 1, 2)), (borromean, (2, 2, 1))]),
+             ((hopf, (1, 2)), [(clasped, (1, 2))])]
+    wants = [colored_bracket(*first) for first, _ in cases]
 
     def no_cable(*args):
         raise AssertionError("cabled on a memo hit")
 
     monkeypatch.setattr("skeinlab.bracket.cable", no_cable)
-    for colors in ((2, 1, 2), (2, 2, 1)):
-        assert colored_bracket(borromean, colors) == want
+    for want, (_, hits) in zip(wants, cases):
+        for link, colors in hits:
+            assert colored_bracket(link, colors) == want
 
 
 def test_torus_sweep_count(monkeypatch):
-    # d = 3, a = 0 has 27 colorings.  The rotations merge the 8 with full
-    # support into 4 orbits; the cabled-diagram memo merges the 6 of one
-    # component into 2 and the 12 of two components into 8; the empty
-    # coloring is one more sweep
-    monkeypatch.setattr("skeinlab.bracket._sweep_memo", {})
+    # d = 3, a = 0 has 27 colorings, with the meridian colored 0.  The
+    # rotations merge the 8 with full support into 4 keys.  One component
+    # alone is a round unknot: 6 colorings, 2 keys.  The three Borromean
+    # pairs are rotations of each other, and a pair cannot swap its
+    # colors: 12 colorings, 4 keys.  The empty coloring is one more sweep
     swept = []
 
     def counted(diag):
@@ -578,8 +587,11 @@ def test_torus_sweep_count(monkeypatch):
         return bracket_tangle_sweep(diag)
 
     monkeypatch.setattr("skeinlab.bracket.bracket_tangle_sweep", counted)
-    assert torus_invariant(0, EvalPoint(3, 1)) == meridian_series(0, EvalPoint(3, 1))
-    assert len(swept) == 15
+    for d, count in ((3, 11), (4, 24)):
+        monkeypatch.setattr("skeinlab.bracket._sweep_memo", {})
+        swept.clear()
+        assert torus_invariant(0, EvalPoint(d, 1)) == meridian_series(0, EvalPoint(d, 1))
+        assert len(swept) == count, d
 
 
 def test_colored_error_paths(hopf, unknot):

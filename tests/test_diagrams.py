@@ -13,6 +13,7 @@ from skeinlab.diagrams import (
     braid_closure,
     cable,
     _find,
+    _sublink,
     canonical_form,
     link_from_json,
     link_to_json,
@@ -50,11 +51,9 @@ def test_planarity_rejects_genus_one():
 
 
 def test_kink_signs():
-    pos = unknot_fixture(1)
-    neg = unknot_fixture(-1)
-    assert pos.self_writhe(0) == 1
-    assert neg.self_writhe(0) == -1
-    assert unknot_fixture(3).self_writhe(0) == 3
+    # the self-writhe is the diagonal entry of the linking matrix
+    for kinks in (1, -1, 3):
+        assert linking_and_signature(unknot_fixture(kinks))[0] == ((kinks,),)
 
 
 def test_borromean_linking_matrix(borromean):
@@ -195,32 +194,50 @@ def test_cable_zero_width_matches_deletion(rng):
             assert got.sites == want.sites
 
 
-def test_symmetries(borromean, hopf):
-    rotations = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    assert borromean.symmetries((0, 1, 2)) == rotations
-    assert hopf.symmetries((0, 1)) == ((0, 1), (1, 0))
+def test_orbit_keys(borromean, hopf):
+    def key(link, colors):
+        return link.orbit(colors)[0]
+
+    for colors in ((1, 2, 3), (2, 1, 3)):
+        rotations = [colors[i:] + colors[:i] for i in range(3)]
+        assert len({key(borromean, c) for c in rotations}) == 1
+        assert {borromean.orbit(c)[1] for c in rotations} == {min(rotations)}
+    assert key(hopf, (1, 2)) == key(hopf, (2, 1))
+    assert hopf.orbit((2, 1))[1] == (1, 2)
     torus = _torus_presentation(0).link
     # the meridian on component 1 breaks the rotations; without it they return
-    assert torus.symmetries((0, 1, 2, 3)) == ((0, 1, 2, 3),)
-    assert torus.symmetries((0, 1, 2)) == tuple(p + (3,) for p in rotations)
+    assert key(torus, (1, 2, 3, 1)) != key(torus, (2, 3, 1, 1))
+    assert torus.orbit((2, 3, 1, 1))[1] == (2, 3, 1, 1)
+    assert key(torus, (1, 2, 3, 0)) == key(torus, (2, 3, 1, 0))
     # two Borromean components: one passes over the other at both
     # crossings, so swapping them needs a mirror
-    for pair in ((0, 1), (0, 2), (1, 2)):
-        assert borromean.symmetries(pair) == ((0, 1, 2),)
-    # a lone component is crossing-free in its sublink
-    assert borromean.symmetries((1,)) == ((0, 1, 2),)
-    assert borromean.symmetries(()) == ((0, 1, 2),)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        colors, swapped = [0, 0, 0], [0, 0, 0]
+        colors[i] = swapped[j] = 1
+        colors[j] = swapped[i] = 2
+        assert key(borromean, tuple(colors)) != key(borromean, tuple(swapped))
+        assert borromean.orbit(tuple(swapped))[1] == tuple(swapped)
+    # a lone component is crossing-free in its sublink, a round unknot
+    assert key(borromean, (0, 2, 0)) == key(unknot_fixture(0), (2,))
+    assert key(borromean, (0, 0, 0)) == key(unknot_fixture(0), (0,))
+    # the kinks of the two signs are mirrors, not rotations
+    assert key(unknot_fixture(1), (1,)) != key(unknot_fixture(-1), (1,))
+    # the Hopf link and an unknot with a meridian are one diagram
+    assert key(hopf, (1, 2)) == key(attach_meridian(unknot_fixture(0), 0, 2).link, (1, 2))
     # on the sphere the closure of (s1 s2)^3 can also swap its inner and
     # outer strands
-    assert len(FramedLink(braid_closure([1, 2] * 3, 3)).symmetries((0, 1, 2))) == 6
+    (piece,), loose = _sublink(FramedLink(braid_closure([1, 2] * 3, 3)), (0, 1, 2))
+    assert len(piece[1]) == 6 and loose == ()
 
 
-def test_symmetries_of_a_split_sublink():
-    # two Hopf clasps, side by side: the crossings of the sublink are not
-    # connected, so it gets the identity only
+def test_orbit_key_of_a_split_sublink():
+    # two Hopf clasps, side by side: split pieces are keyed apart, so the
+    # clasps may trade colors, but the coloring to cable stays as it is
     link = FramedLink(braid_closure([1, 1, 3, 3], 4))
     assert link.n_components == 4
-    assert link.symmetries((0, 1, 2, 3)) == ((0, 1, 2, 3),)
+    assert link.orbit((1, 1, 2, 2))[0] == link.orbit((2, 2, 1, 1))[0]
+    assert link.orbit((1, 1, 2, 2))[0] != link.orbit((1, 2, 1, 2))[0]
+    assert link.orbit((2, 2, 1, 1))[1] == (2, 2, 1, 1)
 
 
 def test_cable_sites_cover_components(borromean):

@@ -20,11 +20,13 @@ side gives the per-layer counters, at seed N + 100*w + 99.
 ``BENCH_<TAG>.json`` at the repository root gets every run's end-to-end
 metrics, and per workload and metric the medians, the inclusive quartiles
 (``statistics.quantiles(n=4, method="inclusive")``, first and third), the
-number of pairs in which the change reads lower, the relative change of
-the median, whether the change's median is within the metric's bound of
-``BENCHMARK.json``, and whether the medians differ by more than the
-parent's interquartile range.  Claims and notes are for the reader to add.
-Progress goes to standard error.
+number of pairs in which the change reads better in the metric's
+``better`` direction, the relative change of the median, whether the
+change's median is within the metric's bound of ``BENCHMARK.json``, and
+whether the medians differ by more than the parent's interquartile range;
+per side, the failed items, where a run that crashed counts at least one.
+Claims and notes are for the reader to add.  Progress goes to standard
+error.
 """
 
 from __future__ import annotations
@@ -67,7 +69,11 @@ def _checkout(rev: str | None, dest: Path) -> str:
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
-    """One ``perfbench/run.py`` run: its metric values, counts and exit status."""
+    """One ``perfbench/run.py`` run: its metric values, counts and exit status.
+
+    A run that prints no result line, or exits non-zero, counts at least
+    one failed item.
+    """
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
@@ -77,9 +83,10 @@ def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        return {"attempted": 0, "failed": 0, "exit": proc.returncode}
+        return {"attempted": 0, "failed": 1, "exit": proc.returncode}
     out = {name: m["value"] for name, m in result["metrics"].items()}
-    out.update(attempted=result["attempted"], failed=result["failed"], exit=proc.returncode)
+    out.update(attempted=result["attempted"], exit=proc.returncode,
+               failed=max(result["failed"], int(proc.returncode != 0)))
     return out
 
 
@@ -106,7 +113,7 @@ def summarize(pairs: list, end_to_end: list) -> dict:
             "parent_quartiles": pq,
             "change_median": round(cm, 4),
             "change_quartiles": _quartiles(change),
-            "change_lower_in": sum(c < p for p, c in zip(parent, change)),
+            "change_better_in": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
             "relative": round(cm / pm - 1, 4),
             "within_bound": sign * (cm - pm) <= metric["bound"] * pm,
             "gap_exceeds_parent_iqr": abs(cm - pm) > pq[1] - pq[0],
