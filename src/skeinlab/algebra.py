@@ -1,19 +1,21 @@
 """Exact arithmetic for the Kauffman bracket variable A.
 
-Three layers, all with rational (never floating) coefficients.  A
-coefficient is an ``int``, or a ``Fraction`` where a denominator appears:
-construction, division and scaling turn an integral value into an ``int``,
-and ``+`` and ``*`` keep ints as ints (a sum of Fractions may stay an
-integral ``Fraction``, which equals and hashes like the ``int``).  Every
-true division goes through ``Fraction``, never ``/`` on two ints.
+Three layers, all with exact (never floating) coefficients.  Every
+polynomial kernel runs on ints: the field Q(A) of the skein module is
+held as ``RatFunc`` quotients, and a rational p/q enters as p / q.  Only
+``CycloNum`` has ``Fraction`` coefficients, where a denominator appears;
+an integral one is an ``int``, and every true division goes through
+``Fraction``, never ``/`` on two ints.
 
-* ``LaurentPoly`` -- sparse Laurent polynomials in A over Q, stored as a
-  map ``exponent -> int``, or ``Fraction`` where a denominator appears.
+* ``LaurentPoly`` -- sparse Laurent polynomials in Z[A, A^-1], stored as
+  a map ``exponent -> int``.
 * ``RatFunc`` -- quotients of Laurent polynomials kept in a canonical
   reduced form, so equality is plain field-by-field comparison.  The form
   comes from ``_reduce``, which also puts the numerators of a
   Temperley-Lieb element (``tl.TLElement``) over their shared
-  denominator: RatFunc and TL elements share one canonical quotient.
+  denominator: RatFunc and TL elements share one canonical quotient, with
+  no common factor, not even an int one, and a denominator with positive
+  leading coefficient and nonzero constant term.
 * ``CycloNum`` -- residues modulo the 2(2d+1)-th cyclotomic polynomial,
   i.e. exact elements of Q(zeta) for zeta = exp(i*pi/(2d+1)).  The two
   evaluation points of level d differ by zeta -> 1/zeta and therefore
@@ -29,7 +31,8 @@ of ``tl.TLElement`` and the frontier weights of ``bracket._sweep`` all
 go through it.  Beside it, one integer remainder-sequence kernel,
 ``_prs``, runs Euclid on int coefficient lists with pseudo-division:
 ``poly_gcd`` takes its last remainder and ``CycloNum.inverse`` the
-cofactor, so neither divides ``Fraction``s step by step.
+cofactor, so neither divides ``Fraction``s step by step, and ``_reduce``
+and ``_cyclotomic_poly`` divide with one exact kernel, ``_exact_div``.
 
 ``evaluate_at`` is the ring homomorphism A -> zeta^{sign}; it is the only
 bridge from symbolic objects to cyclotomic ones, and ``cyclo_to_complex``
@@ -113,6 +116,32 @@ def _kron_digits(value: int, k: int, count: int = 0) -> list:
     return out
 
 
+def _exact_div(n: list, g: list) -> list:
+    """The quotient n / g in Z[A] of int coefficient lists, lowest first.
+
+    Long division from the top, g with a nonzero last entry: each
+    quotient digit must be an exact int division by that entry, and the
+    remainder must be zero; otherwise it raises SkeinError.
+
+    >>> _exact_div([-1, 0, 0, 1], [-1, 1])
+    [1, 1, 1]
+    """
+    r, top, lc = list(n), len(g) - 1, g[-1]
+    low = [(i, c) for i, c in enumerate(g[:top]) if c]
+    q = [0] * (len(r) - top)
+    for j in reversed(range(len(q))):
+        t, rest = divmod(r[j + top], lc)
+        if rest:
+            raise SkeinError(f"{n} / {g} has a digit that is not an integer")
+        if t:
+            q[j] = t
+            for i, c in low:
+                r[i + j] -= t * c
+    if any(r[:top]):
+        raise SkeinError(f"{n} / {g} leaves a remainder")
+    return q
+
+
 def _prs(r0: list, r1: list, s1: list = ()) -> tuple:
     """Euclid in ints: (r, s), r the last nonzero remainder of r0 and r1.
 
@@ -159,9 +188,10 @@ def _prs(r0: list, r1: list, s1: list = ()) -> tuple:
 
 
 class LaurentPoly:
-    """A sparse Laurent polynomial in one variable A over Q.
+    """A sparse Laurent polynomial in one variable A over Z.
 
-    Coefficients are ints, or Fractions where a denominator appears.
+    Coefficients are ints: an integral Fraction becomes its int, and any
+    other value is a TypeError.  A rational p/q is ``RatFunc(p, q)``.
 
     >>> A = LaurentPoly.gen()
     >>> print(A**2 + 2 - A**-2)
@@ -173,10 +203,12 @@ class LaurentPoly:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms=None):
-        clean: dict[int, int | Fraction] = {}
+        clean: dict[int, int] = {}
         if terms:
             for e, c in terms.items():
                 c = _as_rational(c)
+                if type(c) is not int:
+                    raise TypeError(f"Laurent polynomial coefficients are integers, got {c!r}")
                 if c:
                     clean[int(e)] = c
         self._terms = clean
@@ -210,7 +242,7 @@ class LaurentPoly:
     def items(self):
         return self._terms.items()
 
-    def coefficient(self, exponent: int) -> int | Fraction:
+    def coefficient(self, exponent: int) -> int:
         return self._terms.get(exponent, 0)
 
     def is_zero(self) -> bool:
@@ -271,7 +303,7 @@ class LaurentPoly:
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[int, int | Fraction] = {}
+        out: dict[int, int] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = e1 + e2
@@ -288,10 +320,10 @@ class LaurentPoly:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            if not self.is_monomial():
-                raise ValueError("negative powers only defined for monomials")
+            if not self.is_monomial() or abs(self.coefficient(self.min_exponent())) != 1:
+                raise ValueError("negative powers only defined for the units ±A^k")
             ((e, c),) = self._terms.items()
-            return LaurentPoly({e * n: Fraction(1, c ** (-n))})
+            return LaurentPoly({e * n: c ** -n})
         out = LaurentPoly.one()
         base = self
         while n:
@@ -301,51 +333,8 @@ class LaurentPoly:
             n >>= 1
         return out
 
-    def __divmod__(self, other: "LaurentPoly"):
-        """Division with remainder, treating both operands as ordinary
-        polynomials after factoring out their lowest monomials.
-
-        The remainder is zero exactly when ``other`` divides ``self`` in
-        the Laurent ring.
-        """
-        other = _coerce_poly(other)
-        if other.is_zero():
-            raise ZeroDivisionError("Laurent polynomial division by zero")
-        if self.is_zero():
-            return LaurentPoly.zero(), LaurentPoly.zero()
-        sa = self.min_exponent()
-        sb = other.min_exponent()
-        rem = {e - sa: c for e, c in self._terms.items()}
-        den = {e - sb: c for e, c in other._terms.items()}
-        deg_d = max(den)
-        lc_d = den[deg_d]
-        quo: dict[int, int | Fraction] = {}
-        while rem:
-            deg_r = max(rem)
-            if deg_r < deg_d:
-                break
-            q = _div(rem[deg_r], lc_d)
-            k = deg_r - deg_d
-            quo[k] = q
-            for e, c in den.items():
-                t = e + k
-                s = rem.get(t, 0) - q * c
-                if s:
-                    rem[t] = s
-                else:
-                    rem.pop(t, None)
-        shift = sa - sb
-        return (
-            LaurentPoly({e + shift: c for e, c in quo.items()}),
-            LaurentPoly({e + sa: c for e, c in rem.items()}),
-        )
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def scale(self, c) -> "LaurentPoly":
-        c = _as_rational(c)
-        return LaurentPoly({e: k * c for e, k in self._terms.items()})
+    def scale(self, c: int) -> "LaurentPoly":
+        return self * c
 
     # -- comparison / hashing ----------------------------------------------
 
@@ -392,15 +381,14 @@ def _format_terms(terms: dict, var: str) -> str:
 def _coerce_poly(x):
     if isinstance(x, LaurentPoly):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return LaurentPoly.const(x)
     return NotImplemented
 
 
 def _poly(terms: dict) -> LaurentPoly:
-    """A LaurentPoly on terms as they are: int exponents and nonzero
-    coefficients that are ints or non-integral Fractions, so the checks
-    of the constructor are skipped."""
+    """A LaurentPoly on terms as they are: int exponents and nonzero int
+    coefficients, so the checks of the constructor are skipped."""
     res = LaurentPoly.__new__(LaurentPoly)
     res._terms = terms
     res._hash = None
@@ -409,45 +397,55 @@ def _poly(terms: dict) -> LaurentPoly:
 
 def _dense(f: LaurentPoly, step: int = 1) -> list:
     """The coefficients of A^min(f), A^(min(f) + step), ... up to
-    A^max(f), as ints over the lcm of their denominators (f nonzero)."""
+    A^max(f) (f nonzero)."""
     lo, hi = f.min_exponent(), f.max_exponent()
-    return _cleared([f.coefficient(e) for e in range(lo, hi + 1, step)])[0]
+    return [f.coefficient(e) for e in range(lo, hi + 1, step)]
+
+
+def _step(polys) -> int:
+    """The gcd k of every exponent offset e - min(p) of the nonzero polys
+    (1 if there is none): each of them is A^min(p) P(A^k)."""
+    k = 0
+    for p in polys:
+        if not p.is_zero():
+            lo = p.min_exponent()
+            k = math.gcd(k, *(e - lo for e, _ in p.items()))
+    return k or 1
 
 
 def poly_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Monic gcd in Q[A] of the ordinary-polynomial parts of f and g.
+    """Primitive gcd in Z[A] of the ordinary-polynomial parts of f and g.
 
-    Monomial unit factors are irrelevant: the result always has nonzero
-    constant term and leading coefficient one.  It is the last remainder
-    of the integer remainder sequence ``_prs``, made monic.  When every
-    exponent of f / A^min(f) and g / A^min(g) is a multiple of k, as in
-    polynomials of A^4, f = F(A^k) and g = G(A^k) give gcd(F, G)(A^k):
-    Euclid runs on lists k times shorter.
+    Monomial unit factors are irrelevant: the result has coprime int
+    coefficients, a positive leading coefficient and a nonzero constant
+    term.  By Gauss's lemma it divides f and g exactly in Z[A, A^-1].  It
+    is the last remainder of the integer remainder sequence ``_prs``,
+    made primitive.  When every exponent of f / A^min(f) and
+    g / A^min(g) is a multiple of k, as in polynomials of A^4,
+    f = F(A^k) and g = G(A^k) give gcd(F, G)(A^k): Euclid runs on lists
+    k times shorter.
     """
-    if f.is_zero() or g.is_zero():
-        return _shifted_monic(g if f.is_zero() else f)
-    lo_f, lo_g = f.min_exponent(), g.min_exponent()
-    k = math.gcd(*(e - lo_f for e, _ in f.items()), *(e - lo_g for e, _ in g.items())) or 1
-    r, _ = _prs(_dense(f, k), _dense(g, k))
-    return _shifted_monic(_poly({k * e: r[e] for e in reversed(range(len(r))) if r[e]}))
-
-
-def _shifted_monic(f: LaurentPoly) -> LaurentPoly:
-    if f.is_zero():
-        return f
-    shift = -f.min_exponent()
-    lead = f.coefficient(f.max_exponent())
-    return _poly({e + shift: _div(c, lead) for e, c in f.items()})
+    polys = [p for p in (f, g) if not p.is_zero()]
+    if not polys:
+        return LaurentPoly.zero()
+    k = _step(polys)
+    r = _dense(polys[0], k)
+    if len(polys) == 2:
+        r, _ = _prs(r, _dense(polys[1], k))
+    c = math.gcd(*r) if r[-1] > 0 else -math.gcd(*r)
+    return _poly({k * e: r[e] // c for e in reversed(range(len(r))) if r[e]})
 
 
 def _reduce(nums: list, den: LaurentPoly) -> tuple:
     """The canonical form (nums, den) of numerators over one denominator.
 
-    Divides out the joint gcd of ``den`` and every numerator, then the
-    unit left in the denominator (its leading coefficient times its
-    lowest A-power).  The denominator comes back monic with nonzero
-    constant term, so equal quotients have identical fields.  This is the
-    one reduction behind both ``RatFunc`` and ``tl.TLElement``.
+    Divides ``den`` and every numerator with ``_exact_div``, on lists of
+    A^k as in ``poly_gcd``, by u g A^s: g their joint primitive gcd, u
+    the gcd of all their coefficients with the sign of den's leading one,
+    and s the lowest exponent of den.  As g is primitive, u is also the
+    content of every quotient by g (Gauss's lemma), so each digit is an
+    exact int division.  Equal quotients thus have identical fields.
+    This is the one reduction behind both ``RatFunc`` and ``tl.TLElement``.
     """
     if all(c.is_zero() for c in nums):
         return [LaurentPoly.zero() for _ in nums], LaurentPoly.one()
@@ -456,15 +454,19 @@ def _reduce(nums: list, den: LaurentPoly) -> tuple:
         g = poly_gcd(g, c)
         if g.is_one():
             break
-    if not g.is_one():
-        nums, den = [c // g for c in nums], den // g
-    shift = den.min_exponent()
-    lead = den.coefficient(den.max_exponent())
+    k = _step(nums + [den])
+    unit = math.gcd(*(c for p in nums + [den] for _, c in p.items()))
+    if den.coefficient(den.max_exponent()) < 0:
+        unit = -unit
+    divisor, shift = [unit * c for c in _dense(g, k)], den.min_exponent()
 
-    def unit(p):
-        return _poly({e - shift: _div(c, lead) for e, c in p.items()})
+    def divided(p):
+        if p.is_zero():
+            return p
+        q = _exact_div(_dense(p, k), divisor)
+        return _poly({p.min_exponent() - shift + k * j: c for j, c in enumerate(q) if c})
 
-    return [unit(c) for c in nums], unit(den)
+    return [divided(c) for c in nums], divided(den)
 
 
 @functools.lru_cache(maxsize=None)
@@ -495,18 +497,25 @@ def loop_weight() -> LaurentPoly:
 
 class RatFunc:
     """A quotient of Laurent polynomials in the canonical form of
-    ``_reduce``: the denominator is monic with nonzero constant term, so
-    two equal rational functions have identical fields.
+    ``_reduce``, so two equal rational functions have identical fields.
+    A ``Fraction`` p/q, as numerator or denominator, enters as p / q.
 
     >>> print(RatFunc(quantum_integer(4), quantum_integer(2)))
     A^4 + A^-4
+    >>> print(RatFunc(Fraction(-3, 6)))
+    (-1) / (2)
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        num = _coerce_poly(num)
-        den = LaurentPoly.one() if den is None else _coerce_poly(den)
+    def __init__(self, num, den=1):
+        if isinstance(num, Fraction):
+            num, den = num.numerator, den * num.denominator
+        if isinstance(den, Fraction):
+            num, den = num * den.denominator, den.numerator
+        num, den = _coerce_poly(num), _coerce_poly(den)
+        if num is NotImplemented or den is NotImplemented:
+            raise TypeError("a rational function is a quotient of Laurent polynomials")
         if den.is_zero():
             raise ZeroDenominatorError("rational function with denominator 0")
         (num,), den = _reduce([num], den)
@@ -545,7 +554,10 @@ class RatFunc:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce_rat(other) + (-self)
+        other = _coerce_rat(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
         other = _coerce_rat(other)
@@ -564,7 +576,10 @@ class RatFunc:
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        return _coerce_rat(other) / self
+        other = _coerce_rat(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
 
     def __eq__(self, other) -> bool:
         other = _coerce_rat(other)
@@ -587,10 +602,8 @@ class RatFunc:
 def _coerce_rat(x):
     if isinstance(x, RatFunc):
         return x
-    if isinstance(x, LaurentPoly):
+    if isinstance(x, (LaurentPoly, int, Fraction)):
         return RatFunc(x)
-    if isinstance(x, (int, Fraction)):
-        return RatFunc(LaurentPoly.const(x))
     return NotImplemented
 
 
@@ -642,8 +655,8 @@ def _cyclotomic_poly(n: int) -> LaurentPoly:
     over the divisors e of n.
 
     On an int coefficient list it multiplies by each binomial with
-    mu(n/e) = 1, then divides exactly by each one with mu(n/e) = -1,
-    from the top.
+    mu(n/e) = 1, then divides by each one with mu(n/e) = -1 with
+    ``_exact_div``.
 
     >>> print(_cyclotomic_poly(6))
     A^2 - A + 1
@@ -655,13 +668,7 @@ def _cyclotomic_poly(n: int) -> LaurentPoly:
     for e in (e for e, m in mu.items() if m == 1):
         p = [b - a for a, b in zip(p + [0] * e, [0] * e + p)]
     for e in (e for e, m in mu.items() if m == -1):
-        # p = q (x^e - 1) gives q[j] = p[j + e] + q[j + e]; q[j] is stored
-        # at p[j + e], and what is left in p[:e] is the remainder
-        for j in reversed(range(len(p) - e)):
-            p[j] += p[j + e]
-        if any(p[:e]):
-            raise SkeinError("cyclotomic division leaves a remainder")
-        p = p[e:]
+        p = _exact_div(p, [-1] + [0] * (e - 1) + [1])
     return _poly({j: p[j] for j in reversed(range(len(p))) if p[j]})
 
 
@@ -773,7 +780,10 @@ class CycloNum:
         return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
         """The product, reduced with the rows of ``_field_data``.
@@ -820,20 +830,20 @@ class CycloNum:
         modulus and the element's numerators over their lcm, den.
 
         The modulus is irreducible, so the last remainder of a nonzero
-        element is a constant c, and its cofactor s has s x = c modulo
-        the modulus: the inverse is den s / c.
+        element is a constant c, and its cofactor s, of degree below the
+        modulus, has s x = c modulo the modulus: the inverse is den s / c.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
         ints, den = _cleared(list(self.coeffs))
         while not ints[-1]:
             ints.pop()
-        r, s = _prs(_dense(_cyclotomic_poly(2 * (2 * self.d + 1))), ints, [1])
+        mod = _dense(_cyclotomic_poly(2 * (2 * self.d + 1)))
+        r, s = _prs(mod, ints, [1])
         if len(r) > 1:
             raise SkeinError(f"{self} is not invertible: it shares a factor with the modulus")
         c = r[0]
-        inv = _poly({j: _div(den * x, c) for j, x in enumerate(s) if x})
-        return evaluate_at(inv, EvalPoint(self.d))
+        return CycloNum(self.d, tuple(_div(den * x, c) for x in s) + (0,) * (len(mod) - 1 - len(s)))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -843,7 +853,10 @@ class CycloNum:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
 
     def _coerce(self, x):
         if isinstance(x, CycloNum):
@@ -871,9 +884,8 @@ def evaluate_at(value, point: EvalPoint) -> CycloNum:
 
     Accepts LaurentPoly, RatFunc (raising PoleError when its denominator
     vanishes at the point), CycloNum (returned unchanged after a level
-    check), and plain rationals.  A LaurentPoly with Fraction
-    coefficients is cleared with one lcm and the reduced sum divided
-    once, so an integral coefficient of the result is an int.
+    check), and plain rationals.  A LaurentPoly's int coefficients are
+    summed into the rows of ``_field_data`` as they are.
     """
     if isinstance(value, CycloNum):
         if value.d != point.d:
@@ -893,13 +905,11 @@ def evaluate_at(value, point: EvalPoint) -> CycloNum:
     d = point.d
     n = 2 * (2 * d + 1)
     m, rows = _field_data(d)
-    terms = value._terms
-    coeffs, den = _cleared(list(terms.values()))
     acc = [0] * m
-    for e, c in zip(terms, coeffs):
+    for e, c in value._terms.items():
         for j, r in rows[(point.sign * e) % n]:
             acc[j] += c * r
-    return CycloNum(d, tuple(acc) if den == 1 else tuple(_div(c, den) for c in acc))
+    return CycloNum(d, tuple(acc))
 
 
 def cyclo_to_complex(x: CycloNum, precision: int = 30) -> mpmath.mpc:

@@ -56,12 +56,11 @@ def meridian_series(a: int, p: EvalPoint) -> CycloNum:
     """Sum of the meridian eigenvalues over colors 0 .. d-1 at ``p``.
 
     None of the d terms has a pole: delta_color(i) at level d vanishes
-    only when i + 1 is a multiple of 2d + 1.
+    only when i + 1 is a multiple of 2d + 1.  The evaluated terms are
+    summed coefficient by coefficient, in one pass.
     """
-    total = CycloNum.zero(p.d)
-    for i in range(p.d):
-        total = total + evaluate_at(meridian_eigenvalue(i, a), p)
-    return total
+    terms = (evaluate_at(meridian_eigenvalue(i, a), p).coeffs for i in range(p.d))
+    return CycloNum(p.d, tuple(map(sum, zip(*terms))))
 
 
 @dataclass(frozen=True)

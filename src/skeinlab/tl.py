@@ -11,15 +11,15 @@ loops.  It is the one strand walk of the package: ``compose`` and
 ``closure_count`` run it here, and the box sweep of ``bracket`` runs it
 for every local state of a box.
 
-``TLElement`` is a formal sum of diagrams with Laurent-polynomial
+``TLElement`` is a formal sum of diagrams with int Laurent-polynomial
 coefficients over one shared polynomial denominator.  ``normalized`` is
 ``RatFunc``'s canonical quotient (``algebra._reduce``).  Multiplication
 stacks the second factor on top of the first and turns every closed
 bubble into a factor of the loop value -A^2 - A^-2.  It packs each
 numerator into one int by Kronecker substitution (``algebra._kron_pack``),
 so a pair of diagrams costs one strand walk and two int products, and
-each numerator of the product is decoded once.  ``jones_wenzl`` sums its
-recursion over [n] den(e)^2, then reduces.
+each numerator of the product is decoded once, with no division.
+``jones_wenzl`` sums its recursion over [n] den(e)^2, then reduces.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from math import comb, gcd
 from .algebra import (
     LaurentPoly,
     RatFunc,
-    _cleared,
-    _div,
     _kron_digits,
     _kron_pack,
     _poly,
@@ -154,18 +152,13 @@ def closure_count(d: TLDiagram) -> int:
     return _walk([~(m - k) for k in range(m + 1)], _partner(d))[1]
 
 
-def _cleared_terms(elem: "TLElement") -> tuple:
-    """elem's numerators as ints over one lcm of their denominators.
-
-    Returns (lowest exponent e0, lcm, per numerator its (exponent - e0,
-    int) pairs, sum of the l1 norms of the ints).
-    """
+def _offset_terms(elem: "TLElement") -> tuple:
+    """(lowest exponent e0, per numerator its (exponent - e0, coefficient)
+    pairs, sum of the l1 norms of the numerators)."""
     polys = list(elem.terms.values())
-    ints, den = _cleared([c for p in polys for _, c in p.items()])
     lo = min((e for p in polys for e, _ in p.items()), default=0)
-    it = iter(ints)
-    nums = [list(zip((e - lo for e, _ in p.items()), it)) for p in polys]
-    return lo, den, nums, sum(map(abs, ints))
+    nums = [[(e - lo, c) for e, c in p.items()] for p in polys]
+    return lo, nums, sum(abs(c) for p in polys for _, c in p.items())
 
 
 class TLElement:
@@ -193,18 +186,17 @@ class TLElement:
     def __mul__(self, other: "TLElement") -> "TLElement":
         """Stack other on top of self, over the product of the denominators.
 
-        Each factor's numerators are cleared with one lcm of their
-        denominators and packed by Kronecker substitution A -> 2^k
-        (``algebra._kron_pack``) from the factor's lowest exponent, one
-        digit per step of g in the exponent: g = 2 when every exponent
-        offset is even, as in every Jones-Wenzl projector, else 1.  The
-        walk data of each diagram is worked out once per product, so a
-        pair of diagrams costs one ``_walk`` and two int products: the
-        numerators, then delta^b for its b closed bubbles, pre-packed for
-        b = 0..n from the exponent -2n.  Each numerator of the product is
-        decoded once and divided by the two lcms with ``_div``.
+        Each factor's int numerators are packed by Kronecker substitution
+        A -> 2^k (``algebra._kron_pack``) from the factor's lowest
+        exponent, one digit per step of g in the exponent: g = 2 when
+        every exponent offset is even, as in every Jones-Wenzl projector,
+        else 1.  The walk data of each diagram is worked out once per
+        product, so a pair of diagrams costs one ``_walk`` and two int
+        products: the numerators, then delta^b for its b closed bubbles,
+        pre-packed for b = 0..n from the exponent -2n.  Each numerator of
+        the product is decoded once.
 
-        Digit width: with s and t the sums of the l1 norms of the cleared
+        Digit width: with s and t the sums of the l1 norms of the
         numerators of the two factors, an output coefficient is a sum of
         coefficients of products c c' delta^b, so its absolute value is at
         most s t 2^n (||delta^b||_1 = 2^b and b <= n).  k is two bits more
@@ -216,8 +208,8 @@ class TLElement:
         if self.n != other.n:
             raise ArityError(f"cannot compose on {self.n} and {other.n} strands")
         n = self.n
-        lo_a, den_a, nums_a, norm_a = _cleared_terms(self)
-        lo_b, den_b, nums_b, norm_b = _cleared_terms(other)
+        lo_a, nums_a, norm_a = _offset_terms(self)
+        lo_b, nums_b, norm_b = _offset_terms(other)
         k = (norm_a * norm_b << n).bit_length() + 2
         g = gcd(2, *(j for c in nums_a + nums_b for j, _ in c))
 
@@ -237,13 +229,11 @@ class TLElement:
                 pairs, bubbles = _walk(link, partner)
                 key = tuple(sorted(pairs + tops))
                 sums[key] = sums.get(key, 0) + u * v * deltas[bubbles]
-        lo, den = lo_a + lo_b - 2 * n, den_a * den_b
+        lo = lo_a + lo_b - 2 * n
         terms = {}
         for key, v in sums.items():
             digits = _kron_digits(v, k)
-            terms[TLDiagram(n, key)] = _poly(
-                {lo + g * j: _div(c, den) for j, c in enumerate(digits) if c}
-            )
+            terms[TLDiagram(n, key)] = _poly({lo + g * j: c for j, c in enumerate(digits) if c})
         return TLElement(n, terms, self.den * other.den)
 
     def closure(self) -> RatFunc:

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -13,6 +14,8 @@ from skeinlab.algebra import (
     EvalPoint,
     LaurentPoly,
     RatFunc,
+    _dense,
+    _exact_div,
     _reduce,
     cyclo_to_complex,
     delta_color,
@@ -72,15 +75,11 @@ def test_str_forms():
 def _random_poly(rng, max_terms=6, max_exp=10):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
-        terms[rng.randint(-max_exp, max_exp)] = Fraction(
-            rng.randint(-9, 9), rng.randint(1, 7)
-        )
+        terms[rng.randint(-max_exp, max_exp)] = rng.randint(-9, 9)
     return LaurentPoly(terms)
 
 
-small_coeffs = st.fractions(
-    min_value=-5, max_value=5, max_denominator=6
-).filter(lambda f: f != 0)
+small_coeffs = st.integers(min_value=-5, max_value=5).filter(lambda c: c != 0)
 
 polys = st.dictionaries(
     st.integers(min_value=-8, max_value=8), small_coeffs, max_size=5
@@ -200,14 +199,16 @@ def test_evaluation_is_ring_homomorphism():
 
 
 def test_evaluation_gives_ints_where_integral():
-    v = evaluate_at(LaurentPoly({0: Fraction(1, 2), 6: Fraction(1, 2)}), EvalPoint(1))
+    v = evaluate_at(RatFunc(LaurentPoly({0: 1, 6: 1}), 2), EvalPoint(1))
     assert v.coeffs == (1, 0)
     assert all(type(c) is int for c in v.coeffs)
     rng = random.Random(4099)
     for _ in range(300):
         f = _random_poly(rng)
         for d in (1, 2, 3):
-            v = evaluate_at(f, EvalPoint(d, rng.choice((1, -1))))
+            pt = EvalPoint(d, rng.choice((1, -1)))
+            assert all(type(c) is int for c in evaluate_at(f, pt).coeffs)
+            v = evaluate_at(RatFunc(f, rng.randint(1, 7)), pt)
             assert all(type(c) is int or c.denominator != 1 for c in v.coeffs)
 
 
@@ -249,7 +250,7 @@ def test_cyclo_inverse_roundtrip():
 
 def test_evaluate_ratfunc_with_denominator_one(monkeypatch):
     rng = random.Random(4711)
-    polys = [qi(5), delta_color(3), LaurentPoly.const(Fraction(3, 4))]
+    polys = [qi(5), delta_color(3), LaurentPoly.const(-4)]
     polys += [_random_poly(rng) for _ in range(30)]
 
     def no_inverse(self):
@@ -263,13 +264,12 @@ def test_evaluate_ratfunc_with_denominator_one(monkeypatch):
                 assert evaluate_at(RatFunc(p), pt) == evaluate_at(p, pt)
 
 
-# -- int coefficients, Fraction only where a denominator appears ---------------
+# -- int coefficients: Laurent polynomials over Z ------------------------------
 # Each operation is checked against a plain dict-of-Fraction computation.
 
 mixed_coeffs = st.one_of(
     st.integers(min_value=-9, max_value=9),
     st.integers(min_value=-9, max_value=9).map(Fraction),
-    st.fractions(min_value=-5, max_value=5, max_denominator=6),
 )
 mixed_terms = st.dictionaries(
     st.integers(min_value=-8, max_value=8), mixed_coeffs, max_size=5
@@ -283,16 +283,10 @@ def _frac(terms) -> dict:
     return {e: Fraction(c) for e, c in terms.items() if c}
 
 
-def _terms(p, normalized=True) -> dict:
-    """The terms of p as a dict, after checking that none is a float.
-
-    With ``normalized``, an integral coefficient must also be an int.
-    """
+def _terms(p) -> dict:
+    """The terms of p as a dict, after checking that each is an int."""
     out = dict(p.items())
-    for c in out.values():
-        assert type(c) in (int, Fraction)
-        if normalized:
-            assert type(c) is int or c.denominator != 1
+    assert all(type(c) is int for c in out.values())
     return out
 
 
@@ -321,15 +315,9 @@ def _ref_polydivmod(f, g):
     return quo, rem
 
 
-def _ref_divmod(f, g):
-    """LaurentPoly.__divmod__: divide after factoring out the lowest monomials."""
-    if not f:
-        return {}, {}
-    sf, sg = min(f), min(g)
-    quo, rem = _ref_polydivmod({e - sf: c for e, c in f.items()},
-                               {e - sg: c for e, c in g.items()})
-    return ({e + sf - sg: c for e, c in quo.items()},
-            {e + sf: c for e, c in rem.items()})
+def _ref_shifted(f) -> dict:
+    """f over its lowest monomial: an ordinary polynomial with f(0) != 0."""
+    return {e - min(f): c for e, c in f.items()}
 
 
 def _ref_monic(f) -> dict:
@@ -346,23 +334,48 @@ def _ref_gcd(f, g) -> dict:
     return _ref_monic(a)
 
 
+def _assert_primitive(p: LaurentPoly):
+    """Coprime int coefficients, positive leading one, nonzero constant term."""
+    assert p.min_exponent() == 0
+    assert p.coefficient(p.max_exponent()) > 0
+    assert math.gcd(*(c for _, c in p.items())) == 1
+
+
 @given(mixed_terms, mixed_terms)
 @settings(max_examples=300, deadline=None)
 def test_mixed_coefficients_match_fraction_reference(f_terms, g_terms):
     f, g = LaurentPoly(f_terms), LaurentPoly(g_terms)
     rf, rg = _frac(f_terms), _frac(g_terms)
     assert _terms(f) == rf
-    assert _terms(f + g, normalized=False) == _ref_add(rf, rg)
-    assert _terms(f - g, normalized=False) == _ref_add(rf, {e: -c for e, c in rg.items()})
-    assert _terms(f * g, normalized=False) == _ref_mul(rf, rg)
-    assert _terms(poly_gcd(f, g)) == _ref_gcd(rf, rg)
-    if rg:
-        q, r = divmod(f, g)
-        assert (_terms(q), _terms(r)) == _ref_divmod(rf, rg)
+    assert _terms(f + g) == _ref_add(rf, rg)
+    assert _terms(f - g) == _ref_add(rf, {e: -c for e, c in rg.items()})
+    assert _terms(f * g) == _ref_mul(rf, rg)
+    gcd = poly_gcd(f, g)
+    assert _ref_monic(_frac(_terms(gcd))) == _ref_gcd(rf, rg)
+    if rf or rg:
+        _assert_primitive(gcd)
+    if rf and rg:
+        # exact in Z[A] exactly when the Fraction quotient is integral
+        # and leaves no remainder
+        quo, rem = _ref_polydivmod(_ref_shifted(rf), _ref_shifted(rg))
+        if rem or any(c.denominator != 1 for c in quo.values()):
+            with pytest.raises(SkeinError):
+                _exact_div(_dense(f), _dense(g))
+        else:
+            q = _exact_div(_dense(f), _dense(g))
+            assert all(type(c) is int for c in q)
+            assert {j: c for j, c in enumerate(q) if c} == quo
+        prod = _ref_shifted(_ref_mul(rf, rg))
+        q = _exact_div(_dense(f * g), _dense(g))
+        assert {j: c for j, c in enumerate(q) if c} == _ref_polydivmod(prod, _ref_shifted(rg))[0]
         for e, c in rg.items():
             for n in range(1, 4):
-                mono = LaurentPoly({e: g_terms[e]}) ** -n
-                assert _terms(mono) == {-n * e: 1 / c**n}
+                mono = LaurentPoly({e: g_terms[e]})
+                if c in (1, -1):
+                    assert _terms(mono ** -n) == {-n * e: 1 / c**n}
+                else:
+                    with pytest.raises(ValueError, match="units"):
+                        mono ** -n
 
 
 @given(int_polys, int_polys)
@@ -370,8 +383,9 @@ def test_mixed_coefficients_match_fraction_reference(f_terms, g_terms):
 def test_integer_coefficients_stay_ints(f, g):
     for p in (f + g, f - g, f * g, -f, f ** 2):
         assert all(type(c) is int for _, c in p.items())
-    if not g.is_zero() and g.coefficient(g.max_exponent()) in (1, -1):
-        for p in divmod(f, g):
+    if not g.is_zero():
+        nums, den = _reduce([f, f * g], g)
+        for p in nums + [den, poly_gcd(f, g)]:
             assert all(type(c) is int for _, c in p.items())
 
 
@@ -393,17 +407,18 @@ def test_cyclotomic_poly_matches_reference():
 
 
 def _ref_cyclo_inverse(x: CycloNum) -> CycloNum:
-    """Extended Euclid over Fraction coefficients in the Laurent ring:
-    s x = r modulo the modulus, until r is a monomial, a unit whose
-    inverse is exact."""
-    r0 = LaurentPoly(_ref_cyclotomic(2 * (2 * x.d + 1)))
-    r1 = LaurentPoly(dict(enumerate(x.coeffs)))
-    s0, s1 = LaurentPoly.zero(), LaurentPoly.one()
-    while not r1.is_monomial():
-        q, r = divmod(r0, r1)
+    """Extended Euclid over Fraction coefficients on dicts: s x = r
+    modulo the modulus, until r is a nonzero constant, whose inverse is
+    exact."""
+    phi = _ref_cyclotomic(2 * (2 * x.d + 1))
+    r0, r1 = phi, _frac(dict(enumerate(x.coeffs)))
+    s0, s1 = {}, {0: Fraction(1)}
+    while max(r1) > 0:
+        q, r = _ref_polydivmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    return evaluate_at(s1 * r1**-1, EvalPoint(x.d))
+        s0, s1 = s1, _ref_add(s0, {e: -c for e, c in _ref_mul(q, s1).items()})
+    inv = _ref_polydivmod({e: c / r1[0] for e, c in s1.items()}, phi)[1]
+    return CycloNum(x.d, tuple(inv.get(j, Fraction(0)) for j in range(max(phi))))
 
 
 def _omega_sum(d: int) -> CycloNum:
@@ -551,13 +566,63 @@ def test_reduce_gives_the_canonical_quotient(nums, den):
     out_nums, out_den = _reduce(nums, den)
     assert len(out_nums) == len(nums)
     assert out_den.min_exponent() == 0
-    assert out_den.coefficient(out_den.max_exponent()) == 1
+    assert out_den.coefficient(out_den.max_exponent()) > 0
+    assert math.gcd(*(c for p in out_nums + [out_den] for _, c in p.items())) == 1
     g = _frac(dict(out_den.items()))
     for c in out_nums:
         g = _ref_gcd(g, _frac(dict(c.items())))
     assert g == {0: 1}
     for c, out in zip(nums, out_nums):
         assert out * den == c * out_den
+
+
+def test_laurent_coefficients_are_integers():
+    for c in (Fraction(1, 2), 0.5, "1"):
+        with pytest.raises(TypeError):
+            LaurentPoly({0: c})
+    with pytest.raises(TypeError):
+        one.scale(Fraction(1, 2))
+    with pytest.raises(TypeError):
+        A + Fraction(1, 2)
+    p = LaurentPoly({1: Fraction(6, 3), 0: Fraction(-4, 1)})
+    assert _terms(p) == {1: 2, 0: -4}
+
+
+def test_rational_constants_are_quotients():
+    half = RatFunc(Fraction(1, 2))
+    assert (half.num, half.den) == (one, LaurentPoly.const(2))
+    assert half + half == RatFunc.one()
+    assert RatFunc(Fraction(3, 4), Fraction(-3, 2)) == RatFunc(-1, 2) == Fraction(-1, 2)
+    assert half * 2 == 1 and 1 - half == half and 1 / half == 2
+    with pytest.raises(TypeError):
+        RatFunc(1.5)
+
+
+def test_negative_powers_only_of_units():
+    with pytest.raises(ValueError, match="units"):
+        (2 * A) ** -1
+    with pytest.raises(ValueError, match="units"):
+        (A + 1) ** -1
+    assert (-A**3) ** -2 == A**-6
+    assert (-A) ** -3 == -A**-3
+
+
+def test_exact_div_rejects_inexact_quotients():
+    assert _exact_div([-1, 0, 0, 1], [-1, 1]) == [1, 1, 1]
+    with pytest.raises(SkeinError, match="not an integer"):
+        _exact_div([1, 1], [1, 2])
+    with pytest.raises(SkeinError, match="leaves a remainder"):
+        _exact_div([1, 0, 1], [1, 1])
+    with pytest.raises(SkeinError, match="leaves a remainder"):
+        _exact_div([3], [1, 1])
+
+
+@pytest.mark.parametrize("value", [RatFunc.one(), CycloNum.one(2)], ids=["RatFunc", "CycloNum"])
+@pytest.mark.parametrize("operand", [1.5, "x"], ids=["float", "str"])
+@pytest.mark.parametrize("op", ["-", "/"])
+def test_reflected_operators_reject_foreign_operands(value, operand, op):
+    with pytest.raises(TypeError, match=r"^unsupported operand type\(s\)"):
+        operand - value if op == "-" else operand / value
 
 
 @pytest.mark.parametrize("n", range(7))
