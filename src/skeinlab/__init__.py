@@ -2,10 +2,11 @@
 
 The package is layered: ``algebra`` (Laurent polynomials, rational
 functions, cyclotomic numbers), ``diagrams`` (planar diagrams, links,
-one-pass cabling, where colour 0 deletes a component; ``splice`` is
-only a test reference, kept in ``diagrams`` because the benchmark's
-``diagrams.splice`` span looks it up there and refuses to start
-without it), ``tl``
+one-pass cabling, where colour 0 deletes a component, and the one
+integer form of a diagram that the bracket sweeps; ``splice``, which
+joins the chords of a matching at a site, is only a test reference,
+kept in ``diagrams`` because the benchmark's ``diagrams.splice`` span
+looks it up there and refuses to start without it), ``tl``
 (Temperley-Lieb elements, projectors and the strand walk), ``bracket``
 (state sum, one box sweep for plain and cabled diagrams, colored brackets
 of a ``FramedLink`` and one color per component), ``recoupling`` (closed-form

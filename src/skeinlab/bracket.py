@@ -11,25 +11,25 @@ A-exponent, and adds one exponent row times delta^loops per loop count.
 The one fast evaluator, ``bracket_tangle_sweep``, sweeps over boxes.  A
 box has legs (arc ids) and local states, each a perfect matching of the
 legs with a weight: a crossing is the 4-leg box A*(A-smoothing) +
-A^-1*(B-smoothing), and a width-w Jones-Wenzl projector is the 2w-leg box
-whose states are its terms, numerators over the projector's common
-denominator.  A diagram's ``sites`` say where its projectors sit: an arc
-site cuts w parallel arcs, and a loop site, w crossing-free parallel
-circles, is a box whose leg q shares one arc with leg 2w-1-q, so a
-projector's closure is one more box of the same sweep.  Taking the
-boxes in a greedy order, the sweep carries a weight for every way the
-processed part can connect the open arcs, so its cost is governed by the
-frontier width.  Each open arc holds a slot, which the box closing it
-frees for the next arc to open, and a frontier key is one int: a
-fixed-width bit field per slot holds the slot of the arc's partner.
-The update is local to the box: each leg leads on to another leg (an arc
-with both ends there, or two open arcs the state joins) or ends at an
-open arc, and the strand walk of ``tl`` over the leg pairs of each local
-state gives the new pairs and the number of closed loops.  Keys that
-agree on the fields of the slots a box closes share that walk, and a
-new key is the old one masked and or-ed with the new pairs, with no
-sort and no tuple.  Free loops multiply the result by the same binomial
-expansion of delta^k that weights the closed loops.
+A^-1*(B-smoothing), and a width-w Jones-Wenzl projector is the 2w-leg
+box whose states are its terms, numerators over the projector's common
+denominator.  ``diagrams._box_legs`` gives each projector site a box in
+TL point order: leg p of an arc site ends at the corner ``slots[p]``,
+and leg q of a loop site (w crossing-free circles) shares one arc with
+leg 2w-1-q, so a projector's closure is one more box of the same sweep.
+Taking the boxes in a greedy order, the sweep carries a weight for every
+way the processed part can connect the open arcs, so its cost is
+governed by the frontier width.  Each open arc holds a slot, which the
+box closing it frees for the next arc to open, and a frontier key is one
+int: a fixed-width bit field per slot holds the slot of the arc's
+partner.  The update is local to the box: each leg leads on to another
+leg (an arc with both ends there, or two open arcs the state joins) or
+ends at an open arc, and the strand walk of ``tl`` over the leg pairs of
+each local state gives the new pairs and the number of closed loops.
+Keys that agree on the fields of the slots a box closes share that walk,
+and a new key is the old one masked and or-ed with the new pairs, with
+no sort and no tuple.  Free loops multiply the result by the same
+binomial expansion of delta^k that weights the closed loops.
 
 A weight is packed by Kronecker substitution.  The A-exponents of all
 contributions to one frontier key lie in one residue class mod 4: a
@@ -52,8 +52,8 @@ one box, so L is half of that, rounded up.  The result is decoded
 once, as balanced base-2^k digits.  Packing and decoding are the
 Kronecker kernel of ``algebra`` (``_kron_pack``, ``_kron_digits``) that
 the Temperley-Lieb and cyclotomic products share; the stride-4 exponent
-map stays here.  A contribution off its key's residue, or a box
-coefficient that is not an integer, raises ``SkeinError``.
+map stays here.  A contribution off its key's residue raises
+``SkeinError``.
 
 ``bracket`` memoizes the sweep of a diagram passed to it in
 ``_sweep_memo``, keyed by the canonical form of the diagram and its
@@ -92,7 +92,18 @@ from .algebra import (
     evaluate_at,
     loop_weight,
 )
-from .diagrams import NE, NW, OVER_SLASH, SE, SW, PlanarDiagram, cable, canonical_form
+from .diagrams import (
+    NE,
+    NW,
+    OVER_SLASH,
+    SE,
+    SW,
+    PlanarDiagram,
+    _arc_numbers,
+    _box_legs,
+    cable,
+    canonical_form,
+)
 from .errors import (
     ArityError,
     ColorRangeError,
@@ -143,13 +154,12 @@ def bracket_state_sum(diag: PlanarDiagram) -> LaurentPoly:
             f"{diag.free_loops} free loops exceeds the cap of {FREE_LOOP_CAP}"
         )
     delta = loop_weight()
-    label: dict = {}
-    joins = []  # joins[ci][s]: the two (arc, arc) joins of smoothing s
-    for c in diag.crossings:
-        arc = [label.setdefault(c[k], len(label)) for k in (NW, NE, SW, SE)]
-        joins.append([[(arc[x], arc[y]) for x, y in pairs] for pairs in _SMOOTHINGS[c.over]])
+    names = _arc_numbers(diag)
+    # joins[ci][s]: the two (arc, arc) joins of smoothing s
+    joins = [[[(names[c[x]], names[c[y]]) for x, y in pairs] for pairs in _SMOOTHINGS[c.over]]
+             for c in diag.crossings]
     counts: dict = {}  # loops -> {A-exponent: states}
-    stack = [(0, list(range(len(label))), len(label), 0)]
+    stack = [(0, list(range(len(names))), len(names), 0)]
     while stack:
         i, parent, loops, exponent = stack.pop()
         if i == n:
@@ -220,7 +230,7 @@ def _sweep(legs, states, order) -> dict:
     closing = sum(map(len, legs)) // 2 + sum(len(box) - len(set(box)) for box in legs)
     bound = 2 ** -(-closing // 2)
     for box_states in states:
-        bound *= sum(abs(_integral(c)) for _, w in box_states for _, c in w) or 1
+        bound *= sum(abs(c) for _, w in box_states for _, c in w) or 1
     k = bound.bit_length() + 2
     slot_of: dict = {}  # open arc -> its slot
     free, plan = [], []
@@ -293,20 +303,13 @@ def _sweep(legs, states, order) -> dict:
     return _unpack(*result.get(0, (0, 0)), k)
 
 
-def _integral(c) -> int:
-    """A box coefficient as an int: packed weights hold integers only."""
-    if getattr(c, "denominator", 1) != 1:
-        raise SkeinError(f"box weight coefficient {c} is not an integer")
-    return int(c)
-
-
 def _pack(terms, slot: int) -> tuple:
     """(exponent, int) terms of one residue mod 4 as (e0, V)."""
     e0 = min((e for e, _ in terms), default=0)
     for e, _ in terms:
         if (e - e0) % 4:
             raise SkeinError(f"box weight mixes exponents {e0} and {e} mod 4")
-    return e0, _kron_pack((((e - e0) // 4, _integral(c)) for e, c in terms), slot)
+    return e0, _kron_pack((((e - e0) // 4, c) for e, c in terms), slot)
 
 
 def _unpack(e0: int, value: int, slot: int) -> dict:
@@ -322,34 +325,6 @@ def _times_loops(weight: tuple, loops: int) -> list:
         for e, c in weight:
             out[e + shift] = out.get(e + shift, 0) + binom * c
     return list(out.items())
-
-
-def _box_legs(diag: PlanarDiagram) -> list:
-    """Int arc ids at the legs of each box: the (nw, ne, sw, se) corners
-    of every crossing, then one box per site.
-
-    The q-th cut arc of an arc site splits into an in-half, from
-    ``site.in_slots[q]`` to leg q of the site's box, and an out-half, from
-    ``site.out_slots[q]`` to leg 2w-1-q: the point order of a TL diagram.
-    Circle q of a loop site is one arc from leg q to leg 2w-1-q.
-    """
-    label: dict = {}
-    legs = [[label.setdefault(c[k], len(label)) for k in (NW, NE, SW, SE)]
-            for c in diag.crossings]
-    fresh = len(label)
-    for site in diag.sites:
-        w = site.width
-        box = [0] * (2 * w)
-        for q in range(w):
-            if site.kind == "loop":
-                box[q] = box[2 * w - 1 - q] = fresh
-                fresh += 1
-            else:
-                for (ci, corner), k in ((site.in_slots[q], q), (site.out_slots[q], 2 * w - 1 - q)):
-                    legs[ci][corner] = box[k] = fresh
-                    fresh += 1
-        legs.append(box)
-    return legs
 
 
 def bracket_tangle_sweep(diag: PlanarDiagram) -> LaurentPoly:
@@ -386,7 +361,7 @@ def bracket(diag: PlanarDiagram) -> LaurentPoly:
     lookups on the colored sublink.
     """
     key = (canonical_form(diag),
-           tuple((s.kind, s.width, s.in_slots, s.out_slots) for s in diag.sites))
+           tuple((s.kind, s.width, s.slots) for s in diag.sites))
     hit = _sweep_memo.get(key)
     if hit is None:
         hit = _sweep_memo[key] = bracket_tangle_sweep(diag)

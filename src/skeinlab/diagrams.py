@@ -43,7 +43,10 @@ Each surviving component gets one site.  One that reaches a grid corner
 gets an arc site, cut at the first grid corner it reaches in (crossing,
 nw, ne, sw, se) order; arc sites come in the order of their cuts.  Loop
 sites follow, in component order, for the surviving components that
-reach no grid corner.
+reach no grid corner.  A site's slots follow the point order of a TL
+diagram, so ``_box_legs`` (the sweep's boxes) and ``splice`` read a
+projector term's matching straight off it.  ``_arc_numbers`` is the one
+integer numbering of the arcs, by first occurrence.
 
 The colored bracket of a link depends only on its sublink on the
 nonzero colors, ``cable`` at width 1 there and 0 elsewhere, and
@@ -103,18 +106,17 @@ class Crossing(NamedTuple):
 
 @dataclass(frozen=True)
 class Site:
-    """A marked transversal cut through one cabled component.
+    """A marked transversal cut through one cabled component of width w.
 
-    For an ``arc`` site, ``in_slots[q]`` / ``out_slots[q]`` are the
-    crossing slots at the two ends of the q-th parallel arc at the cut.
-    A ``loop`` site marks a bundle of crossing-free circles, for which
-    the strands have no slots at all.
+    For an ``arc`` site, ``slots[q]`` (q < w) is copy q's slot at the
+    cut corner and ``slots[2w-1-q]`` the other end of that copy's arc:
+    TL point order.  A ``loop`` site marks w crossing-free circles and
+    has no slots.
     """
 
     kind: str  # "arc" | "loop"
     width: int
-    in_slots: tuple = ()
-    out_slots: tuple = ()
+    slots: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -399,23 +401,23 @@ def _walk_code(crossings, mate, strands, start: int, turn: int) -> tuple:
     return tuple(code), tuple(comps), order
 
 
-# -- canonical form -----------------------------------------------------------
+# -- arc numbers and the canonical form ----------------------------------------
+
+
+def _arc_numbers(diag: PlanarDiagram) -> dict:
+    """Each arc label -> an int, by first occurrence over the corners."""
+    names: dict = {}
+    for c in diag.crossings:
+        for a in c[:4]:
+            names.setdefault(a, len(names))
+    return names
 
 
 def canonical_form(diag: PlanarDiagram):
     """Structure key invariant under arc relabeling (crossing order kept)."""
-    names: dict = {}
-    rows = []
-    for c in diag.crossings:
-        row = []
-        for corner in (NW, NE, SW, SE):
-            a = c[corner]
-            if a not in names:
-                names[a] = len(names)
-            row.append(names[a])
-        row.append(c.over)
-        rows.append(tuple(row))
-    return tuple(rows), diag.free_loops
+    names = _arc_numbers(diag)
+    rows = tuple(tuple(names[a] for a in c[:4]) + (c.over,) for c in diag.crossings)
+    return rows, diag.free_loops
 
 
 # -- fixtures ----------------------------------------------------------------
@@ -625,100 +627,65 @@ def cable(link: FramedLink, widths) -> PlanarDiagram:
             cut.add(k)
             ins = tuple(end(ci, corner, q) for q in range(widths[k]))
             outs = tuple(next(s for s in slots[crossings[g][x]] if s != (g, x)) for g, x in ins)
-            sites.append(Site(kind="arc", width=widths[k], in_slots=ins, out_slots=outs))
+            sites.append(Site(kind="arc", width=widths[k], slots=ins + outs[::-1]))
     loops = [w for k, w in enumerate(widths) if w and k not in cut]
     sites += [Site(kind="loop", width=w) for w in loops]
     return PlanarDiagram(crossings, sum(loops), tuple(sites))
 
 
-# -- splicing a matching into a site ------------------------------------------
+# -- boxes and splices at the sites ---------------------------------------------
+
+
+def _box_legs(diag: PlanarDiagram) -> list:
+    """Int arc ids at the legs of each box: the (nw, ne, sw, se) corners
+    of every crossing, then one box of 2w legs per site.
+
+    Leg p of an arc site's box is a fresh arc that ends at ``slots[p]``,
+    so each cut arc splits into two halves.  Circle q of a loop site is
+    one fresh arc from leg q to leg 2w-1-q.
+    """
+    names = _arc_numbers(diag)
+    legs = [[names[a] for a in c[:4]] for c in diag.crossings]
+    fresh = len(names)
+    for site in diag.sites:
+        w = site.width
+        if site.kind == "loop":
+            legs.append([fresh + min(p, 2 * w - 1 - p) for p in range(2 * w)])
+            fresh += w
+        else:
+            legs.append(list(range(fresh, fresh + 2 * w)))
+            for p, (ci, corner) in enumerate(site.slots):
+                legs[ci][corner] = fresh + p
+            fresh += 2 * w
+    return legs
 
 
 def splice(diag: PlanarDiagram, assignments) -> PlanarDiagram:
     """Replace each cut of ``assignments`` by a crossingless matching.
 
-    ``assignments`` is a list of (site, pairs) where ``pairs`` is a
-    perfect matching on the tokens ("in", q) / ("out", q), q < width.
-    Matching ("in", q) with ("out", q) for all q restores the uncut
-    diagram.  Circles formed entirely at the cuts become free loops.
-    ``colored_bracket`` sweeps the projectors as boxes instead; splicing
-    every projector term is the slow reference it is tested against.
+    ``assignments`` lists (site, pairs), ``pairs`` a TL matching of the
+    site's 2w points (``TLDiagram.pairs``); the identity restores the
+    uncut diagram.  At an arc site each chord joins its two slots by one
+    new arc; at a loop site the chords and the circles q -- 2w-1-q close
+    into free loops.  ``colored_bracket`` sweeps the projectors as boxes
+    instead; splicing every projector term is its slow reference.
     """
-    adj: dict = {}
-    terminal: dict = {}
-
-    def add_edge(x, y):
-        adj.setdefault(x, []).append(y)
-        adj.setdefault(y, []).append(x)
-
+    rows = [list(c[:4]) for c in diag.crossings]
     free = diag.free_loops
-    cut_arcs = set()
-    for s_index, (site, pairs) in enumerate(assignments):
-        for q in range(site.width):
-            if site.kind == "arc":
-                ci, corner = site.in_slots[q]
-                cut_arcs.add(diag.crossings[ci][corner])
-                terminal[("end", s_index, "in", q)] = site.in_slots[q]
-                terminal[("end", s_index, "out", q)] = site.out_slots[q]
-                add_edge(("in", s_index, q), ("end", s_index, "in", q))
-                add_edge(("out", s_index, q), ("end", s_index, "out", q))
-            else:
-                free -= 1
-                add_edge(("in", s_index, q), ("out", s_index, q))
-        for (ta, qa), (tb, qb) in pairs:
-            add_edge((ta, s_index, qa), (tb, s_index, qb))
-
-    relabel: dict = {}
-    visited = set()
-    counter = 0
-    for node in list(adj):
-        if node in visited or node[0] != "end":
+    for i, (site, pairs) in enumerate(assignments):
+        if site.kind == "arc":
+            for j, chord in enumerate(pairs):
+                for p in chord:
+                    ci, corner = site.slots[p]
+                    rows[ci][corner] = ("spliced", i, j)
             continue
-        # walk the path from one terminal to the other
-        path = [node]
-        visited.add(node)
-        cur, prev = node, None
-        while True:
-            nxts = [x for x in adj[cur] if x != prev]
-            if not nxts:
-                break
-            prev, cur = cur, nxts[0]
-            if cur in visited:
-                break
-            visited.add(cur)
-            path.append(cur)
-        new_arc = ("spliced", counter)
-        counter += 1
-        relabel[terminal[path[0]]] = new_arc
-        relabel[terminal[path[-1]]] = new_arc
-    for node in adj:
-        if node not in visited and node[0] != "end":
-            # a cycle living entirely at the cuts
-            cyc = [node]
-            visited.add(node)
-            cur, prev = node, None
-            while True:
-                nxts = [x for x in adj[cur] if x != prev]
-                if not nxts or nxts[0] == cyc[0]:
-                    break
-                prev, cur = cur, nxts[0]
-                if cur in visited:
-                    break
-                visited.add(cur)
-                cyc.append(cur)
-            free += 1
-
-    out = []
-    for ci, c in enumerate(diag.crossings):
-        fields = []
-        for corner in (NW, NE, SW, SE):
-            a = c[corner]
-            if a in cut_arcs:
-                fields.append(relabel[(ci, corner)])
-            else:
-                fields.append(a)
-        out.append(Crossing(*fields, c.over))
-    return PlanarDiagram(tuple(out), free)
+        w = site.width
+        parent: dict = {}
+        for a, b in [*pairs, *((q, 2 * w - 1 - q) for q in range(w))]:
+            parent[_find(parent, a)] = _find(parent, b)
+        free += len({_find(parent, p) for p in range(2 * w)}) - w
+    out = tuple(Crossing(*row, c.over) for row, c in zip(rows, diag.crossings))
+    return PlanarDiagram(out, free)
 
 
 # -- JSON serialization -------------------------------------------------------
@@ -727,16 +694,9 @@ def splice(diag: PlanarDiagram, assignments) -> PlanarDiagram:
 def link_to_json(link: FramedLink, colors=None) -> str:
     """Serialize with integer arc labels and a stable key order."""
     diag = link.diagram
-    names: dict = {}
-    for c in diag.crossings:
-        for corner in (NW, NE, SW, SE):
-            if c[corner] not in names:
-                names[c[corner]] = len(names)
+    names = _arc_numbers(diag)
     payload = {
-        "crossings": [
-            [names[c.nw], names[c.ne], names[c.sw], names[c.se], c.over]
-            for c in diag.crossings
-        ],
+        "crossings": [[names[a] for a in c[:4]] + [c.over] for c in diag.crossings],
         "free_loops": diag.free_loops,
         "components": [[names[a] for a in comp] for comp in link.components if comp],
     }

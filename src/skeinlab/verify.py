@@ -11,8 +11,11 @@ anchor, expected, got, status), so each id and anchor is written once
 and the report is diffable byte for byte.
 
 A window narrows the level range of the checks that run over levels.
-The checks that do not, oracle-sweep, jw-projectors, colored-closed-forms
-and hopf-meridian-poly, ignore it and run in full under every window.
+A check whose range meets the window in no level (in fewer than two for
+independence, which compares pairs) is SKIPPED, and its expected field
+names its range and the window.  The checks that do not run over levels,
+oracle-sweep, jw-projectors, colored-closed-forms and hopf-meridian-poly,
+ignore the window and run in full under every window.
 """
 
 from __future__ import annotations
@@ -59,25 +62,38 @@ ORACLE_SAMPLES = 500
 ORACLE_SEED = 20250807
 
 
-def _window_range(window, lo: int, hi: int) -> range:
+class _OutsideWindow(Exception):
+    """A check's levels meet the window in too few levels to test."""
+
+
+def _window_range(window, lo: int, hi: int, least: int = 1) -> range:
+    """Levels lo..hi in the window; raises ``_OutsideWindow`` below ``least``."""
     if window is None:
         return range(lo, hi + 1)
     a, b = window
-    return range(max(lo, a), min(hi, b) + 1)
+    ds = range(max(lo, a), min(hi, b) + 1)
+    if len(ds) < least:
+        raise _OutsideWindow(f"skipped: levels {lo}..{hi} meet the window {a}..{b} "
+                             f"in {len(ds)} level(s)")
+    return ds
 
 
 def _check(check_id: str, anchor: str):
     """Register a check's id and anchor once.
 
     The decorated function returns ``(expected, got)``, or
-    ``(expected, got, "SKIPPED")`` when it cannot run in this mode; the
-    wrapper returns its record (id, anchor, expected, got, status), with
-    status PASS iff ``expected == got``.
+    ``(expected, got, "SKIPPED")`` when it cannot run in this mode, and
+    is SKIPPED too when its levels miss the window; the wrapper returns
+    its record (id, anchor, expected, got, status), with status PASS iff
+    ``expected == got``.
     """
     def wrap(fn):
         @functools.wraps(fn)
         def run(*args, **kwargs) -> dict:
-            expected, got, *skipped = fn(*args, **kwargs)
+            try:
+                expected, got, *skipped = fn(*args, **kwargs)
+            except _OutsideWindow as exc:
+                expected, got, skipped = str(exc), "outside the window", ["SKIPPED"]
             status = skipped[0] if skipped else "PASS" if expected == got else "FAIL"
             return {
                 "id": check_id,
@@ -139,7 +155,7 @@ def check_hopf_meridian_poly(window):
 
 @_check("torus-pipeline", "full surgery pipeline vs series")
 def check_torus_pipeline(window, mode: str):
-    ds = [d for d in _window_range(window, 2, 3)]
+    ds = list(_window_range(window, 2, 3))
     expected = (
         f"surgery value = meridian series for a in 0..2, d in {ds}, both signs"
     )
@@ -223,8 +239,8 @@ def check_mobius_values(window):
 
 @_check("independence", "2x2 independence certificates")
 def check_independence(window):
-    ds = list(_window_range(window, 1, 20))
-    expected = f"det = d2-d1 != 0 for all pairs in {ds[0]}..{ds[-1]}" if ds else "no pairs"
+    ds = list(_window_range(window, 1, 20, least=2))
+    expected = f"det = d2-d1 != 0 for all pairs in {ds[0]}..{ds[-1]}"
     for i, d1 in enumerate(ds):
         for d2 in ds[i + 1:]:
             det, independent = independence_certificate(d1, d2)

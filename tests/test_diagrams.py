@@ -1,7 +1,6 @@
 from itertools import product
 
 import pytest
-from test_bracket import _site_tokens
 
 from skeinlab.diagrams import (
     OVER_BACK,
@@ -18,6 +17,7 @@ from skeinlab.diagrams import (
     link_from_json,
     link_to_json,
     linking_and_signature,
+    splice,
     unknot_fixture,
 )
 from skeinlab.errors import ArcCountError, NotPlanarError
@@ -248,15 +248,18 @@ def test_cable_sites_cover_components(borromean):
 
 
 def test_splice_identity_restores_cable(hopf):
-    from skeinlab.diagrams import splice
-
-    cabled = cable(hopf, [2, 2])
-    assignments = [
-        (site, _site_tokens(identity(site.width))) for site in cabled.sites
-    ]
-    plain = splice(cabled, assignments)
-    FramedLink(plain)
-    assert canonical_form(plain) == canonical_form(cabled)
+    # the Hopf link at (2, 2), every torus coloring with colors <= 2, and
+    # the round unknot at 3, a loop site; the canonical form holds the
+    # crossings and the free-loop count
+    cases = [(hopf, [2, 2]), (unknot_fixture(0), [3])]
+    for a in range(3):
+        link = _torus_presentation(a).link
+        cases += [(link, list(c)) for c in product(range(3), repeat=link.n_components)]
+    for link, colors in cases:
+        cabled = cable(link, colors)
+        plain = splice(cabled, [(site, identity(site.width).pairs) for site in cabled.sites])
+        FramedLink(plain)
+        assert canonical_form(plain) == canonical_form(cabled)
 
 
 def test_json_round_trip(borromean, hopf, unknot):
@@ -265,6 +268,38 @@ def test_json_round_trip(borromean, hopf, unknot):
         back, colors = link_from_json(text)
         assert colors is None
         assert canonical_form(back.diagram) == canonical_form(link.diagram)
+
+
+def test_json_text_is_pinned(hopf):
+    assert link_to_json(hopf) == """{
+  "crossings": [
+    [
+      0,
+      1,
+      2,
+      3,
+      0
+    ],
+    [
+      2,
+      3,
+      0,
+      1,
+      0
+    ]
+  ],
+  "free_loops": 0,
+  "components": [
+    [
+      0,
+      3
+    ],
+    [
+      1,
+      2
+    ]
+  ]
+}"""
 
 
 def test_json_keeps_colors(hopf):

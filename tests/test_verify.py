@@ -54,6 +54,19 @@ def test_build_report_counts():
     assert report["checks"] is records
 
 
+def test_checks_outside_the_window_are_skipped():
+    records = {r["id"]: r for r in run_checks(window=(60, 61), mode="float")}
+    skipped = {"series-one", "series-dims", "torus-pipeline", "s1xs2",
+               "eta-normalization", "recoloring", "independence"}
+    assert {i for i, r in records.items() if r["status"] == "SKIPPED"} == skipped
+    assert {r["status"] for i, r in records.items() if i not in skipped} == {"PASS"}
+    assert records["series-one"]["expected"] == (
+        "skipped: levels 1..50 meet the window 60..61 in 0 level(s)")
+    assert records["independence"]["expected"] == (
+        "skipped: levels 1..20 meet the window 60..61 in 0 level(s)")
+    assert check_independence((20, 25))["status"] == "SKIPPED"
+
+
 def test_registry_runs_clean():
     records = run_checks(window=(1, 2), mode="float")
     ids = [r["id"] for r in records]
