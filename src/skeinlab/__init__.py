@@ -4,15 +4,17 @@ The package is layered: ``algebra`` (Laurent polynomials, rational
 functions, cyclotomic numbers), ``diagrams`` (planar diagrams, links,
 one-pass cabling, where colour 0 deletes a component, and the one
 integer form of a diagram that the bracket sweeps; ``splice``, which
-joins the chords of a matching at a site, is only a test reference,
-kept in ``diagrams`` because the benchmark's ``diagrams.splice`` span
-looks it up there and refuses to start without it), ``tl``
+joins the chords of a matching at a site, and ``canonical_form`` serve
+only the tests, kept in ``diagrams`` because the benchmark's
+``diagrams.splice`` and ``diagrams.canonical_form`` spans look them up
+there and refuse to start without them), ``tl``
 (Temperley-Lieb elements, projectors and the strand walk), ``bracket``
 (state sum, one box sweep for plain and cabled diagrams, colored brackets
 of a ``FramedLink`` and one color per component), ``recoupling`` (closed-form
 colored-unknot data), ``wrt`` (surgery invariants and d-sweeps), with
-``verify``/``cli`` on top.  The memoized ``bracket.bracket`` is not
-re-exported, so ``skeinlab.bracket`` is the submodule.
+``verify``/``cli`` on top.  ``bracket.bracket``, the unmemoized sweep
+that the ``bracket`` command calls, is not re-exported, so
+``skeinlab.bracket`` is the submodule.
 """
 
 from .algebra import (

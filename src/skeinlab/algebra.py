@@ -19,9 +19,12 @@ an integral one is an ``int``, and every true division goes through
 * ``CycloNum`` -- residues modulo the 2(2d+1)-th cyclotomic polynomial,
   i.e. exact elements of Q(zeta) for zeta = exp(i*pi/(2d+1)).  The two
   evaluation points of level d differ by zeta -> 1/zeta and therefore
-  share a single field.  A product clears each operand's denominators
-  with one lcm, multiplies and reduces in ints and divides once, so its
-  coefficients come back as ints wherever they are integral.
+  share a single field.
+
+The three share one set of operators: ``_Ring`` defines +, - and *, with
+their reflected forms, from each class's ``_coerce``, ``_add``, ``_mul``
+and ``__neg__``, ``_Field`` adds / from ``_div``, and ``_operator`` is
+the one coercing preamble of them all and of ``==``.
 
 One Kronecker kernel serves the packed products of the package:
 ``_kron_pack`` substitutes A -> 2^k into an integer coefficient list, and
@@ -187,7 +190,40 @@ def _prs(r0: list, r1: list, s1: list = ()) -> tuple:
         r0, s0, r1, s1 = r1, s1, r, s
 
 
-class LaurentPoly:
+def _operator(fn, reflected: bool = False):
+    """fn(self, other), or fn(other, self) when reflected, on ``other``
+    coerced by the class's ``_coerce``: NotImplemented for an operand it
+    does not take, so Python tries the other operand, then TypeError."""
+
+    def op(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return fn(other, self) if reflected else fn(self, other)
+
+    return op
+
+
+class _Ring:
+    """+, - and * and their reflected forms from ``_coerce``, ``_add``,
+    ``_mul`` and ``__neg__``; a sum or product is its own reflection."""
+
+    __slots__ = ()
+    __add__ = __radd__ = _operator(lambda a, b: a._add(b))
+    __sub__ = _operator(lambda a, b: a._add(-b))
+    __rsub__ = _operator(lambda a, b: a._add(-b), reflected=True)
+    __mul__ = __rmul__ = _operator(lambda a, b: a._mul(b))
+
+
+class _Field(_Ring):
+    """A ring with / and its reflected form from a subclass's ``_div``."""
+
+    __slots__ = ()
+    __truediv__ = _operator(lambda a, b: a._div(b))
+    __rtruediv__ = _operator(lambda a, b: a._div(b), reflected=True)
+
+
+class LaurentPoly(_Ring):
     """A sparse Laurent polynomial in one variable A over Z.
 
     Coefficients are ints: an integral Fraction becomes its int, and any
@@ -266,10 +302,15 @@ class LaurentPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other) -> "LaurentPoly":
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
+    @staticmethod
+    def _coerce(x):
+        if isinstance(x, LaurentPoly):
+            return x
+        if isinstance(x, int):
+            return LaurentPoly.const(x)
+        return NotImplemented
+
+    def _add(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self._terms)
         for e, c in other._terms.items():
             s = out.get(e, 0) + c
@@ -279,27 +320,10 @@ class LaurentPoly:
                 out.pop(e, None)
         return _poly(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "LaurentPoly":
         return _poly({e: -c for e, c in self._terms.items()})
 
-    def __sub__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> "LaurentPoly":
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _mul(self, other: "LaurentPoly") -> "LaurentPoly":
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
@@ -313,8 +337,6 @@ class LaurentPoly:
                 else:
                     out.pop(e, None)
         return _poly(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if not isinstance(n, int):
@@ -333,16 +355,9 @@ class LaurentPoly:
             n >>= 1
         return out
 
-    def scale(self, c: int) -> "LaurentPoly":
-        return self * c
-
     # -- comparison / hashing ----------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._terms == other._terms
+    __eq__ = _operator(lambda a, b: a._terms == b._terms)
 
     def __hash__(self):
         if self._hash is None:
@@ -376,14 +391,6 @@ def _format_terms(terms: dict, var: str) -> str:
         else:
             parts.append(f" + {body}" if c > 0 else f" - {body}")
     return "".join(parts) or "0"
-
-
-def _coerce_poly(x):
-    if isinstance(x, LaurentPoly):
-        return x
-    if isinstance(x, int):
-        return LaurentPoly.const(x)
-    return NotImplemented
 
 
 def _poly(terms: dict) -> LaurentPoly:
@@ -495,7 +502,7 @@ def loop_weight() -> LaurentPoly:
     return LaurentPoly({2: -1, -2: -1})
 
 
-class RatFunc:
+class RatFunc(_Field):
     """A quotient of Laurent polynomials in the canonical form of
     ``_reduce``, so two equal rational functions have identical fields.
     A ``Fraction`` p/q, as numerator or denominator, enters as p / q.
@@ -513,7 +520,7 @@ class RatFunc:
             num, den = num.numerator, den * num.denominator
         if isinstance(den, Fraction):
             num, den = num * den.denominator, den.numerator
-        num, den = _coerce_poly(num), _coerce_poly(den)
+        num, den = LaurentPoly._coerce(num), LaurentPoly._coerce(den)
         if num is NotImplemented or den is NotImplemented:
             raise TypeError("a rational function is a quotient of Laurent polynomials")
         if den.is_zero():
@@ -536,56 +543,29 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def __add__(self, other):
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+    @staticmethod
+    def _coerce(x):
+        if isinstance(x, RatFunc):
+            return x
+        if isinstance(x, (LaurentPoly, int, Fraction)):
+            return RatFunc(x)
+        return NotImplemented
 
-    __radd__ = __add__
+    def _add(self, other: "RatFunc") -> "RatFunc":
+        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __neg__(self):
         return RatFunc(-self.num, self.den)
 
-    def __sub__(self, other):
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _mul(self, other: "RatFunc") -> "RatFunc":
         return RatFunc(self.num * other.num, self.den * other.den)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _div(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero():
             raise ZeroDenominatorError("division of rational functions by zero")
         return RatFunc(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __eq__(self, other) -> bool:
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+    __eq__ = _operator(lambda a, b: a.num == b.num and a.den == b.den)
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -597,14 +577,6 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc{self}"
-
-
-def _coerce_rat(x):
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, (LaurentPoly, int, Fraction)):
-        return RatFunc(x)
-    return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -709,7 +681,7 @@ _SCHOOLBOOK_DEGREE = 8
 
 
 @dataclass(frozen=True)
-class CycloNum:
+class CycloNum(_Field):
     """An exact element of Q(zeta), zeta = exp(i*pi/(2d+1)).
 
     Stored as the coefficient tuple of the canonical residue modulo the
@@ -745,10 +717,6 @@ class CycloNum:
             vec[j] = c
         return CycloNum(d, tuple(vec))
 
-    def _check(self, other: "CycloNum"):
-        if self.d != other.d:
-            raise ValueError("cannot mix cyclotomic numbers of different levels")
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
@@ -761,31 +729,22 @@ class CycloNum:
             return None
         return self.coeffs[0]
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check(other)
-        return CycloNum(self.d, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+    def _coerce(self, x):
+        if isinstance(x, CycloNum):
+            if x.d != self.d:
+                raise ValueError("cannot mix cyclotomic numbers of different levels")
+            return x
+        if isinstance(x, (int, Fraction)):
+            return CycloNum.from_rational(self.d, x)
+        return NotImplemented
 
-    __radd__ = __add__
+    def _add(self, other: "CycloNum") -> "CycloNum":
+        return CycloNum(self.d, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
         return CycloNum(self.d, tuple(-a for a in self.coeffs))
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
+    def _mul(self, other: "CycloNum") -> "CycloNum":
         """The product, reduced with the rows of ``_field_data``.
 
         Each operand with a Fraction is cleared with one lcm of its
@@ -795,10 +754,6 @@ class CycloNum:
         its 2m-1 coefficients is a sum of at most m products, so
         max|a| max|b| m bounds it and sets the digit width.
         """
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check(other)
         m, rows = _field_data(self.d)
         a, b, den = self.coeffs, other.coeffs, 1
         if type(sum(a + b)) is not int:  # a Fraction among them
@@ -823,7 +778,9 @@ class CycloNum:
                     out[j] += c * r
         return CycloNum(self.d, tuple(out) if den == 1 else tuple(_div(c, den) for c in out))
 
-    __rmul__ = __mul__
+    # not _Ring's shared object: the span that perfbench/spans.py puts on
+    # CycloNum.__mul__ then counts the cyclotomic products only
+    __mul__ = __rmul__ = _operator(_mul)
 
     def inverse(self) -> "CycloNum":
         """The inverse, from the int remainder sequence (``_prs``) of the
@@ -845,25 +802,8 @@ class CycloNum:
         c = r[0]
         return CycloNum(self.d, tuple(_div(den * x, c) for x in s) + (0,) * (len(mod) - 1 - len(s)))
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check(other)
+    def _div(self, other: "CycloNum") -> "CycloNum":
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def _coerce(self, x):
-        if isinstance(x, CycloNum):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return CycloNum.from_rational(self.d, x)
-        return NotImplemented
 
     def __str__(self) -> str:
         r = self.as_rational()

@@ -55,11 +55,11 @@ the Temperley-Lieb and cyclotomic products share; the stride-4 exponent
 map stays here.  A contribution off its key's residue raises
 ``SkeinError``.
 
-``bracket`` memoizes the sweep of a diagram passed to it in
-``_sweep_memo``, keyed by the canonical form of the diagram and its
-projector sites.  ``colored_bracket`` evaluates a link whose components
-carry natural number colors: color n means n parallel blackboard
-push-offs through the n-strand projector.  It looks the numerator up in
+``bracket`` is ``bracket_tangle_sweep`` with no memo, kept under its
+own name because the benchmark's ``bracket.bracket`` span binds it.
+``colored_bracket`` evaluates a link whose components carry natural
+number colors: color n means n parallel blackboard push-offs through
+the n-strand projector.  It looks the numerator up in
 ``_sweep_memo`` under the key of ``FramedLink.orbit``, one key for every
 coloring, of any link, whose sublink on the nonzero colors is the same
 up to an orientation-preserving map of the sphere, and only on a miss
@@ -102,7 +102,6 @@ from .diagrams import (
     _arc_numbers,
     _box_legs,
     cable,
-    canonical_form,
 )
 from .errors import (
     ArityError,
@@ -350,22 +349,13 @@ def bracket_tangle_sweep(diag: PlanarDiagram) -> LaurentPoly:
     return LaurentPoly(dict(_times_loops(tuple(num.items()), free)))
 
 
-# brackets keyed by diagram structure and projector sites
+# colored-bracket numerators keyed by FramedLink.orbit
 _sweep_memo: dict = {}
 
 
 def bracket(diag: PlanarDiagram) -> LaurentPoly:
-    """Memoized bracket of a (validated) diagram.
-
-    ``colored_bracket`` does not come through here: it keys its own
-    lookups on the colored sublink.
-    """
-    key = (canonical_form(diag),
-           tuple((s.kind, s.width, s.slots) for s in diag.sites))
-    hit = _sweep_memo.get(key)
-    if hit is None:
-        hit = _sweep_memo[key] = bracket_tangle_sweep(diag)
-    return hit
+    """Bracket of a (validated) diagram: ``bracket_tangle_sweep``."""
+    return bracket_tangle_sweep(diag)
 
 
 def colored_bracket(link, colors, point: EvalPoint | None = None):
@@ -388,9 +378,9 @@ def colored_bracket(link, colors, point: EvalPoint | None = None):
             f"color {max(colors)} exceeds the projector cap {JW_CAP}"
         )
     key, least = link.orbit(colors)
-    num = _sweep_memo.get(("colored", key))
+    num = _sweep_memo.get(key)
     if num is None:
-        num = _sweep_memo["colored", key] = bracket_tangle_sweep(cable(link, list(least)))
+        num = _sweep_memo[key] = bracket_tangle_sweep(cable(link, list(least)))
     widths = tuple(sorted(c for c in colors if c))
     if point is None:
         return RatFunc(num, _projector_den(widths))

@@ -273,7 +273,7 @@ def check_jw_projectors(window, n_max: int = 6):
             if not (hook * e == zero and e * hook == zero):
                 return expected, f"hook {i} does not kill e_{n}"
         sign = 1 if n % 2 == 0 else -1
-        if e.closure() != RatFunc(quantum_integer(n + 1).scale(sign)):
+        if e.closure() != RatFunc(quantum_integer(n + 1) * sign):
             return expected, f"closure of e_{n} wrong"
         if n and e.coefficient(identity(n)) != RatFunc(LaurentPoly.one()):
             return expected, f"identity coefficient of e_{n} wrong"

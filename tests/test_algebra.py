@@ -581,7 +581,7 @@ def test_laurent_coefficients_are_integers():
         with pytest.raises(TypeError):
             LaurentPoly({0: c})
     with pytest.raises(TypeError):
-        one.scale(Fraction(1, 2))
+        one * Fraction(1, 2)
     with pytest.raises(TypeError):
         A + Fraction(1, 2)
     p = LaurentPoly({1: Fraction(6, 3), 0: Fraction(-4, 1)})

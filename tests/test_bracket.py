@@ -359,14 +359,15 @@ def test_sweep_width_cap(borromean, narrow_sweep):
 
 
 def test_sweep_width_checked_before_projectors(monkeypatch):
-    # d = 5, a = 2: the widest colouring's order is over the cap, which
-    # must be found before any projector is built
+    # d = 6, a = 2: the widest colouring's order is over the cap (36 open
+    # arcs greedy, 26 from the best start box), which must be found
+    # before any projector is built
     def no_projectors(n):
         raise AssertionError(f"jones_wenzl({n}) built before the width check")
 
     monkeypatch.setattr("skeinlab.bracket.jones_wenzl", no_projectors)
     with pytest.raises(SliceWidthError):
-        torus_invariant(2, EvalPoint(5, 1))
+        torus_invariant(2, EvalPoint(6, 1))
 
 
 def test_sweep_rejects_open_arcs():
@@ -455,7 +456,7 @@ def test_jones_wenzl_killed_by_hooks(n):
 @pytest.mark.parametrize("n", range(6))
 def test_jones_wenzl_closure(n):
     sign = 1 if n % 2 == 0 else -1
-    assert jones_wenzl(n).closure() == RatFunc(quantum_integer(n + 1).scale(sign))
+    assert jones_wenzl(n).closure() == RatFunc(quantum_integer(n + 1) * sign)
 
 
 # -- colored brackets -----------------------------------------------------------

@@ -8,6 +8,7 @@ from skeinlab.diagrams import (
     Crossing,
     FramedLink,
     PlanarDiagram,
+    _box_legs,
     attach_meridian,
     braid_closure,
     cable,
@@ -21,7 +22,7 @@ from skeinlab.diagrams import (
     unknot_fixture,
 )
 from skeinlab.errors import ArcCountError, NotPlanarError
-from skeinlab.tl import identity
+from skeinlab.tl import identity, jones_wenzl
 from skeinlab.verify import random_braid_closure
 from skeinlab.wrt import _torus_presentation
 
@@ -260,6 +261,24 @@ def test_splice_identity_restores_cable(hopf):
         plain = splice(cabled, [(site, identity(site.width).pairs) for site in cabled.sites])
         FramedLink(plain)
         assert canonical_form(plain) == canonical_form(cabled)
+
+
+def test_site_slots_are_in_tl_point_order(hopf):
+    # the projector's symmetries hide a flip of the points, so each of
+    # the five matchings of 6 points is checked chord by chord: splice
+    # must join slots[a] and slots[b] for a chord (a, b), and leg p of
+    # the site's box must be the arc at slots[p]
+    cabled = cable(hopf, [3, 1])
+    i, site = next((i, s) for i, s in enumerate(cabled.sites) if s.width == 3)
+    legs = _box_legs(cabled)
+    assert legs[len(cabled.crossings) + i] == [legs[ci][k] for ci, k in site.slots]
+    matchings = [t.pairs for t in jones_wenzl(3).terms]
+    assert len(matchings) == 5
+    for pairs in matchings:
+        out = splice(cabled, [(site, pairs)])
+        arc = [out.crossings[ci][k] for ci, k in site.slots]
+        assert all(arc[a] == arc[b] for a, b in pairs), pairs
+        assert len({arc[a] for a, _ in pairs}) == 3, pairs
 
 
 def test_json_round_trip(borromean, hopf, unknot):
