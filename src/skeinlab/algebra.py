@@ -40,7 +40,8 @@ and ``_cyclotomic_poly`` divide with one exact kernel, ``_exact_div``.
 ``evaluate_at`` is the ring homomorphism A -> zeta^{sign}; it is the only
 bridge from symbolic objects to cyclotomic ones, and ``cyclo_to_complex``
 is the only bridge onward to floating point (via mpmath, at a requested
-number of digits).
+number of digits).  It imports mpmath when it runs, so exact work never
+loads it.
 
 Conventions: the quantum integer is ``[n] = (A^{2n}-A^{-2n})/(A^2-A^{-2})``
 and the loop weight of color n is ``delta_color(n) = (-1)^n [n+1]``.
@@ -52,8 +53,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 from .errors import PoleError, SkeinError, ZeroDenominatorError
 
@@ -533,10 +532,6 @@ class RatFunc(_Field):
         raise AttributeError("RatFunc is immutable")
 
     @staticmethod
-    def zero() -> "RatFunc":
-        return RatFunc(LaurentPoly.zero())
-
-    @staticmethod
     def one() -> "RatFunc":
         return RatFunc(LaurentPoly.one())
 
@@ -852,13 +847,16 @@ def evaluate_at(value, point: EvalPoint) -> CycloNum:
     return CycloNum(d, tuple(acc))
 
 
-def cyclo_to_complex(x: CycloNum, precision: int = 30) -> mpmath.mpc:
+def cyclo_to_complex(x: CycloNum, precision: int = 30):
     """Embed a cyclotomic number into C with zeta = exp(i*pi/(2d+1)).
 
-    ``precision`` is the working number of significant digits (>= 15).
+    ``precision`` is the working number of significant digits (>= 15);
+    the result is an ``mpmath.mpc``.
     """
     if precision < 15:
         raise ValueError("precision below 15 digits is not supported")
+    import mpmath
+
     with mpmath.workdps(precision):
         n = 2 * x.d + 1
         acc = mpmath.mpc(0)

@@ -62,9 +62,10 @@ number colors: color n means n parallel blackboard push-offs through
 the n-strand projector.  It looks the numerator up in
 ``_sweep_memo`` under the key of ``FramedLink.orbit``, one key for every
 coloring, of any link, whose sublink on the nonzero colors is the same
-up to an orientation-preserving map of the sphere, and only on a miss
-cables the link at the least coloring ``orbit`` gives and sweeps it
-with ``bracket_tangle_sweep``.  Every memo that can skip a sweep lives
+up to an orientation-preserving map of the sphere or a half turn of R^3
+about a line in the plane, and only on a miss cables the link at the
+least coloring ``orbit`` gives and sweeps it with
+``bracket_tangle_sweep``.  Every memo that can skip a sweep lives
 in ``_sweep_memo``, so emptying it makes the next call check the caps
 again.  The memo is process-global and unbounded: it lives as long as
 the process, as one CLI run or one benchmark pass does, and a caller
@@ -74,8 +75,15 @@ color, whose inverse at an evaluation point is computed once per
 (sorted widths, point).
 
 The caps are module constants, read at call time: crossings of the state
-sum, open arcs of the sweep order, projector width, and the free loops
-whose delta power the sweep and the state sum expand.
+sum, the predicted cost of the sweep order, projector width, and the
+free loops whose delta power the sweep and the state sum expand.  The
+cost is on the order alone, so a sweep that cannot finish is refused
+before any projector is built: the sum over the boxes of C(open arcs
+entering the box // 2), the Catalan bound on the frontier keys there,
+times the box's C(legs // 2) states.  Peak width alone does not predict
+it: Hopf (7, 7) peaks at 22 open arcs, torus d = 4, a = 2 at 22 too,
+but the first costs 2.9e7 and the second 2.0e6, and only the second
+finishes in seconds.
 """
 
 from __future__ import annotations
@@ -122,7 +130,7 @@ _SMOOTHINGS = {
 }
 
 STATE_SUM_MAX_CROSSINGS = 20
-SWEEP_MAX_WIDTH = 24
+SWEEP_MAX_COST = 10**7
 JW_CAP = 8
 FREE_LOOP_CAP = 4000
 
@@ -184,24 +192,32 @@ def _sweep_order(arcs):
     """Greedy box order keeping the number of open arcs small.
 
     ``arcs`` lists the leg arc ids of each box; ties go to the lowest
-    box index.
+    box index.  The order's predicted cost is the sum over its boxes of
+    C(open arcs entering the box // 2), a bound on the frontier keys,
+    times the box's state count C(legs // 2), with C the Catalan number:
+    2 for a crossing, C(w) for a width-w projector.  A cost above
+    ``SWEEP_MAX_COST`` raises ``SliceWidthError``.
     """
     ends = [{a for a in c if c.count(a) == 1} for c in arcs]
     remaining = list(range(len(arcs)))
     open_arcs: set = set()
     order = []
-    peak = 0
+    cost = 0
     while remaining:
         ci = min(remaining, key=lambda i: len(ends[i]) - 2 * len(ends[i] & open_arcs))
         remaining.remove(ci)
         order.append(ci)
+        cost += _catalan(len(open_arcs) // 2) * _catalan(len(arcs[ci]) // 2)
         open_arcs ^= ends[ci]
-        peak = max(peak, len(open_arcs))
-    if peak > SWEEP_MAX_WIDTH:
+    if cost > SWEEP_MAX_COST:
         raise SliceWidthError(
-            f"sweep frontier reaches {peak} open arcs, above the cap of {SWEEP_MAX_WIDTH}"
+            f"sweep order's predicted cost {cost:.3g} is above the cap of {SWEEP_MAX_COST:.3g}"
         )
     return order
+
+
+def _catalan(n: int) -> int:
+    return comb(2 * n, n) // (n + 1)
 
 
 def _sweep(legs, states, order) -> dict:
@@ -331,8 +347,8 @@ def bracket_tangle_sweep(diag: PlanarDiagram) -> LaurentPoly:
 
     With projector sites this is the colored-bracket numerator over the
     product of the projector denominators.  The free loops and the
-    sweep order's width are checked against their caps before any
-    projector is built.
+    sweep order's predicted cost are checked against their caps before
+    any projector is built.
     """
     free = diag.free_loops - sum(s.width for s in diag.sites if s.kind == "loop")
     if free > FREE_LOOP_CAP:

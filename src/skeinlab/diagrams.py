@@ -50,19 +50,24 @@ integer numbering of the arcs, by first occurrence.
 
 The colored bracket of a link depends only on its sublink on the
 nonzero colors, ``cable`` at width 1 there and 0 elsewhere, and
-``FramedLink.orbit`` keys that sublink.  From each of the 4n starts of a
-connected piece, a crossing turned by r quarter turns, a walk numbers the
-crossings as it reaches them, turns each so that the corner it was
-reached by comes first in the counterclockwise order ne, nw, sw, se, and
-emits its ``over ^ (r & 1)`` (a quarter turn takes the "/" diagonal to
-the "\" one), then the number and turned corner of each corner's arc
-mate.  Pieces with one least code map onto each other by an
-orientation-preserving map of the sphere that keeps over-strands; a
-reflection is not one.  The key is the sorted pairs (least code, least
-color tuple along the component orders of the starts that give it), then
-the sorted colors of the crossing-free components: the bracket is
-invariant under such maps, split pieces multiply, and a projector may sit
-anywhere on its component.  The least-code starts of one piece are its
+``FramedLink.orbit`` keys that sublink.  From each of the 8n starts of a
+connected piece, a crossing turned by r quarter turns and a sense, a
+walk numbers the crossings as it reaches them, turns each so that the
+corner it was reached by comes first in the counterclockwise order ne,
+nw, sw, se, and emits its ``over ^ (r & 1)`` (a quarter turn takes the
+"/" diagonal to the "\" one), then the number and turned corner of each
+corner's arc mate.  A reflected walk reads the corners clockwise and
+flips the over bit: it codes the diagram reflected in a line of the
+plane with every crossing switched, which is its image under a half
+turn of R^3 about that line.  Pieces with one least code map onto each
+other by an orientation-preserving map of the sphere that keeps
+over-strands, or by such a half turn; both keep the blackboard
+framing.  A mirror, crossings switched alone, is neither.  The key is
+the sorted pairs (least code, least color tuple along the component
+orders of the starts that give it), then the sorted colors of the
+crossing-free components: the bracket is invariant under such maps,
+split pieces multiply, and a projector may sit anywhere on its
+component.  The least-code starts of one piece are its
 automorphisms, which take the first start's component order to each
 other's.  The coloring ``orbit`` gives to cable is the least image of the
 colors under them when the sublink has one piece, else the colors.
@@ -274,8 +279,9 @@ class FramedLink:
     def orbit(self, colors: tuple) -> tuple:
         """(key, coloring to cable) of ``colors``: one key for all colorings,
         of any link, whose sublinks on the nonzero colors are one diagram
-        up to an orientation-preserving map of the sphere (see the module
-        docstring).  The sublink is cached per support."""
+        up to an orientation-preserving map of the sphere or a half turn
+        of R^3 about a line in the plane (see the module docstring).  The
+        sublink is cached per support."""
         support = tuple(k for k, c in enumerate(colors) if c)
         found = self._sublinks.get(support)
         if found is None:
@@ -371,24 +377,26 @@ def _sublink(link: FramedLink, support: tuple) -> tuple:
     for first in range(sub.n_crossings):
         if first in seen:
             continue
-        piece = _walk_code(sub.crossings, mate, strands, first, 0)[2]
+        piece = _walk_code(sub.crossings, mate, strands, first, 0, 1)[2]
         seen.update(piece)
-        walks = [_walk_code(sub.crossings, mate, strands, ci, turn) for ci in piece for turn in range(4)]
+        walks = [_walk_code(sub.crossings, mate, strands, ci, turn, sense)
+                 for ci in piece for turn in range(4) for sense in (1, -1)]
         least = min(code for code, _, _ in walks)
         pieces.append((least, tuple(order for code, order, _ in walks if code == least)))
     touched = {k for cs in strands for k in cs}
     return tuple(pieces), tuple(k for k in support if k not in touched)
 
 
-def _walk_code(crossings, mate, strands, start: int, turn: int) -> tuple:
+def _walk_code(crossings, mate, strands, start: int, turn: int, sense: int) -> tuple:
     """(code, component order, crossing order) of the walk from ``start``
-    turned by ``turn``, as the module docstring says."""
+    turned by ``turn``, counterclockwise (``sense`` 1) or clockwise with
+    the over bit flipped (-1), as the module docstring says."""
     number, turns, order, code, comps = {start: 0}, [turn], [start], [], []
     for i, ci in enumerate(order):  # the walk appends as it goes
         r = turns[i]
-        code.append(crossings[ci].over ^ (r & 1))
+        code.append(crossings[ci].over ^ (r & 1) ^ (sense < 0))
         for place in range(4):
-            corner = _CCW_ORDER[(place + r) % 4]
+            corner = _CCW_ORDER[(r + sense * place) % 4]
             k = strands[ci][corner in (NW, SE)]
             if k not in comps:
                 comps.append(k)
@@ -397,7 +405,7 @@ def _walk_code(crossings, mate, strands, start: int, turn: int) -> tuple:
                 number[cj] = len(order)
                 order.append(cj)
                 turns.append(_CCW_PLACE[m])
-            code += (number[cj], (_CCW_PLACE[m] - turns[number[cj]]) % 4)
+            code += (number[cj], sense * (_CCW_PLACE[m] - turns[number[cj]]) % 4)
     return tuple(code), tuple(comps), order
 
 

@@ -7,14 +7,16 @@ the color-i unknot, and the framing twist.  The quotient
 ``hopf_eval / delta`` is the scalar by which an a-colored meridian acts
 on a color-i strand, and summing it against the standard weights gives
 the encircling operator that the surgery invariant is built from.
+
+``omega_data`` is exact: the weights, their sum of squares and its
+inverse eta^2.  Only the float value of eta, a lazy attribute, reaches
+for mpmath.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
-import mpmath
+from functools import cached_property, lru_cache
 
 from .algebra import (
     CycloNum,
@@ -67,37 +69,52 @@ def meridian_series(a: int, p: EvalPoint) -> CycloNum:
 class OmegaData:
     """Surgery weights and normalization at one level.
 
-    ``weights[i]`` is the symbolic loop value of the color-i unknot,
-    ``eta_sq`` is the exact field element 1 / sum(weights[i](p)^2), and
-    ``eta`` its positive real square root.  The weight-squared sum is a
-    real number fixed by conjugation, so one OmegaData serves both signs
-    of the evaluation point.
+    ``weights[i]`` is the symbolic loop value of the color-i unknot and
+    ``eta_sq`` the exact field element 1 / sum(weights[i](p)^2).  Every
+    weight is palindromic, so its value is real and the sum is a
+    positive real fixed by conjugation: one OmegaData serves both signs
+    of the evaluation point.  ``eta``, the positive real square root of
+    ``eta_sq`` to at least ``precision`` digits, is computed with mpmath
+    on first access and then cached.
     """
 
     d: int
     weights: tuple[LaurentPoly, ...]
-    eta: mpmath.mpf
     eta_sq: CycloNum
+    precision: int = 30
+
+    @cached_property
+    def eta(self):
+        """eta as an ``mpmath.mpf``, checked to be a positive real."""
+        import mpmath
+
+        digits = max(self.precision, 30) + 10
+        with mpmath.workdps(digits):
+            approx = cyclo_to_complex(self.eta_sq, digits)
+            if abs(approx.imag) >= mpmath.mpf(10) ** (-self.precision) or approx.real <= 0:
+                raise SkeinError(f"eta^2 at d={self.d} is not a positive real number")
+            return mpmath.sqrt(approx.real)
 
 
 @lru_cache(maxsize=None)
 def omega_data(d: int, precision: int = 30) -> OmegaData:
-    """Weights and eta for level ``d`` (eta to >= ``precision`` digits)."""
+    """Weights and eta^2 for level ``d``; eta to >= ``precision`` digits.
+
+    A weight that is not palindromic, the same polynomial under
+    A -> A^-1, could make eta^2 complex, so it raises ``SkeinError``
+    here, in exact arithmetic.
+    """
     if d < 1:
         raise ValueError("level d must be >= 1")
     weights = tuple(delta_color(i) for i in range(d))
     p = EvalPoint(d, 1)
     total = CycloNum.zero(d)
     for w in weights:
+        if any(w.coefficient(-e) != c for e, c in w.items()):
+            raise SkeinError(f"eta^2 at d={d} is not a positive real number")
         v = evaluate_at(w, p)
         total = total + v * v
-    eta_sq = total.inverse()
-    with mpmath.workdps(max(precision, 30) + 10):
-        approx = cyclo_to_complex(eta_sq, max(precision, 30) + 10)
-        if abs(approx.imag) >= mpmath.mpf(10) ** (-precision) or approx.real <= 0:
-            raise SkeinError(f"eta^2 at d={d} is not a positive real number")
-        eta = mpmath.sqrt(approx.real)
-    return OmegaData(d=d, weights=weights, eta=eta, eta_sq=eta_sq)
+    return OmegaData(d=d, weights=weights, eta_sq=total.inverse(), precision=precision)
 
 
 def twist_coefficient(i: int) -> LaurentPoly:

@@ -24,8 +24,6 @@ import cmath
 import functools
 import random
 
-import mpmath
-
 from .algebra import (
     EvalPoint,
     LaurentPoly,
@@ -60,6 +58,14 @@ from .wrt import (
 BRAID_MAX_CROSSINGS = 12
 ORACLE_SAMPLES = 500
 ORACLE_SEED = 20250807
+
+
+def _tolerance(digits: int):
+    """10^-digits as an mpmath float, for the float-mode checks only, so
+    an exact run never imports mpmath."""
+    import mpmath
+
+    return mpmath.mpf(10) ** -digits
 
 
 class _OutsideWindow(Exception):
@@ -169,7 +175,7 @@ def check_torus_pipeline(window, mode: str):
                 if run_mode == "exact":
                     ok = got == want
                 else:
-                    ok = abs(got - cyclo_to_complex(want)) < mpmath.mpf(10) ** -9
+                    ok = abs(got - cyclo_to_complex(want)) < _tolerance(9)
                 if not ok:
                     return expected, f"mismatch at a={a} d={d} sign={sign:+d}"
     return expected, expected
@@ -185,7 +191,7 @@ def check_s1xs2(window, mode: str):
             ok = wrt_invariant(_s1xs2_presentation(), p, mode="exact").is_one()
         else:
             v = wrt_invariant(_s1xs2_presentation(), p, mode="float")
-            ok = abs(v - 1) < mpmath.mpf(10) ** -9
+            ok = abs(v - 1) < _tolerance(9)
         if not ok:
             return expected, f"mismatch at d={d}"
     return expected, expected
@@ -202,7 +208,7 @@ def check_eta_normalization(window, mode: str):
     expected = f"eta at every level {ds.start}..{ds.stop - 1}"
     for d in ds:
         v = wrt_invariant(empty, EvalPoint(d, 1), mode="float")
-        if abs(v - omega_data(d).eta) > mpmath.mpf(10) ** -25:
+        if abs(v - omega_data(d).eta) > _tolerance(25):
             return expected, f"mismatch at d={d}"
     return expected, expected
 

@@ -4,11 +4,11 @@
 surgery component with each color 0 .. d-1, weighting by the loop
 values, summing the colored brackets, and scaling by eta^(1+n).  The sum
 starts at the widest coloring, every surgery component at d-1, so its
-first colored bracket is the check against the projector and frontier
+first colored bracket is the check against the projector and sweep-cost
 caps: a run that cannot finish fails before any other sweep.  When
 1+n is even the eta power is an exact field element and the whole
 computation stays in CycloNum; odd powers force the 30-digit float
-path.
+path, the only one that imports mpmath.
 
 The rest of the module materializes functions on the evaluation-point
 family (one value per level and sign, poles recorded as exceptions) and
@@ -26,7 +26,6 @@ from functools import lru_cache
 from itertools import product
 
 import cmath
-import mpmath
 
 from .algebra import (
     CycloNum,
@@ -71,7 +70,7 @@ def wrt_invariant(pres: SurgeryPresentation, p: EvalPoint, mode: str = "auto",
     (apply twist corrections first if not), and the residual colors must
     fit the level.  The d^n colorings are summed from the widest down,
     so the first colored bracket, every surgery component at d-1, meets
-    the projector and frontier caps before any narrower sweep runs.
+    the projector and sweep-cost caps before any narrower sweep runs.
     """
     if mode not in ("auto", "exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -123,6 +122,8 @@ def wrt_invariant(pres: SurgeryPresentation, p: EvalPoint, mode: str = "auto",
         for _ in range((1 + n) // 2):
             out = out * eta_sq
         return out
+    import mpmath
+
     om = omega_data(p.d, precision)
     digits = max(precision, 15)
     with mpmath.workdps(digits):

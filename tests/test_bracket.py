@@ -347,9 +347,9 @@ def test_state_sum_cap():
 
 @pytest.fixture
 def narrow_sweep(monkeypatch):
-    """A sweep cap of 2 open arcs and an empty memo: the memo is not
-    keyed by the cap, so a cached result would skip the check."""
-    monkeypatch.setattr("skeinlab.bracket.SWEEP_MAX_WIDTH", 2)
+    """A sweep cost cap of 2, one crossing, and an empty memo: the memo
+    is not keyed by the cap, so a cached result would skip the check."""
+    monkeypatch.setattr("skeinlab.bracket.SWEEP_MAX_COST", 2)
     monkeypatch.setattr("skeinlab.bracket._sweep_memo", {})
 
 
@@ -358,16 +358,28 @@ def test_sweep_width_cap(borromean, narrow_sweep):
         bracket_tangle_sweep(borromean.diagram)
 
 
-def test_sweep_width_checked_before_projectors(monkeypatch):
-    # d = 6, a = 2: the widest colouring's order is over the cap (36 open
-    # arcs greedy, 26 from the best start box), which must be found
-    # before any projector is built
-    def no_projectors(n):
-        raise AssertionError(f"jones_wenzl({n}) built before the width check")
+@pytest.fixture
+def no_projectors(monkeypatch):
+    def fail(n):
+        raise AssertionError(f"jones_wenzl({n}) built before the cost check")
 
-    monkeypatch.setattr("skeinlab.bracket.jones_wenzl", no_projectors)
+    monkeypatch.setattr("skeinlab.bracket.jones_wenzl", fail)
+    monkeypatch.setattr("skeinlab.bracket._sweep_memo", {})
+
+
+def test_sweep_width_checked_before_projectors(no_projectors):
+    # d = 6, a = 2: the widest colouring's greedy order (36 open arcs at
+    # its peak) has a predicted cost of 5.6e10, over the cap, which must
+    # be found before any projector is built
     with pytest.raises(SliceWidthError):
         torus_invariant(2, EvalPoint(6, 1))
+
+
+def test_sweep_cost_checked_before_projectors(hopf, no_projectors):
+    # hopf (7, 7) peaks at only 22 open arcs, yet its predicted cost is
+    # 2.9e7, 27 times that of (6, 6), which finishes in seconds
+    with pytest.raises(SliceWidthError):
+        colored_bracket(hopf, (7, 7))
 
 
 def test_sweep_rejects_open_arcs():
@@ -563,10 +575,13 @@ def test_colored_bracket_looks_up_before_cabling(borromean, hopf, monkeypatch):
 
 def test_torus_sweep_count(monkeypatch):
     # d = 3, a = 0 has 27 colorings, with the meridian colored 0.  The
-    # rotations merge the 8 with full support into 4 keys.  One component
-    # alone is a round unknot: 6 colorings, 2 keys.  The three Borromean
-    # pairs are rotations of each other, and a pair cannot swap its
-    # colors: 12 colorings, 4 keys.  The empty coloring is one more sweep
+    # rotations and the half turn that swaps two components permute the
+    # components freely, so a key is a multiset of colors: the 8 colorings
+    # with full support give 4 keys.  One component alone is a round
+    # unknot: 6 colorings, 2 keys.  The three Borromean pairs are rotations
+    # of each other, and the half turn swaps a pair's colors: 12
+    # colorings, 3 keys.  The empty coloring is one more sweep.  At d = 4
+    # the same count reads 10 + 3 + 6 + 1
     swept = []
 
     def counted(diag):
@@ -574,7 +589,7 @@ def test_torus_sweep_count(monkeypatch):
         return bracket_tangle_sweep(diag)
 
     monkeypatch.setattr("skeinlab.bracket.bracket_tangle_sweep", counted)
-    for d, count in ((3, 11), (4, 24)):
+    for d, count in ((3, 10), (4, 20)):
         monkeypatch.setattr("skeinlab.bracket._sweep_memo", {})
         swept.clear()
         assert torus_invariant(0, EvalPoint(d, 1)) == meridian_series(0, EvalPoint(d, 1))

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -199,25 +199,29 @@ def test_orbit_keys(borromean, hopf):
     def key(link, colors):
         return link.orbit(colors)[0]
 
-    for colors in ((1, 2, 3), (2, 1, 3)):
-        rotations = [colors[i:] + colors[:i] for i in range(3)]
-        assert len({key(borromean, c) for c in rotations}) == 1
-        assert {borromean.orbit(c)[1] for c in rotations} == {min(rotations)}
+    # the rotations and a reflected walk, a half turn about a line in the
+    # plane that swaps components 0 and 2, give all six permutations
+    orderings = list(permutations((1, 2, 3)))
+    assert len({key(borromean, c) for c in orderings}) == 1
+    assert {borromean.orbit(c)[1] for c in orderings} == {(1, 2, 3)}
     assert key(hopf, (1, 2)) == key(hopf, (2, 1))
     assert hopf.orbit((2, 1))[1] == (1, 2)
     torus = _torus_presentation(0).link
-    # the meridian on component 1 breaks the rotations; without it they return
+    # the meridian on component 1 breaks the rotations, but the half turn
+    # that swaps components 0 and 2 keeps it; without it the rotations return
     assert key(torus, (1, 2, 3, 1)) != key(torus, (2, 3, 1, 1))
-    assert torus.orbit((2, 3, 1, 1))[1] == (2, 3, 1, 1)
+    assert key(torus, (2, 3, 1, 1)) == key(torus, (1, 3, 2, 1))
+    assert torus.orbit((2, 3, 1, 1))[1] == (1, 3, 2, 1)
     assert key(torus, (1, 2, 3, 0)) == key(torus, (2, 3, 1, 0))
     # two Borromean components: one passes over the other at both
-    # crossings, so swapping them needs a mirror
+    # crossings, so swapping them needs a plane reflection that switches
+    # every crossing, which a reflected walk reads
     for i, j in ((0, 1), (0, 2), (1, 2)):
         colors, swapped = [0, 0, 0], [0, 0, 0]
         colors[i] = swapped[j] = 1
         colors[j] = swapped[i] = 2
-        assert key(borromean, tuple(colors)) != key(borromean, tuple(swapped))
-        assert borromean.orbit(tuple(swapped))[1] == tuple(swapped)
+        assert key(borromean, tuple(colors)) == key(borromean, tuple(swapped))
+        assert borromean.orbit(tuple(swapped))[1] == tuple(colors)
     # a lone component is crossing-free in its sublink, a round unknot
     assert key(borromean, (0, 2, 0)) == key(unknot_fixture(0), (2,))
     assert key(borromean, (0, 0, 0)) == key(unknot_fixture(0), (0,))
@@ -226,9 +230,10 @@ def test_orbit_keys(borromean, hopf):
     # the Hopf link and an unknot with a meridian are one diagram
     assert key(hopf, (1, 2)) == key(attach_meridian(unknot_fixture(0), 0, 2).link, (1, 2))
     # on the sphere the closure of (s1 s2)^3 can also swap its inner and
-    # outer strands
+    # outer strands, and a half turn about the braid's axis, which reads
+    # each s_i as s_(3-i), takes it to the closure of (s2 s1)^3, itself
     (piece,), loose = _sublink(FramedLink(braid_closure([1, 2] * 3, 3)), (0, 1, 2))
-    assert len(piece[1]) == 6 and loose == ()
+    assert len(piece[1]) == 12 and loose == ()
 
 
 def test_orbit_key_of_a_split_sublink():

@@ -10,7 +10,7 @@ from skeinlab.algebra import (
     evaluate_at,
     quantum_integer,
 )
-from skeinlab.errors import ColorRangeError
+from skeinlab.errors import ColorRangeError, SkeinError
 from skeinlab.recoupling import (
     dim_v_torus,
     hopf_eval,
@@ -79,6 +79,15 @@ def test_omega_defining_identity():
         assert (om.eta_sq * total).is_one()
         with mpmath.workdps(35):
             assert abs(om.eta ** 2 * cyclo_to_complex(total, 35).real - 1) < 1e-25
+
+
+def test_omega_rejects_a_weight_that_is_not_palindromic(monkeypatch):
+    # A^2 evaluates to zeta^2 at one sign and zeta^-2 at the other, not a
+    # real number; the exact guard finds it without computing eta
+    monkeypatch.setattr("skeinlab.recoupling.delta_color",
+                        lambda i: LaurentPoly.monomial(2) if i else LaurentPoly.one())
+    with pytest.raises(SkeinError, match="not a positive real"):
+        omega_data.__wrapped__(3)
 
 
 def test_omega_level_two_closed_form():

@@ -1,4 +1,8 @@
 import cmath
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +38,9 @@ from skeinlab.wrt import (
 )
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def s1xs2():
     return SurgeryPresentation(unknot_fixture(0), (0,), {}, name="s1xs2")
 
@@ -48,6 +55,35 @@ def test_s1xs2_float_mode():
     for d in (2, 3):
         value = wrt_invariant(s1xs2(), EvalPoint(d, 1), mode="float")
         assert abs(value - 1) < 1e-9
+
+
+# Exact runs load no floating point: mpmath is imported by the float
+# path alone, so this runs in a fresh interpreter.
+EXACT_THEN_FLOAT = """
+import sys
+import skeinlab.verify
+from skeinlab.algebra import EvalPoint
+from skeinlab.diagrams import FramedLink, PlanarDiagram, SurgeryPresentation
+from skeinlab.recoupling import meridian_series, omega_data
+from skeinlab.wrt import torus_invariant, wrt_invariant
+
+for a in (0, 1, 2):
+    for sign in (1, -1):
+        p = EvalPoint(3, sign)
+        assert torus_invariant(a, p, mode="exact") == meridian_series(a, p)
+for d in range(1, 6):
+    omega_data(d).eta_sq
+assert "mpmath" not in sys.modules, "an exact run imported mpmath"
+empty = SurgeryPresentation(FramedLink(PlanarDiagram((), 0)), (), {}, name="s3")
+assert abs(wrt_invariant(empty, EvalPoint(3, 1), mode="float") - omega_data(3).eta) < 1e-25
+"""
+
+
+def test_exact_runs_never_import_mpmath():
+    env = dict(os.environ, PYTHONPATH="src")
+    run = subprocess.run([sys.executable, "-c", EXACT_THEN_FLOAT], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_empty_presentation_gives_eta():
@@ -93,8 +129,8 @@ def no_sweep_step(monkeypatch):
 
 def test_preflight_width(no_sweep_step):
     # d = 6: every surgery component at color 5 with a 2-colored meridian
-    # peaks at 36 open arcs in the greedy order, and at 26 from the best
-    # start box, so it is above the cap of 24 in either order
+    # peaks at 36 open arcs in the greedy order, a predicted cost of
+    # 5.6e10, far above the cap of 1e7
     with pytest.raises(SliceWidthError):
         torus_invariant(2, EvalPoint(6, 1), mode="exact")
 
