@@ -457,9 +457,9 @@ def _reduce(nums: list, den: LaurentPoly) -> tuple:
         return [LaurentPoly.zero() for _ in nums], LaurentPoly.one()
     g = den
     for c in nums:
-        g = poly_gcd(g, c)
         if g.is_one():
             break
+        g = poly_gcd(g, c)
     k = _step(nums + [den])
     unit = math.gcd(*(c for p in nums + [den] for _, c in p.items()))
     if den.coefficient(den.max_exponent()) < 0:
@@ -486,7 +486,7 @@ def quantum_integer(n: int) -> LaurentPoly:
     """
     if n < 0:
         raise ValueError("quantum integers are indexed by n >= 0")
-    return LaurentPoly({2 * n - 2 - 4 * k: 1 for k in range(n)})
+    return _poly({2 * n - 2 - 4 * k: 1 for k in range(n)})
 
 
 @functools.lru_cache(maxsize=None)
@@ -647,25 +647,23 @@ def _field_data(d: int):
     2(2d+1)-th cyclotomic polynomial, for 0 <= k < 2(2d+1), as the
     (j, coefficient) pairs of its nonzero coefficients.  Because
     zeta^{2(2d+1)} = 1 every power of zeta is covered by reducing the
-    exponent first.  Most rows have one entry: x^k for k < m, and
-    x^k = -x^(k-2d-1) for k > 2d, since zeta^(2d+1) = -1.
+    exponent first.  Only rows m..2d are reduced, each as x times the
+    row before; a row k < m is the unit vector x^k, and a row k > 2d is
+    the negated row k - (2d+1), since zeta^(2d+1) = -1.
     """
-    n = 2 * (2 * d + 1)
-    mod = _cyclotomic_poly(n)
+    half = 2 * d + 1
+    mod = _cyclotomic_poly(2 * half)
     m = mod.max_exponent()
     mod = [mod.coefficient(j) for j in range(m)]
-    rows: list[tuple] = []
-    cur = [0] * m
-    cur[0] = 1
-    for _ in range(n):
-        rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
+    rows = [((k, 1),) for k in range(m)]
+    cur = [0] * (m - 1) + [1]
+    for _ in range(m, half):
         # multiply by x, reduce the overflow with x^m = -(mod below x^m)
-        top = cur[m - 1]
-        cur = [0] + cur[:-1]
+        top, cur = cur[-1], [0] + cur[:-1]
         if top:
-            for j in range(m):
-                if mod[j]:
-                    cur[j] -= top * mod[j]
+            cur = [c - top * r for c, r in zip(cur, mod)]
+        rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
+    rows += [tuple((j, -c) for j, c in row) for row in rows]
     return m, tuple(rows)
 
 

@@ -8,14 +8,18 @@ the color-i unknot, and the framing twist.  The quotient
 on a color-i strand, and summing it against the standard weights gives
 the encircling operator that the surgery invariant is built from.
 
-``omega_data`` is exact: the weights, their sum of squares and its
-inverse eta^2.  Only the float value of eta, a lazy attribute, reaches
-for mpmath.
+Each sum is formed in Z[A, A^-1] and then evaluated once: ``evaluate_at``
+is a ring homomorphism, so the meridian series is the value of the summed
+eigenvalues, and eta^-2 the value of the summed squared weights.
+
+``omega_data`` is exact, and its exact part is computed once per level:
+the weights, their sum of squares and its inverse eta^2.  Only the float
+value of eta, a lazy attribute, reaches for mpmath.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 from .algebra import (
@@ -23,6 +27,11 @@ from .algebra import (
     EvalPoint,
     LaurentPoly,
     RatFunc,
+    _dense,
+    _exact_div,
+    _kron_digits,
+    _kron_pack,
+    _poly,
     cyclo_to_complex,
     delta_color,
     evaluate_at,
@@ -47,22 +56,33 @@ def hopf_eval(i: int, a: int) -> LaurentPoly:
 def meridian_eigenvalue(i: int, a: int) -> RatFunc:
     """Scalar action of an a-colored meridian on a color-i strand.
 
-    hopf_eval(i, a) / delta_color(i), in lowest terms.  For a = 1 it is
-    the Laurent polynomial -A^(2i+2) - A^(-2i-2).
+    hopf_eval(i, a) / delta_color(i), a Laurent polynomial: [(i+1)(a+1)]
+    is divisible by [i+1] (Kauffman-Lins 1994).  Both are A^lo times a
+    polynomial in A^4, so ``_exact_div`` divides their stride-4 lists; it
+    raises ``SkeinError`` if a division is not exact.  For a = 1 it is
+    -A^(2i+2) - A^(-2i-2).
     """
-    return RatFunc(hopf_eval(i, a), delta_color(i))
+    num, den = hopf_eval(i, a), delta_color(i)
+    q = _exact_div(_dense(num, 4), _dense(den, 4))
+    lo = num.min_exponent() - den.min_exponent()
+    return RatFunc(_poly({lo + 4 * j: c for j, c in enumerate(q) if c}))
 
 
 @lru_cache(maxsize=None)
 def meridian_series(a: int, p: EvalPoint) -> CycloNum:
     """Sum of the meridian eigenvalues over colors 0 .. d-1 at ``p``.
 
-    None of the d terms has a pole: delta_color(i) at level d vanishes
-    only when i + 1 is a multiple of 2d + 1.  The evaluated terms are
-    summed coefficient by coefficient, in one pass.
+    The d eigenvalues are Laurent polynomials, so they have no pole; their
+    sum is formed in Z[A, A^-1] and evaluated once.  A negative ``a``
+    raises ``ColorRangeError`` before any of that.
     """
-    terms = (evaluate_at(meridian_eigenvalue(i, a), p).coeffs for i in range(p.d))
-    return CycloNum(p.d, tuple(map(sum, zip(*terms))))
+    if a < 0:
+        raise ColorRangeError(f"meridian color must be nonnegative, got {a}")
+    total: dict[int, int] = {}
+    for i in range(p.d):
+        for e, c in meridian_eigenvalue(i, a).num.items():
+            total[e] = total.get(e, 0) + c
+    return evaluate_at(_poly({e: c for e, c in total.items() if c}), p)
 
 
 @dataclass(frozen=True)
@@ -96,25 +116,38 @@ class OmegaData:
             return mpmath.sqrt(approx.real)
 
 
-@lru_cache(maxsize=None)
 def omega_data(d: int, precision: int = 30) -> OmegaData:
     """Weights and eta^2 for level ``d``; eta to >= ``precision`` digits.
 
+    Every precision shares the exact part, cached per level.
+    """
+    om = _omega(d)
+    return om if precision == om.precision else replace(om, precision=precision)
+
+
+@lru_cache(maxsize=None)
+def _omega(d: int) -> OmegaData:
+    """The exact ``OmegaData`` of level ``d``, at the default precision.
+
     A weight that is not palindromic, the same polynomial under
     A -> A^-1, could make eta^2 complex, so it raises ``SkeinError``
-    here, in exact arithmetic.
+    here, in exact arithmetic.  The weights, times A^-lo for their lowest
+    exponent lo, are Kronecker-packed one digit per power of A and
+    squared, so their sum of squares times A^(-2 lo) is one int; the sum
+    of their squared l1 norms bounds its coefficients and sets the digit
+    width.  It is decoded, evaluated and inverted once.
     """
     if d < 1:
         raise ValueError("level d must be >= 1")
     weights = tuple(delta_color(i) for i in range(d))
-    p = EvalPoint(d, 1)
-    total = CycloNum.zero(d)
     for w in weights:
         if any(w.coefficient(-e) != c for e, c in w.items()):
             raise SkeinError(f"eta^2 at d={d} is not a positive real number")
-        v = evaluate_at(w, p)
-        total = total + v * v
-    return OmegaData(d=d, weights=weights, eta_sq=total.inverse(), precision=precision)
+    lo = min(w.min_exponent() for w in weights)
+    k = sum(sum(abs(c) for _, c in w.items()) ** 2 for w in weights).bit_length() + 1
+    packed = sum(_kron_pack(((e - lo, c) for e, c in w.items()), k) ** 2 for w in weights)
+    squares = _poly({2 * lo + j: c for j, c in enumerate(_kron_digits(packed, k)) if c})
+    return OmegaData(d=d, weights=weights, eta_sq=evaluate_at(squares, EvalPoint(d)).inverse())
 
 
 def twist_coefficient(i: int) -> LaurentPoly:

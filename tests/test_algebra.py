@@ -24,7 +24,7 @@ from skeinlab.algebra import (
     quantum_integer,
 )
 from skeinlab.errors import PoleError, SkeinError, ZeroDenominatorError
-from skeinlab.recoupling import hopf_eval
+from skeinlab.recoupling import hopf_eval, omega_data
 from skeinlab.tl import jones_wenzl
 
 A = LaurentPoly.gen()
@@ -406,6 +406,29 @@ def test_cyclotomic_poly_matches_reference():
         assert all(type(c) is int for _, c in phi.items())
 
 
+def _ref_field_rows(d: int) -> tuple:
+    """(m, rows) as ``algebra._field_data`` gives them, one power at a
+    time: each row is x times the row before, reduced modulo the
+    2(2d+1)-th cyclotomic polynomial, for all 2(2d+1) powers."""
+    n = 2 * (2 * d + 1)
+    phi = algebra._cyclotomic_poly(n)
+    m = phi.max_exponent()
+    mod = [phi.coefficient(j) for j in range(m)]
+    rows, cur = [], [1] + [0] * (m - 1)
+    for _ in range(n):
+        rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
+        top, cur = cur[-1], [0] + cur[:-1]
+        for j in range(m):
+            cur[j] -= top * mod[j]
+    return m, tuple(rows)
+
+
+def test_field_rows_match_reduce_every_power():
+    # CycloNum.root_power reads these rows, so this pins it too
+    for d in range(1, 61):
+        assert algebra._field_data(d) == _ref_field_rows(d)
+
+
 def _ref_cyclo_inverse(x: CycloNum) -> CycloNum:
     """Extended Euclid over Fraction coefficients on dicts: s x = r
     modulo the modulus, until r is a nonzero constant, whose inverse is
@@ -428,6 +451,11 @@ def _omega_sum(d: int) -> CycloNum:
         v = evaluate_at(delta_color(i), EvalPoint(d))
         total = total + v * v
     return total
+
+
+def test_omega_eta_sq_is_the_inverse_of_the_evaluated_weight_sum():
+    for d in range(1, 51):
+        assert omega_data(d).eta_sq == _omega_sum(d).inverse()
 
 
 def test_cyclo_inverse_matches_fraction_euclid():

@@ -291,6 +291,13 @@ def test_recoupling_negative_max_color_exits_2():
     assert "E_COLOR_RANGE" in err
 
 
+def test_recoupling_negative_series_color_names_itself():
+    rc, out, err = run_cli("recoupling", "--table", "series", "--color", "-1")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: E_COLOR_RANGE: meridian color must be nonnegative, got -1\n"
+
+
 def test_recoupling_series_table():
     rc, out, _ = run_cli("recoupling", "--table", "series", "--color", "0",
                          "--window", "1..5")

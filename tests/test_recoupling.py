@@ -1,6 +1,7 @@
 import mpmath
 import pytest
 
+from skeinlab import recoupling
 from skeinlab.algebra import (
     CycloNum,
     EvalPoint,
@@ -50,6 +51,35 @@ def test_meridian_eigenvalue_examples():
     assert meridian_eigenvalue(1, 2) == RatFunc(quantum_integer(6), quantum_integer(2))
 
 
+def test_meridian_eigenvalue_matches_the_reduced_quotient():
+    for i in range(30):
+        for a in range(9):
+            assert meridian_eigenvalue(i, a) == RatFunc(hopf_eval(i, a), delta_color(i))
+
+
+def test_meridian_eigenvalue_rejects_an_inexact_quotient(monkeypatch):
+    # [3] is not a multiple of delta_color(1) = -[2]
+    monkeypatch.setattr("skeinlab.recoupling.hopf_eval", lambda i, a: quantum_integer(3))
+    with pytest.raises(SkeinError, match="remainder"):
+        meridian_eigenvalue.__wrapped__(1, 2)
+
+
+def test_meridian_series_matches_the_sum_of_evaluated_terms():
+    for d in range(1, 13):
+        for sign in (1, -1):
+            p = EvalPoint(d, sign)
+            for a in range(2 * d - 1):
+                total = CycloNum.zero(d)
+                for i in range(d):
+                    total = total + evaluate_at(RatFunc(hopf_eval(i, a), delta_color(i)), p)
+                assert meridian_series(a, p) == total, (d, sign, a)
+
+
+def test_meridian_series_rejects_a_negative_color():
+    with pytest.raises(ColorRangeError, match="got -1$"):
+        meridian_series(-1, EvalPoint(3))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 10, 25])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_meridian_series_closed_forms(d, sign):
@@ -87,7 +117,23 @@ def test_omega_rejects_a_weight_that_is_not_palindromic(monkeypatch):
     monkeypatch.setattr("skeinlab.recoupling.delta_color",
                         lambda i: LaurentPoly.monomial(2) if i else LaurentPoly.one())
     with pytest.raises(SkeinError, match="not a positive real"):
-        omega_data.__wrapped__(3)
+        recoupling._omega.__wrapped__(3)
+
+
+def test_omega_exact_work_runs_once_per_level():
+    from skeinlab.verify import check_eta_normalization
+
+    recoupling._omega.cache_clear()
+    assert check_eta_normalization(None, "float")["status"] == "PASS"
+    info = recoupling._omega.cache_info()
+    assert (info.misses, info.currsize) == (4, 4)
+    # another precision shares the exact part and still gets its digits
+    om = omega_data(3, 45)
+    assert om.precision == 45 and om.eta_sq is omega_data(3).eta_sq
+    assert recoupling._omega.cache_info().misses == 4
+    with mpmath.workdps(60):
+        target = 2 * mpmath.sin(2 * mpmath.pi / 7) / mpmath.sqrt(7)
+        assert abs(om.eta - target) < mpmath.mpf(10) ** -45
 
 
 def test_omega_level_two_closed_form():
