@@ -28,10 +28,12 @@ the one coercing preamble of them all and of ``==``.
 
 One Kronecker kernel serves the packed products of the package:
 ``_kron_pack`` substitutes A -> 2^k into an integer coefficient list, and
-``_kron_digits`` reads an int back as balanced base-2^k digits.
-``CycloNum`` products above degree ``_SCHOOLBOOK_DEGREE``, the products
-of ``tl.TLElement`` and the frontier weights of ``bracket._sweep`` all
-go through it.  Beside it, one integer remainder-sequence kernel,
+``_kron_digits`` reads an int back as balanced base-2^k digits.  The
+products of ``tl.TLElement``, the frontier weights of ``bracket._sweep``
+and the weight sums of ``recoupling`` go through it.  ``CycloNum``
+multiplies with one int schoolbook loop: its many products are at small
+field degree (at most 6 in the torus pipeline up to d = 4), where packing
+would cost more than it saves.  One integer remainder-sequence kernel,
 ``_prs``, runs Euclid on int coefficient lists with pseudo-division:
 ``poly_gcd`` takes its last remainder and ``CycloNum.inverse`` the
 cofactor, so neither divides ``Fraction``s step by step, and ``_reduce``
@@ -98,23 +100,19 @@ def _kron_pack(terms, k: int) -> int:
     -6401
     >>> _kron_digits(v, 4)
     [-1, 0, 7, -2]
-    >>> _kron_digits(_kron_pack([(0, 1), (1, 1)], 4) * _kron_pack([(0, 1), (2, -1)], 4), 4, 5)
-    [1, 1, -1, -1, 0]
     """
     return sum(c << k * j for j, c in terms)
 
 
-def _kron_digits(value: int, k: int, count: int = 0) -> list:
+def _kron_digits(value: int, k: int) -> list:
     """The balanced base-2^k digits of value (k >= 2), lowest first, each
-    in [-2^(k-1), 2^(k-1)): up to the last nonzero one, then zeros up to
-    ``count`` digits."""
+    in [-2^(k-1), 2^(k-1)), up to the last nonzero one."""
     half, mask = 1 << (k - 1), (1 << k) - 1
     out = []
     while value:
         c = (value + half & mask) - half
         out.append(c)
         value = (value - c) >> k
-    out += [0] * (count - len(out))
     return out
 
 
@@ -496,9 +494,20 @@ def delta_color(n: int) -> LaurentPoly:
     return q if n % 2 == 0 else -q
 
 
-def loop_weight() -> LaurentPoly:
-    """delta = -A^2 - A^{-2}, the weight of a plain closed loop."""
-    return LaurentPoly({2: -1, -2: -1})
+@functools.lru_cache(maxsize=None)
+def loop_weight(b: int) -> LaurentPoly:
+    """delta^b = (-1)^b sum_j C(b, j) A^(2b-4j), the weight of b plain
+    closed loops, each weighing delta = -A^2 - A^{-2}.
+
+    >>> print(loop_weight(1))
+    -A^2 - A^-2
+    >>> print(loop_weight(2))
+    A^4 + 2 + A^-4
+    """
+    if b < 0:
+        raise ValueError("a loop count is >= 0")
+    sign = -1 if b % 2 else 1
+    return _poly({2 * b - 4 * j: sign * math.comb(b, j) for j in range(b + 1)})
 
 
 class RatFunc(_Field):
@@ -591,11 +600,6 @@ class EvalPoint:
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 
-    @property
-    def order(self) -> int:
-        """Order of the root of unity: 2(2d+1)."""
-        return 2 * (2 * self.d + 1)
-
     def __str__(self) -> str:
         return f"(d={self.d}, sign={'+' if self.sign > 0 else '-'})"
 
@@ -667,12 +671,6 @@ def _field_data(d: int):
     return m, tuple(rows)
 
 
-# Field degree up to which CycloNum multiplies with an int schoolbook loop:
-# below it, packing and decoding 2m digits costs more than the m^2 products
-# (measured on the torus workload's products, which are mostly at m <= 6).
-_SCHOOLBOOK_DEGREE = 8
-
-
 @dataclass(frozen=True)
 class CycloNum(_Field):
     """An exact element of Q(zeta), zeta = exp(i*pi/(2d+1)).
@@ -738,31 +736,21 @@ class CycloNum(_Field):
         return CycloNum(self.d, tuple(-a for a in self.coeffs))
 
     def _mul(self, other: "CycloNum") -> "CycloNum":
-        """The product, reduced with the rows of ``_field_data``.
+        """The schoolbook product, reduced with the rows of ``_field_data``.
 
         Each operand with a Fraction is cleared with one lcm of its
         denominators, so the product and the reduction run on ints and
-        the result is divided once.  Above ``_SCHOOLBOOK_DEGREE`` the
-        product is one int product of Kronecker-packed operands: each of
-        its 2m-1 coefficients is a sum of at most m products, so
-        max|a| max|b| m bounds it and sets the digit width.
+        the result is divided once.
         """
         m, rows = _field_data(self.d)
-        a, b, den = self.coeffs, other.coeffs, 1
-        if type(sum(a + b)) is not int:  # a Fraction among them
-            (a, den_a), (b, den_b) = _cleared(a), _cleared(b)
-            den = den_a * den_b
-        if m <= _SCHOOLBOOK_DEGREE:
-            prod = [0] * (2 * m - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        if y:
-                            prod[i + j] += x * y
-        else:
-            k = (max(map(abs, a)) * max(map(abs, b)) * m).bit_length() + 2
-            packed = _kron_pack(enumerate(a), k) * _kron_pack(enumerate(b), k)
-            prod = _kron_digits(packed, k, 2 * m - 1)
+        (a, den_a), (b, den_b) = _cleared(self.coeffs), _cleared(other.coeffs)
+        den = den_a * den_b
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
         out = prod[:m]
         for i in range(m, 2 * m - 1):
             c = prod[i]
@@ -815,17 +803,10 @@ class CycloNum(_Field):
 def evaluate_at(value, point: EvalPoint) -> CycloNum:
     """Apply the homomorphism A -> zeta^{sign} exactly.
 
-    Accepts LaurentPoly, RatFunc (raising PoleError when its denominator
-    vanishes at the point), CycloNum (returned unchanged after a level
-    check), and plain rationals.  A LaurentPoly's int coefficients are
-    summed into the rows of ``_field_data`` as they are.
+    Accepts a LaurentPoly, whose int coefficients are summed into the
+    rows of ``_field_data`` as they are, or a RatFunc, raising PoleError
+    when its denominator vanishes at the point.
     """
-    if isinstance(value, CycloNum):
-        if value.d != point.d:
-            raise ValueError("cyclotomic number from a different level")
-        return value
-    if isinstance(value, (int, Fraction)):
-        return CycloNum.from_rational(point.d, value)
     if isinstance(value, RatFunc):
         if value.den.is_one():
             return evaluate_at(value.num, point)

@@ -28,8 +28,8 @@ ends at an open arc, and the strand walk of ``tl`` over the leg pairs of
 each local state gives the new pairs and the number of closed loops.
 Keys that agree on the fields of the slots a box closes share that walk,
 and a new key is the old one masked and or-ed with the new pairs, with
-no sort and no tuple.  Free loops multiply the result by the same
-binomial expansion of delta^k that weights the closed loops.
+no sort and no tuple.  Free loops multiply the result by
+``algebra.loop_weight``, the same delta^k that weights the closed loops.
 
 A weight is packed by Kronecker substitution.  The A-exponents of all
 contributions to one frontier key lie in one residue class mod 4: a
@@ -51,9 +51,8 @@ arcs close at their box number the arcs plus the arcs with both ends at
 one box, so L is half of that, rounded up.  The result is decoded
 once, as balanced base-2^k digits.  Packing and decoding are the
 Kronecker kernel of ``algebra`` (``_kron_pack``, ``_kron_digits``) that
-the Temperley-Lieb and cyclotomic products share; the stride-4 exponent
-map stays here.  A contribution off its key's residue raises
-``SkeinError``.
+the Temperley-Lieb products use too; the stride-4 exponent map stays
+here.  A contribution off its key's residue raises ``SkeinError``.
 
 ``bracket`` is ``bracket_tangle_sweep`` with no memo, kept under its
 own name because the benchmark's ``bracket.bracket`` span binds it.
@@ -149,7 +148,8 @@ def bracket_state_sum(diag: PlanarDiagram) -> LaurentPoly:
     parent's union-find over the arcs and applies its smoothing's two
     joins, so each prefix is joined once.  Every arc has two ends, so
     loops are arcs minus successful unions.  Leaves count states by
-    loops, then A-exponent; each loop count adds its row times a delta power.
+    loops, then A-exponent; each loop count adds its row times
+    ``loop_weight`` of its loops.
     """
     n = len(diag.crossings)
     if n > STATE_SUM_MAX_CROSSINGS:
@@ -160,7 +160,6 @@ def bracket_state_sum(diag: PlanarDiagram) -> LaurentPoly:
         raise DiagramTooLargeError(
             f"{diag.free_loops} free loops exceeds the cap of {FREE_LOOP_CAP}"
         )
-    delta = loop_weight()
     names = _arc_numbers(diag)
     # joins[ci][s]: the two (arc, arc) joins of smoothing s
     joins = [[[(names[c[x]], names[c[y]]) for x, y in pairs] for pairs in _SMOOTHINGS[c.over]]
@@ -184,7 +183,7 @@ def bracket_state_sum(diag: PlanarDiagram) -> LaurentPoly:
                     child[x] = y
                     left -= 1
             stack.append((i + 1, child, left, exponent + shift))
-    return sum((LaurentPoly(row) * delta**(loops + diag.free_loops)
+    return sum((LaurentPoly(row) * loop_weight(loops + diag.free_loops)
                 for loops, row in counts.items()), LaurentPoly.zero())
 
 
@@ -291,7 +290,8 @@ def _sweep(legs, states, order) -> dict:
                     pairs, loops = _walk(link, partner)
                     factor = factors.get((w, loops))
                     if factor is None:
-                        factor = factors[w, loops] = _pack(_times_loops(w, loops), k)
+                        factor = factors[w, loops] = _pack(
+                            (LaurentPoly(dict(w)) * loop_weight(loops)).items(), k)
                     put = 0
                     for x, y in pairs:
                         put |= y << bits * x | x << bits * y
@@ -332,16 +332,6 @@ def _unpack(e0: int, value: int, slot: int) -> dict:
     return {e0 + 4 * j: c for j, c in enumerate(_kron_digits(value, slot)) if c}
 
 
-def _times_loops(weight: tuple, loops: int) -> list:
-    """weight * (-A^2 - A^-2)^loops as (exponent, coefficient) terms."""
-    out: dict = {}
-    for j in range(loops + 1):
-        binom, shift = (-1) ** loops * comb(loops, j), 2 * loops - 4 * j
-        for e, c in weight:
-            out[e + shift] = out.get(e + shift, 0) + binom * c
-    return list(out.items())
-
-
 def bracket_tangle_sweep(diag: PlanarDiagram) -> LaurentPoly:
     """Bracket by one frontier sweep over the crossing and projector boxes.
 
@@ -362,7 +352,7 @@ def bracket_tangle_sweep(diag: PlanarDiagram) -> LaurentPoly:
         terms = jones_wenzl(site.width).terms.items()
         states.append([(t.pairs, tuple(c.items())) for t, c in terms])
     num = _sweep(legs, states, order)
-    return LaurentPoly(dict(_times_loops(tuple(num.items()), free)))
+    return LaurentPoly(num) * loop_weight(free)
 
 
 # colored-bracket numerators keyed by FramedLink.orbit
@@ -383,6 +373,20 @@ def colored_bracket(link, colors, point: EvalPoint | None = None):
     colored 0 gives 1, and colored n gives (-1)^n [n+1]).
     """
     colors = tuple(colors)
+    _check_colors(link, colors)
+    key, least = link.orbit(colors)
+    num = _sweep_memo.get(key)
+    if num is None:
+        num = _sweep_memo[key] = bracket_tangle_sweep(cable(link, list(least)))
+    widths = tuple(sorted(c for c in colors if c))
+    if point is None:
+        return RatFunc(num, _projector_den(widths))
+    return evaluate_at(num, point) * _projector_den_inverse(widths, point)
+
+
+def _check_colors(link, colors: tuple) -> None:
+    """Refuse a coloring of ``link`` with the wrong number of colors, a
+    negative color or a color above the projector cap ``JW_CAP``."""
     if len(colors) != link.n_components:
         raise ArityError(
             f"{len(colors)} colors for {link.n_components} components"
@@ -393,14 +397,6 @@ def colored_bracket(link, colors, point: EvalPoint | None = None):
         raise DiagramTooLargeError(
             f"color {max(colors)} exceeds the projector cap {JW_CAP}"
         )
-    key, least = link.orbit(colors)
-    num = _sweep_memo.get(key)
-    if num is None:
-        num = _sweep_memo[key] = bracket_tangle_sweep(cable(link, list(least)))
-    widths = tuple(sorted(c for c in colors if c))
-    if point is None:
-        return RatFunc(num, _projector_den(widths))
-    return evaluate_at(num, point) * _projector_den_inverse(widths, point)
 
 
 def _projector_den(widths: tuple) -> LaurentPoly:

@@ -117,11 +117,8 @@ def _presentation(args) -> SurgeryPresentation:
         raise ValueError("--color attaches a meridian to a --fixture, not to a file")
     link, _ = _load_link(args)
     if args.color is not None:
-        return attach_meridian(link, 1 if args.fixture == "borromean" else 0,
-                               args.color, name=f"{args.fixture}+meridian")
-    return SurgeryPresentation(
-        link, tuple(range(link.n_components)), {}, name=args.fixture or args.path
-    )
+        return attach_meridian(link, 1 if args.fixture == "borromean" else 0, args.color)
+    return SurgeryPresentation(link, tuple(range(link.n_components)), {})
 
 
 def cmd_wrt(args) -> int:

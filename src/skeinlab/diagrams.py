@@ -84,7 +84,6 @@ from .errors import ArcCountError, NotPlanarError, SchemaError, SkeinError
 
 # corner indices
 NW, NE, SW, SE = 0, 1, 2, 3
-CORNER_NAMES = ("nw", "ne", "sw", "se")
 
 OVER_SLASH = 0  # the (sw, ne) strand is on top
 OVER_BACK = 1  # the (nw, se) strand is on top
@@ -92,10 +91,8 @@ OVER_BACK = 1  # the (nw, se) strand is on top
 # strand continuation through a crossing
 PARTNER = {NW: SE, SE: NW, SW: NE, NE: SW}
 
-# quarter-turn counterclockwise on exit directions (named by exit corner)
-_CCW_TURN = {NE: NW, NW: SW, SW: SE, SE: NE}
-
-# counterclockwise rotation order of the corner slots around a crossing
+# counterclockwise rotation order of the corner slots around a crossing,
+# which is also a quarter turn counterclockwise of an exit direction
 _ROTATION_NEXT = {NE: NW, NW: SW, SW: SE, SE: NE}
 _CCW_ORDER = (NE, NW, SW, SE)
 _CCW_PLACE = {corner: i for i, corner in enumerate(_CCW_ORDER)}
@@ -258,7 +255,7 @@ class FramedLink:
             over_dir, under_dir = (
                 (dir_slash, dir_back) if c.over == OVER_SLASH else (dir_back, dir_slash)
             )
-            sign = 1 if _CCW_TURN[over_dir] == under_dir else -1
+            sign = 1 if _ROTATION_NEXT[over_dir] == under_dir else -1
             self._crossing_data.append((comp_slash, comp_back, sign))
 
     @property
@@ -508,7 +505,6 @@ class SurgeryPresentation:
     link: FramedLink
     surgery_components: tuple[int, ...]
     extra_colors: dict
-    name: str = ""
 
     def __post_init__(self):
         n = self.link.n_components
@@ -520,8 +516,7 @@ class SurgeryPresentation:
             raise ValueError("every component must be surgery or extra")
 
 
-def attach_meridian(link: FramedLink, component: int, color: int,
-                    name: str = "") -> SurgeryPresentation:
+def attach_meridian(link: FramedLink, component: int, color: int) -> SurgeryPresentation:
     """Encircle one strand of ``component`` with a 0-framed colored circle.
 
     The circle clasps the component once (linking number +-1, self
@@ -559,7 +554,7 @@ def attach_meridian(link: FramedLink, component: int, color: int,
     if new_link.component_of(marker) == mer_comp:
         raise SkeinError("the meridian merged with the component it encircles")
     surgery = tuple(i for i in range(new_link.n_components) if i != mer_comp)
-    return SurgeryPresentation(new_link, surgery, {mer_comp: color}, name=name)
+    return SurgeryPresentation(new_link, surgery, {mer_comp: color})
 
 
 # -- cabling -----------------------------------------------------------------

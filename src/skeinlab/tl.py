@@ -14,9 +14,10 @@ for every local state of a box.
 ``TLElement`` is a formal sum of diagrams with int Laurent-polynomial
 coefficients over one shared polynomial denominator.  ``normalized`` is
 ``RatFunc``'s canonical quotient (``algebra._reduce``).  Multiplication
-stacks the second factor on top of the first and turns every closed
-bubble into a factor of the loop value -A^2 - A^-2.  It packs each
-numerator into one int by Kronecker substitution (``algebra._kron_pack``),
+stacks the second factor on top of the first and weights b closed
+bubbles by delta^b, delta = -A^2 - A^-2, from ``algebra.loop_weight``,
+as ``closure`` weights its circles.  It packs each numerator into one
+int by Kronecker substitution (``algebra._kron_pack``),
 so a pair of diagrams costs one strand walk and two int products, and
 each numerator of the product is decoded once, with no division.
 ``jones_wenzl`` sums its recursion over [n] den(e)^2, then reduces.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, gcd
+from math import gcd
 
 from .algebra import (
     LaurentPoly,
@@ -218,11 +219,8 @@ class TLElement:
 
         left = [(_partner(d), pack(c)) for d, c in zip(self.terms, nums_a)]
         right = [(*_stacked(d), pack(c)) for d, c in zip(other.terms, nums_b)]
-        # delta^b = (-1)^b sum_i C(b, i) A^(4i-2b), exponents shifted up by 2n
-        deltas = [
-            pack((2 * (n - b) + 4 * i, (-1) ** b * comb(b, i)) for i in range(b + 1))
-            for b in range(n + 1)
-        ]
+        # delta^b with its exponents shifted up by 2n
+        deltas = [pack((2 * n + e, c) for e, c in loop_weight(b).items()) for b in range(n + 1)]
         sums: dict = {}  # pairs of a product diagram -> its packed numerator
         for partner, u in left:
             for link, tops, v in right:
@@ -237,10 +235,9 @@ class TLElement:
         return TLElement(n, terms, self.den * other.den)
 
     def closure(self) -> RatFunc:
-        delta = loop_weight()
         total = LaurentPoly.zero()
         for d, c in self.terms.items():
-            total = total + c * delta**closure_count(d)
+            total = total + c * loop_weight(closure_count(d))
         return RatFunc(total, self.den)
 
     def coefficient(self, d: TLDiagram) -> RatFunc:

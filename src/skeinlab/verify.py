@@ -202,9 +202,7 @@ def check_eta_normalization(window, mode: str):
     if mode == "exact":
         return "skipped: eta^1 has no exact form", "E_ETA_ODD_POWER", "SKIPPED"
     ds = _window_range(window, 2, 5)
-    empty = SurgeryPresentation(
-        FramedLink(PlanarDiagram((), 0)), (), {}, name="empty"
-    )
+    empty = SurgeryPresentation(FramedLink(PlanarDiagram((), 0)), (), {})
     expected = f"eta at every level {ds.start}..{ds.stop - 1}"
     for d in ds:
         v = wrt_invariant(empty, EvalPoint(d, 1), mode="float")

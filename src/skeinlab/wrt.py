@@ -2,13 +2,14 @@
 
 ``wrt_invariant`` evaluates a surgery presentation by coloring every
 surgery component with each color 0 .. d-1, weighting by the loop
-values, summing the colored brackets, and scaling by eta^(1+n).  The sum
-starts at the widest coloring, every surgery component at d-1, so its
-first colored bracket is the check against the projector and sweep-cost
-caps: a run that cannot finish fails before any other sweep.  When
-1+n is even the eta power is an exact field element and the whole
-computation stays in CycloNum; odd powers force the 30-digit float
-path, the only one that imports mpmath.
+values, summing the colored brackets, and scaling by eta^(1+n).  The
+widest coloring, every surgery component at d-1, meets the projector cap
+before any work in the level's field, and the sum starts there, so its
+first colored bracket is the check against the sweep-cost cap: a run
+that cannot finish fails before any other sweep.  When 1+n is even the
+eta power is an exact field element and the whole computation stays in
+CycloNum; odd powers force the 30-digit float path, the only one that
+imports mpmath.
 
 The rest of the module materializes functions on the evaluation-point
 family (one value per level and sign, poles recorded as exceptions) and
@@ -34,7 +35,7 @@ from .algebra import (
     delta_color,
     evaluate_at,
 )
-from .bracket import colored_bracket
+from .bracket import _check_colors, colored_bracket
 from .diagrams import (
     SurgeryPresentation,
     _signature,
@@ -68,9 +69,10 @@ def wrt_invariant(pres: SurgeryPresentation, p: EvalPoint, mode: str = "auto",
     a 30-digit mpmath complex.  Presentations must have zero-signature
     surgery linking and zero self-writhe on every surgery component
     (apply twist corrections first if not), and the residual colors must
-    fit the level.  The d^n colorings are summed from the widest down,
-    so the first colored bracket, every surgery component at d-1, meets
-    the projector and sweep-cost caps before any narrower sweep runs.
+    fit the level.  The widest coloring, every surgery component at d-1,
+    meets the projector cap before the level's field is built, and the
+    d^n colorings are summed from it down, so its colored bracket meets
+    the sweep-cost cap before any narrower sweep runs.
     """
     if mode not in ("auto", "exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -103,10 +105,9 @@ def wrt_invariant(pres: SurgeryPresentation, p: EvalPoint, mode: str = "auto",
         )
     use_exact = even_power and mode != "float"
 
-    colors = [0] * link.n_components
-    for j, c in pres.extra_colors.items():
-        colors[j] = c
-
+    # the widest coloring meets the projector cap before any field work
+    colors = [pres.extra_colors.get(j, p.d - 1) for j in range(link.n_components)]
+    _check_colors(link, tuple(colors))
     loop_values = [evaluate_at(delta_color(c), p) for c in range(p.d)]
     total = CycloNum.zero(p.d)
     for combo in product(range(p.d - 1, -1, -1), repeat=n):
@@ -133,22 +134,21 @@ def wrt_invariant(pres: SurgeryPresentation, p: EvalPoint, mode: str = "auto",
 @lru_cache(maxsize=None)
 def _torus_presentation(a: int) -> SurgeryPresentation:
     """0-framed Borromean rings with an a-colored meridian on component 1."""
-    return attach_meridian(borromean_fixture(), 1, a, name=f"torus+meridian({a})")
+    return attach_meridian(borromean_fixture(), 1, a)
 
 
 @lru_cache(maxsize=None)
 def _s1xs2_presentation() -> SurgeryPresentation:
-    return SurgeryPresentation(unknot_fixture(0), (0,), {}, name="s1xs2")
+    return SurgeryPresentation(unknot_fixture(0), (0,), {})
 
 
-def torus_invariant(a: int, p: EvalPoint, mode: str = "auto",
-                    precision: int = 30):
+def torus_invariant(a: int, p: EvalPoint, mode: str = "auto"):
     """Invariant of the 3-torus with an a-colored core circle.
 
     Runs the full surgery pipeline; the closed form it must reproduce is
     meridian_series(a, p).
     """
-    return wrt_invariant(_torus_presentation(a), p, mode, precision)
+    return wrt_invariant(_torus_presentation(a), p, mode)
 
 
 def recolor_check(p: EvalPoint) -> bool:

@@ -2,7 +2,6 @@ import functools
 import math
 import random
 from fractions import Fraction
-from unittest import mock
 
 import mpmath
 import pytest
@@ -20,6 +19,7 @@ from skeinlab.algebra import (
     cyclo_to_complex,
     delta_color,
     evaluate_at,
+    loop_weight,
     poly_gcd,
     quantum_integer,
 )
@@ -63,6 +63,16 @@ def test_delta_color_values():
     assert delta_color(0) == one
     assert delta_color(1) == -(LaurentPoly.monomial(2) + LaurentPoly.monomial(-2))
     assert delta_color(2) == LaurentPoly.monomial(4) + one + LaurentPoly.monomial(-4)
+
+
+def test_loop_weight_matches_repeated_products():
+    # the closed binomial form against b products by -A^2 - A^-2
+    delta, power = LaurentPoly({2: -1, -2: -1}), one
+    for b in range(41):
+        assert loop_weight(b) == power
+        power = power * delta
+    with pytest.raises(ValueError):
+        loop_weight(-1)
 
 
 def test_str_forms():
@@ -544,38 +554,46 @@ def _assert_normalized(x: CycloNum):
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
 
-# 0 sends every product through Kronecker packing, 100 through the int
-# schoolbook loop; the default threshold picks one of the two by degree
-@pytest.mark.parametrize("schoolbook_degree", [None, 0, 100])
+# coefficients of absolute value at most 2**bits: 0 keeps them in {-1, 0, 1},
+# 100 draws ints far wider than a machine word; None draws the mixed ints and
+# fractions of `cyclo_coeffs`
+@pytest.mark.parametrize("coeff_bits", [None, 0, 100])
 @given(st.data())
 @settings(max_examples=100, deadline=None)
-def test_cyclo_mul_matches_schoolbook_reference(schoolbook_degree, data):
+def test_cyclo_mul_matches_schoolbook_reference(coeff_bits, data):
     d = data.draw(st.integers(min_value=1, max_value=12))  # 2d+1 = 9, 15, 25 are composite
     m = len(CycloNum.one(d).coeffs)
-    vectors = st.lists(cyclo_coeffs, min_size=m, max_size=m).map(tuple)
+    if coeff_bits is None:
+        coeffs = cyclo_coeffs
+    else:
+        coeffs = st.integers(min_value=-(2**coeff_bits), max_value=2**coeff_bits)
+    vectors = st.lists(coeffs, min_size=m, max_size=m).map(tuple)
     x, y = CycloNum(d, data.draw(vectors)), CycloNum(d, data.draw(vectors))
-    degree = algebra._SCHOOLBOOK_DEGREE if schoolbook_degree is None else schoolbook_degree
-    with mock.patch.object(algebra, "_SCHOOLBOOK_DEGREE", degree):
-        for a, b in ((x, y), (y, x), (x, CycloNum.zero(d)), (CycloNum.zero(d), y)):
-            ab = a * b
-            assert ab.coeffs == _ref_cyclo_mul(d, a.coeffs, b.coeffs)
-            _assert_normalized(ab)
+    for a, b in ((x, y), (y, x), (x, CycloNum.zero(d)), (CycloNum.zero(d), y)):
+        ab = a * b
+        assert ab.coeffs == _ref_cyclo_mul(d, a.coeffs, b.coeffs)
+        _assert_normalized(ab)
 
 
-@pytest.mark.parametrize("schoolbook_degree", [0, 100])
+# shift 100 runs the unit checks again at exponents past the order 2(2d+1) of zeta
+@pytest.mark.parametrize("shift", [0, 100])
 @pytest.mark.parametrize("d", range(1, 13))
-def test_cyclo_mul_of_zeros_and_units(d, schoolbook_degree):
+def test_cyclo_mul_of_zeros_and_units(d, shift):
     m = len(CycloNum.one(d).coeffs)
     zero, one, half = CycloNum.zero(d), CycloNum.one(d), CycloNum.from_rational(d, Fraction(1, 2))
     z = CycloNum.root_power(d, 1)
-    with mock.patch.object(algebra, "_SCHOOLBOOK_DEGREE", schoolbook_degree):
-        assert (zero * zero).coeffs == (0,) * m
-        assert (zero * z).coeffs == (0,) * m
-        assert one * z == z
-        assert (half * 2).coeffs == (1,) + (0,) * (m - 1)
-        assert type((half * 2).coeffs[0]) is int
-        assert z * CycloNum.root_power(d, -1) == one
-        assert CycloNum.root_power(d, 2 * d + 1) == -one
+    assert (zero * zero).coeffs == (0,) * m
+    assert (zero * z).coeffs == (0,) * m
+    assert one * z == z
+    assert (half * 2).coeffs == (1,) + (0,) * (m - 1)
+    assert type((half * 2).coeffs[0]) is int
+    assert z * CycloNum.root_power(d, -1) == one
+    assert CycloNum.root_power(d, 2 * d + 1) == -one
+    w = CycloNum.root_power(d, 1 + shift)
+    assert (zero * w).coeffs == (0,) * m
+    assert one * w == w
+    assert w * CycloNum.root_power(d, -1 - shift) == one
+    assert CycloNum.root_power(d, 2 * d + 1 + shift) == -CycloNum.root_power(d, shift)
 
 
 def test_cyclo_mul_rejects_mixed_levels():

@@ -52,7 +52,7 @@ from skeinlab.tl import (
 from skeinlab.verify import random_braid_closure
 from skeinlab.wrt import _torus_presentation, torus_invariant
 
-delta = loop_weight()
+delta = loop_weight(1)
 
 
 def test_empty_diagram_is_one():
@@ -220,10 +220,10 @@ def test_free_loop_cap(monkeypatch):
 
 
 def test_state_sum_free_loop_cap(monkeypatch):
-    # loop_weight is the first call of the state sum after its caps
+    # _arc_numbers is the first call of the state sum after its caps
     def fail(*args, **kwargs):
         raise AssertionError("the state sum ran before the free-loop cap")
-    monkeypatch.setattr("skeinlab.bracket.loop_weight", fail)
+    monkeypatch.setattr("skeinlab.bracket._arc_numbers", fail)
     with pytest.raises(DiagramTooLargeError, match="free loops"):
         bracket_state_sum(PlanarDiagram((), FREE_LOOP_CAP + 1))
 

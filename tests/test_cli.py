@@ -121,6 +121,15 @@ def test_bracket_free_loop_cap_exits_2_at_once(tmp_path):
     assert "E_TOO_LARGE" in err
 
 
+def test_wrt_projector_cap_exits_2_before_the_field():
+    # building the level-d field is O(d^2): at d = 10^5 it would run for minutes
+    start = time.perf_counter()
+    rc, out, err = run_cli("wrt", "--fixture", "hopf", "--d", "100000", "--mode", "float")
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2 and out == ""
+    assert "E_TOO_LARGE: color 99999 exceeds the projector cap 8" in err
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=3), inner, max_size=4),

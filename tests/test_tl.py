@@ -14,7 +14,7 @@ def _tl_mul_reference(x: TLElement, y: TLElement) -> TLElement:
     """x * y one diagram pair and one LaurentPoly product at a time."""
     if x.n != y.n:
         raise ArityError(f"cannot compose on {x.n} and {y.n} strands")
-    delta = loop_weight()
+    delta = loop_weight(1)
     powers: dict = {}  # bubbles -> delta^bubbles
     terms: dict = {}
     for da, ca in x.terms.items():

@@ -42,7 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def s1xs2():
-    return SurgeryPresentation(unknot_fixture(0), (0,), {}, name="s1xs2")
+    return SurgeryPresentation(unknot_fixture(0), (0,), {})
 
 
 def test_s1xs2_is_one_exactly():
@@ -74,7 +74,7 @@ for a in (0, 1, 2):
 for d in range(1, 6):
     omega_data(d).eta_sq
 assert "mpmath" not in sys.modules, "an exact run imported mpmath"
-empty = SurgeryPresentation(FramedLink(PlanarDiagram((), 0)), (), {}, name="s3")
+empty = SurgeryPresentation(FramedLink(PlanarDiagram((), 0)), (), {})
 assert abs(wrt_invariant(empty, EvalPoint(3, 1), mode="float") - omega_data(3).eta) < 1e-25
 """
 
@@ -87,7 +87,7 @@ def test_exact_runs_never_import_mpmath():
 
 
 def test_empty_presentation_gives_eta():
-    empty = SurgeryPresentation(FramedLink(PlanarDiagram((), 0)), (), {}, name="s3")
+    empty = SurgeryPresentation(FramedLink(PlanarDiagram((), 0)), (), {})
     p = EvalPoint(3, 1)
     assert abs(wrt_invariant(empty, p, mode="float") - omega_data(3).eta) < 1e-25
     with pytest.raises(OddEtaPowerError):
@@ -135,13 +135,18 @@ def test_preflight_width(no_sweep_step):
         torus_invariant(2, EvalPoint(6, 1), mode="exact")
 
 
-def test_preflight_projector_cap(no_sweep_step):
-    with pytest.raises(DiagramTooLargeError):
-        wrt_invariant(s1xs2(), EvalPoint(10, 1), mode="float")
+def test_preflight_projector_cap(no_sweep_step, monkeypatch):
+    # the level's field is O(d^2) work, so the cap is checked before it
+    def fail(*args, **kwargs):
+        raise AssertionError("the field was built before the projector cap check")
+    monkeypatch.setattr("skeinlab.algebra._field_data", fail)
+    for d in (10, 10**5):
+        with pytest.raises(DiagramTooLargeError, match=f"color {d - 1} exceeds"):
+            wrt_invariant(s1xs2(), EvalPoint(d, 1), mode="float")
 
 
 def test_signature_rejection():
-    kinked = SurgeryPresentation(unknot_fixture(1), (0,), {}, name="kink")
+    kinked = SurgeryPresentation(unknot_fixture(1), (0,), {})
     with pytest.raises(NonzeroSignatureError):
         wrt_invariant(kinked, EvalPoint(2, 1))
 
@@ -152,7 +157,7 @@ def test_framing_rejection():
         Crossing("a", "a", "b", "b", OVER_BACK),
         Crossing("c", "c", "e", "e", OVER_SLASH),
     ), 0)
-    pres = SurgeryPresentation(FramedLink(two_kinks), (0, 1), {}, name="pm")
+    pres = SurgeryPresentation(FramedLink(two_kinks), (0, 1), {})
     with pytest.raises(FramingError):
         wrt_invariant(pres, EvalPoint(2, 1))
 
