@@ -540,10 +540,6 @@ class RatFunc(_Field):
     def __setattr__(self, *_):
         raise AttributeError("RatFunc is immutable")
 
-    @staticmethod
-    def one() -> "RatFunc":
-        return RatFunc(LaurentPoly.one())
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 

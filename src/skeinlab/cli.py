@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -260,6 +261,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 "path", "--fixture", "--d", "--sign")
     p.add_argument("--colors", type=_parse_colors,
                    help="comma-separated color per component")
+    # "--colors -1,1" is a value, so the color checks name the negative color
+    p._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
 
     p = command("wrt", cmd_wrt, "surgery invariant at one point",
                 "path", "--fixture", "--d", "--sign", "--mode", "--precision")

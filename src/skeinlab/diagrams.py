@@ -132,11 +132,6 @@ class PlanarDiagram:
         return len(self.crossings)
 
 
-def diagram(crossings, free_loops: int = 0) -> PlanarDiagram:
-    """Build a PlanarDiagram from (nw, ne, sw, se, over) tuples."""
-    return PlanarDiagram(tuple(Crossing(*c) for c in crossings), free_loops)
-
-
 def _find(parent: dict, x):
     """Union-find root of x; a label absent from ``parent`` is a root."""
     while parent.get(x, x) != x:
@@ -151,6 +146,13 @@ def _arc_slots(diag: PlanarDiagram) -> dict:
         for corner in (NW, NE, SW, SE):
             slots.setdefault(c[corner], []).append((ci, corner))
     return slots
+
+
+def _mate(crossings, slots: dict, ci: int, corner: int) -> tuple:
+    """(crossing, corner) at the other end of the arc at ``corner`` of
+    crossing ``ci``; ``slots`` is ``_arc_slots`` of ``crossings``."""
+    a, b = slots[crossings[ci][corner]]
+    return b if a == (ci, corner) else a
 
 
 def _trace_components(diag: PlanarDiagram, slots: dict):
@@ -202,10 +204,6 @@ def _check_planar(diag: PlanarDiagram, slots: dict):
     graph_comps = len({_find(parent, i) for i in range(n)})
 
     # faces: orbits of (rotation after arc-mate) on darts = slots
-    def arc_mate(slot):
-        a, b = slots[diag.crossings[slot[0]][slot[1]]]
-        return b if slot == a else a
-
     faces = 0
     seen = set()
     for ci in range(n):
@@ -215,12 +213,10 @@ def _check_planar(diag: PlanarDiagram, slots: dict):
                 continue
             faces += 1
             cur = start
-            while True:
+            while cur not in seen:
                 seen.add(cur)
-                mate = arc_mate(cur)
-                cur = (mate[0], _ROTATION_NEXT[mate[1]])
-                if cur == start:
-                    break
+                cj, m = _mate(diag.crossings, slots, *cur)
+                cur = (cj, _ROTATION_NEXT[m])
     euler = n - len(slots) + faces
     if euler != 2 * graph_comps:
         raise NotPlanarError(
@@ -365,18 +361,13 @@ def _sublink(link: FramedLink, support: tuple) -> tuple:
     strands = [cs for cs in map(link.crossing_components, range(link.diagram.n_crossings))
                if keep.issuperset(cs)]
     slots = _arc_slots(sub)
-
-    def mate(ci, corner):
-        a, b = slots[sub.crossings[ci][corner]]
-        return b if a == (ci, corner) else a
-
     pieces, seen = [], set()
     for first in range(sub.n_crossings):
         if first in seen:
             continue
-        piece = _walk_code(sub.crossings, mate, strands, first, 0, 1)[2]
+        piece = _walk_code(sub.crossings, slots, strands, first, 0, 1)[2]
         seen.update(piece)
-        walks = [_walk_code(sub.crossings, mate, strands, ci, turn, sense)
+        walks = [_walk_code(sub.crossings, slots, strands, ci, turn, sense)
                  for ci in piece for turn in range(4) for sense in (1, -1)]
         least = min(code for code, _, _ in walks)
         pieces.append((least, tuple(order for code, order, _ in walks if code == least)))
@@ -384,7 +375,7 @@ def _sublink(link: FramedLink, support: tuple) -> tuple:
     return tuple(pieces), tuple(k for k in support if k not in touched)
 
 
-def _walk_code(crossings, mate, strands, start: int, turn: int, sense: int) -> tuple:
+def _walk_code(crossings, slots, strands, start: int, turn: int, sense: int) -> tuple:
     """(code, component order, crossing order) of the walk from ``start``
     turned by ``turn``, counterclockwise (``sense`` 1) or clockwise with
     the over bit flipped (-1), as the module docstring says."""
@@ -397,7 +388,7 @@ def _walk_code(crossings, mate, strands, start: int, turn: int, sense: int) -> t
             k = strands[ci][corner in (NW, SE)]
             if k not in comps:
                 comps.append(k)
-            cj, m = mate(ci, corner)
+            cj, m = _mate(crossings, slots, ci, corner)
             if cj not in number:
                 number[cj] = len(order)
                 order.append(cj)
@@ -629,7 +620,7 @@ def cable(link: FramedLink, widths) -> PlanarDiagram:
                 continue
             cut.add(k)
             ins = tuple(end(ci, corner, q) for q in range(widths[k]))
-            outs = tuple(next(s for s in slots[crossings[g][x]] if s != (g, x)) for g, x in ins)
+            outs = tuple(_mate(crossings, slots, g, x) for g, x in ins)
             sites.append(Site(kind="arc", width=widths[k], slots=ins + outs[::-1]))
     loops = [w for k, w in enumerate(widths) if w and k not in cut]
     sites += [Site(kind="loop", width=w) for w in loops]

@@ -42,19 +42,21 @@ class NotPlanarError(SkeinError):
 
 
 class DiagramTooLargeError(SkeinError):
-    """Crossing count above the brute-force evaluation cap."""
+    """Input above a work cap: the state sum's crossing cap, the free-loop
+    cap ``FREE_LOOP_CAP`` or the projector cap ``JW_CAP`` on a color."""
 
     code = "E_TOO_LARGE"
 
 
 class SliceWidthError(SkeinError):
-    """Sweep frontier exceeded the configured strand-width cap."""
+    """Sweep order whose predicted cost is above ``SWEEP_MAX_COST``."""
 
     code = "E_WIDTH"
 
 
 class ArityError(SkeinError):
-    """Tangle composition with mismatched boundary point counts."""
+    """Mismatched counts: a tangle composition whose boundary point counts
+    differ, or a coloring with the wrong number of colors."""
 
     code = "E_ARITY"
 

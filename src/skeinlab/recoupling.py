@@ -12,15 +12,15 @@ Each sum is formed in Z[A, A^-1] and then evaluated once: ``evaluate_at``
 is a ring homomorphism, so the meridian series is the value of the summed
 eigenvalues, and eta^-2 the value of the summed squared weights.
 
-``omega_data`` is exact, and its exact part is computed once per level:
-the weights, their sum of squares and its inverse eta^2.  Only the float
-value of eta, a lazy attribute, reaches for mpmath.
+``omega_data`` is exact and cached per level: the weights, their sum of
+squares and its inverse eta^2.  Only the float value of eta, the method
+``OmegaData.eta``, reaches for mpmath.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import (
     CycloNum,
@@ -93,41 +93,31 @@ class OmegaData:
     ``eta_sq`` the exact field element 1 / sum(weights[i](p)^2).  Every
     weight is palindromic, so its value is real and the sum is a
     positive real fixed by conjugation: one OmegaData serves both signs
-    of the evaluation point.  ``eta``, the positive real square root of
-    ``eta_sq`` to at least ``precision`` digits, is computed with mpmath
-    on first access and then cached.
+    of the evaluation point.  ``eta(precision)``, the positive real
+    square root of ``eta_sq``, is computed with mpmath once per precision.
     """
 
     d: int
     weights: tuple[LaurentPoly, ...]
     eta_sq: CycloNum
-    precision: int = 30
 
-    @cached_property
-    def eta(self):
-        """eta as an ``mpmath.mpf``, checked to be a positive real."""
+    @lru_cache(maxsize=None)
+    def eta(self, precision: int = 30):
+        """eta to at least ``precision`` digits as an ``mpmath.mpf``,
+        checked to be a positive real."""
         import mpmath
 
-        digits = max(self.precision, 30) + 10
+        digits = max(precision, 30) + 10
         with mpmath.workdps(digits):
             approx = cyclo_to_complex(self.eta_sq, digits)
-            if abs(approx.imag) >= mpmath.mpf(10) ** (-self.precision) or approx.real <= 0:
+            if abs(approx.imag) >= mpmath.mpf(10) ** (-precision) or approx.real <= 0:
                 raise SkeinError(f"eta^2 at d={self.d} is not a positive real number")
             return mpmath.sqrt(approx.real)
 
 
-def omega_data(d: int, precision: int = 30) -> OmegaData:
-    """Weights and eta^2 for level ``d``; eta to >= ``precision`` digits.
-
-    Every precision shares the exact part, cached per level.
-    """
-    om = _omega(d)
-    return om if precision == om.precision else replace(om, precision=precision)
-
-
 @lru_cache(maxsize=None)
-def _omega(d: int) -> OmegaData:
-    """The exact ``OmegaData`` of level ``d``, at the default precision.
+def omega_data(d: int) -> OmegaData:
+    """The exact ``OmegaData`` of level ``d``: weights and eta^2.
 
     A weight that is not palindromic, the same polynomial under
     A -> A^-1, could make eta^2 complex, so it raises ``SkeinError``

@@ -7,9 +7,9 @@ counterclockwise, so "noncrossing" is the usual chord condition).  The
 identity pairs q with 2n-1-q.
 
 ``_walk`` joins chords of noncrossing matchings and counts the closed
-loops.  It is the one strand walk of the package: ``compose`` and
-``closure_count`` run it here, and the box sweep of ``bracket`` runs it
-for every local state of a box.
+loops.  It is the one strand walk of the package: ``TLElement.__mul__``
+and ``closure_count`` run it here, and the box sweep of ``bracket`` runs
+it for every local state of a box.
 
 ``TLElement`` is a formal sum of diagrams with int Laurent-polynomial
 coefficients over one shared polynomial denominator.  ``normalized`` is
@@ -134,16 +134,6 @@ def _stacked(d: TLDiagram) -> tuple:
         p = up[2 * n - 1 - k]
         link.append(~(2 * n - 1 - p) if p < n else p)
     return link, [(a, b) for a, b in d.pairs if a >= n]
-
-
-def compose(d1: TLDiagram, d2: TLDiagram):
-    """Stack d2 on top of d1; returns (diagram, closed bubble count)."""
-    if d1.n != d2.n:
-        raise ValueError(f"strand mismatch: {d1.n} vs {d2.n}")
-    link, tops = _stacked(d2)
-    pairs, bubbles = _walk(link, _partner(d1))
-    # noncrossing by construction, so skip the check in TLDiagram.make
-    return TLDiagram(d1.n, tuple(sorted(pairs + tops))), bubbles
 
 
 def closure_count(d: TLDiagram) -> int:

@@ -125,10 +125,10 @@ def wrt_invariant(pres: SurgeryPresentation, p: EvalPoint, mode: str = "auto",
         return out
     import mpmath
 
-    om = omega_data(p.d, precision)
     digits = max(precision, 15)
     with mpmath.workdps(digits):
-        return mpmath.mpf(om.eta) ** (1 + n) * cyclo_to_complex(total, digits)
+        eta = omega_data(p.d).eta(precision)
+        return mpmath.mpf(eta) ** (1 + n) * cyclo_to_complex(total, digits)
 
 
 @lru_cache(maxsize=None)

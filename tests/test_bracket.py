@@ -27,7 +27,6 @@ from skeinlab.diagrams import (
     braid_closure,
     cable,
     canonical_form,
-    diagram,
     splice,
     unknot_fixture,
 )
@@ -43,8 +42,6 @@ from skeinlab.recoupling import hopf_eval, meridian_series, twist_coefficient
 from skeinlab.tl import (
     TLDiagram,
     TLElement,
-    closure_count,
-    compose,
     hook,
     identity,
     jones_wenzl,
@@ -385,58 +382,15 @@ def test_sweep_cost_checked_before_projectors(hopf, no_projectors):
 def test_sweep_rejects_open_arcs():
     # each arc label occurs once, so no crossing ever closes one
     with pytest.raises(SkeinError, match="open arcs survived"):
-        bracket_tangle_sweep(diagram([(0, 1, 2, 3, 0)]))
+        bracket_tangle_sweep(PlanarDiagram((Crossing(0, 1, 2, 3, 0),)))
 
 
 # -- Temperley-Lieb layer -------------------------------------------------------
 
 
-def test_compose_counts_bubbles():
-    n = 2
-    cup_cap = hook(n, 1)
-    composed, bubbles = compose(cup_cap, cup_cap)
-    assert composed == cup_cap
-    assert bubbles == 1
-
-
-@pytest.mark.parametrize("n", range(5))
-def test_compose_is_a_monoid_with_cyclic_trace(n):
-    basis = list(jones_wenzl(n).terms)
-    one = identity(n)
-    for x in basis:
-        assert compose(one, x) == (x, 0)
-        assert compose(x, one) == (x, 0)
-        for y in basis:
-            xy, b_xy = compose(x, y)
-            yx, b_yx = compose(y, x)
-            assert closure_count(xy) + b_xy == closure_count(yx) + b_yx
-            for z in basis:
-                xy_z, b_xy_z = compose(xy, z)
-                yz, b_yz = compose(y, z)
-                x_yz, b_x_yz = compose(x, yz)
-                assert xy_z == x_yz
-                assert b_xy + b_xy_z == b_yz + b_x_yz
-
-
-@pytest.mark.parametrize("n", range(6))
-def test_compose_product_passes_the_make_check(n):
-    # compose skips TLDiagram.make; its product must still be a valid,
-    # normalized noncrossing matching
-    basis = list(jones_wenzl(n).terms)
-    for x in basis:
-        for y in basis:
-            xy = compose(x, y)[0]
-            assert xy == TLDiagram.make(n, xy.pairs)
-
-
 def test_tl_element_closure_of_identity():
     for n in range(4):
         assert TLElement.identity_element(n).closure() == RatFunc(delta ** n)
-
-
-def test_tl_compose_arity_mismatch():
-    with pytest.raises(ArityError):
-        TLElement.identity_element(2) * TLElement.identity_element(3)
 
 
 def test_noncrossing_validation():

@@ -89,6 +89,13 @@ def test_colored_bracket_arity_error_exits_2(tmp_path):
     assert "E_ARITY" in err
 
 
+@pytest.mark.parametrize("argv", [("--colors", "-1,1"), ("--colors=-1,1",)])
+def test_colored_bracket_negative_color_exits_2(argv):
+    rc, out, err = run_cli("colored-bracket", "--fixture", "hopf", *argv)
+    assert rc == 2 and out == ""
+    assert err == "error: E_COLOR_RANGE: negative color in (-1, 1)\n"
+
+
 def test_missing_file_exits_2(tmp_path):
     rc, _, err = run_cli("bracket", str(tmp_path / "nope.json"))
     assert rc == 2

@@ -28,3 +28,23 @@ def test_every_benchmark_span_binds_only_its_own_target():
     run = subprocess.run([sys.executable, "-c", INSTALL], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+# perfbench/workloads.py times a cold pass and refuses to start when a
+# skeinlab cache already holds entries, so importing the package must
+# fill none of them.
+COLD = """
+import sys
+sys.path.insert(0, "perfbench")
+import skeinlab.verify
+from workloads import _caches_in_use
+
+assert _caches_in_use() == [], _caches_in_use()
+"""
+
+
+def test_import_leaves_every_cache_empty():
+    env = dict(os.environ, PYTHONPATH="src")
+    run = subprocess.run([sys.executable, "-c", COLD], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

@@ -7,7 +7,27 @@ from hypothesis import given, settings, strategies as st
 
 from skeinlab.algebra import LaurentPoly, loop_weight
 from skeinlab.errors import ArityError
-from skeinlab.tl import TLDiagram, TLElement, compose, jones_wenzl
+from skeinlab.tl import (
+    TLDiagram,
+    TLElement,
+    _partner,
+    _stacked,
+    _walk,
+    closure_count,
+    hook,
+    identity,
+    jones_wenzl,
+)
+
+
+def compose(d1: TLDiagram, d2: TLDiagram):
+    """Stack d2 on top of d1; returns (diagram, closed bubble count)."""
+    if d1.n != d2.n:
+        raise ValueError(f"strand mismatch: {d1.n} vs {d2.n}")
+    link, tops = _stacked(d2)
+    pairs, bubbles = _walk(link, _partner(d1))
+    # noncrossing by construction, so skip the check in TLDiagram.make
+    return TLDiagram(d1.n, tuple(sorted(pairs + tops))), bubbles
 
 
 def _tl_mul_reference(x: TLElement, y: TLElement) -> TLElement:
@@ -27,6 +47,49 @@ def _tl_mul_reference(x: TLElement, y: TLElement) -> TLElement:
                 c = c * powers[bubbles]
             terms[comp] = terms.get(comp, LaurentPoly.zero()) + c
     return TLElement(x.n, terms, x.den * y.den)
+
+
+def test_compose_counts_bubbles():
+    n = 2
+    cup_cap = hook(n, 1)
+    composed, bubbles = compose(cup_cap, cup_cap)
+    assert composed == cup_cap
+    assert bubbles == 1
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_compose_is_a_monoid_with_cyclic_trace(n):
+    basis = list(jones_wenzl(n).terms)
+    one = identity(n)
+    for x in basis:
+        assert compose(one, x) == (x, 0)
+        assert compose(x, one) == (x, 0)
+        for y in basis:
+            xy, b_xy = compose(x, y)
+            yx, b_yx = compose(y, x)
+            assert closure_count(xy) + b_xy == closure_count(yx) + b_yx
+            for z in basis:
+                xy_z, b_xy_z = compose(xy, z)
+                yz, b_yz = compose(y, z)
+                x_yz, b_x_yz = compose(x, yz)
+                assert xy_z == x_yz
+                assert b_xy + b_xy_z == b_yz + b_x_yz
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_compose_product_passes_the_make_check(n):
+    # compose skips TLDiagram.make; its product must still be a valid,
+    # normalized noncrossing matching
+    basis = list(jones_wenzl(n).terms)
+    for x in basis:
+        for y in basis:
+            xy = compose(x, y)[0]
+            assert xy == TLDiagram.make(n, xy.pairs)
+
+
+def test_tl_compose_arity_mismatch():
+    with pytest.raises(ArityError):
+        TLElement.identity_element(2) * TLElement.identity_element(3)
 
 
 def _matchings(points: tuple) -> list:
