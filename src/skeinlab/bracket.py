@@ -340,7 +340,7 @@ def bracket_tangle_sweep(diag: PlanarDiagram) -> LaurentPoly:
     sweep order's predicted cost are checked against their caps before
     any projector is built.
     """
-    free = diag.free_loops - sum(s.width for s in diag.sites if s.kind == "loop")
+    free = diag.free_loops - sum(s.width for s in diag.sites if not s.slots)
     if free > FREE_LOOP_CAP:
         raise DiagramTooLargeError(
             f"{free} free loops exceeds the cap of {FREE_LOOP_CAP}"

@@ -26,6 +26,9 @@ Conventions fixed here and relied on everywhere else:
   module this makes a +1 kink contribute -A^3.
 * Framing is the blackboard framing.  Diagonal entries of the linking
   matrix are per-component self-writhes.
+* One strand walk, entering each arc not yet walked at its first end in
+  first-occurrence order over (crossing, nw, ne, sw, se), fixes the
+  components' order, arc order and orientation, so the crossing signs.
 
 Cabling replaces a component of width w by w parallel copies.  A
 crossing whose "/" strand has width u and "\" strand width v becomes a
@@ -42,11 +45,12 @@ of the result are the union-find classes of the copy ends.
 Each surviving component gets one site.  One that reaches a grid corner
 gets an arc site, cut at the first grid corner it reaches in (crossing,
 nw, ne, sw, se) order; arc sites come in the order of their cuts.  Loop
-sites follow, in component order, for the surviving components that
-reach no grid corner.  A site's slots follow the point order of a TL
-diagram, so ``_box_legs`` (the sweep's boxes) and ``splice`` read a
-projector term's matching straight off it.  ``_arc_numbers`` is the one
-integer numbering of the arcs, by first occurrence.
+sites, which have no slots, follow in component order for the surviving
+components that reach no grid corner.  A site's slots follow the point
+order of a TL diagram, so ``_box_legs`` (the sweep's boxes) and
+``splice`` read a projector term's matching straight off it.
+``_arc_numbers`` is the one integer numbering of the arcs, by first
+occurrence.
 
 The colored bracket of a link depends only on its sublink on the
 nonzero colors, ``cable`` at width 1 there and 0 elsewhere, and
@@ -110,13 +114,11 @@ class Crossing(NamedTuple):
 class Site:
     """A marked transversal cut through one cabled component of width w.
 
-    For an ``arc`` site, ``slots[q]`` (q < w) is copy q's slot at the
-    cut corner and ``slots[2w-1-q]`` the other end of that copy's arc:
-    TL point order.  A ``loop`` site marks w crossing-free circles and
-    has no slots.
+    ``slots[q]`` (q < w) is copy q's slot at the cut corner and
+    ``slots[2w-1-q]`` the other end of that copy's arc: TL point order.
+    A site with no slots is a loop site: it marks w crossing-free circles.
     """
 
-    kind: str  # "arc" | "loop"
     width: int
     slots: tuple = ()
 
@@ -140,9 +142,9 @@ def _find(parent: dict, x):
     return x
 
 
-def _arc_slots(diag: PlanarDiagram) -> dict:
+def _arc_slots(crossings) -> dict:
     slots: dict = {}
-    for ci, c in enumerate(diag.crossings):
+    for ci, c in enumerate(crossings):
         for corner in (NW, NE, SW, SE):
             slots.setdefault(c[corner], []).append((ci, corner))
     return slots
@@ -155,39 +157,27 @@ def _mate(crossings, slots: dict, ci: int, corner: int) -> tuple:
     return b if a == (ci, corner) else a
 
 
-def _trace_components(diag: PlanarDiagram, slots: dict):
-    """Walk every strand once.
+def _trace_components(crossings, slots: dict):
+    """Walk every strand once, from each arc not yet walked in ``slots``
+    order, entering it at its first end.
 
     Returns (components, passages) where passages[(ci, diag_flag)] =
     (component index, exit corner) for diag_flag 0 = "/" and 1 = "\\".
     """
-    comps: list[tuple] = []
-    passages: dict = {}
-    visited: set = set()  # directed darts (arc, toward_end_index)
-    for c in diag.crossings:
-        for corner in (NW, NE, SW, SE):
-            arc = c[corner]
-            if (arc, 0) in visited or (arc, 1) in visited:
-                continue
-            comp_index = len(comps)
-            arcs_in_order = []
-            dart = (arc, 0)
-            while dart not in visited:
-                visited.add(dart)
-                cur_arc, end_index = dart
-                arcs_in_order.append(cur_arc)
-                ci, corner_in = slots[cur_arc][end_index]
-                exit_corner = PARTNER[corner_in]
-                diag_flag = 0 if corner_in in (SW, NE) else 1
-                passages[(ci, diag_flag)] = (comp_index, exit_corner)
-                nxt = diag.crossings[ci][exit_corner]
-                occ = slots[nxt]
-                # continue along nxt away from the slot we just exited
-                if occ[0] == (ci, exit_corner):
-                    dart = (nxt, 1)
-                else:
-                    dart = (nxt, 0)
-            comps.append(tuple(arcs_in_order))
+    comps, passages, seen = [], {}, set()
+    for arc, ends in slots.items():
+        if arc in seen:
+            continue
+        arcs_in_order = []
+        ci, corner = ends[0]
+        while arc not in seen:
+            seen.add(arc)
+            arcs_in_order.append(arc)
+            out = PARTNER[corner]
+            passages[ci, corner in (NW, SE)] = (len(comps), out)
+            ci, corner = _mate(crossings, slots, ci, out)
+            arc = crossings[ci][corner]
+        comps.append(tuple(arcs_in_order))
     return comps, passages
 
 
@@ -233,11 +223,11 @@ class FramedLink:
     """
 
     def __init__(self, diag: PlanarDiagram):
-        slots = _arc_slots(diag)
+        slots = _arc_slots(diag.crossings)
         for arc, occ in slots.items():
             if len(occ) != 2:
                 raise ArcCountError(f"arc {arc!r} occurs {len(occ)} time(s), expected 2")
-        comps, passages = _trace_components(diag, slots)
+        comps, passages = _trace_components(diag.crossings, slots)
         _check_planar(diag, slots)
         self.diagram = diag
         self.components = tuple(comps) + ((),) * diag.free_loops
@@ -260,9 +250,6 @@ class FramedLink:
 
     def component_of(self, arc) -> int:
         return self._comp_of_arc[arc]
-
-    def arc_ends(self, arc):
-        return self._slots[arc]
 
     def crossing_components(self, ci: int):
         """(component of the "/" strand, component of the "\\" strand)."""
@@ -288,13 +275,13 @@ class FramedLink:
         return key, min(tuple(colors[p.get(j, j)] for j in range(len(colors))) for p in perms)
 
 
-def linking_and_signature(link: FramedLink):
-    """The linking matrix (blackboard framing on the diagonal) and its
-    signature, both exact.
+def linking_matrix(link: FramedLink) -> tuple:
+    """The linking matrix, exact, with the blackboard framing on the
+    diagonal.
 
     Orientations are chosen per component by the traversal; reversing a
     component conjugates the matrix by a diagonal sign matrix, which
-    leaves the signature unchanged.
+    leaves its signature unchanged.
     """
     n = link.n_components
     mat = [[0] * n for _ in range(n)]
@@ -310,7 +297,7 @@ def linking_and_signature(link: FramedLink):
                 if mat[i][j] % 2:
                     raise SkeinError("closed curves must cross an even number of times")
                 mat[i][j] //= 2
-    return tuple(tuple(row) for row in mat), _signature(mat)
+    return tuple(tuple(row) for row in mat)
 
 
 def _signature(mat) -> int:
@@ -360,7 +347,7 @@ def _sublink(link: FramedLink, support: tuple) -> tuple:
     # sublink crossing g is the g-th crossing of the link with both strands kept
     strands = [cs for cs in map(link.crossing_components, range(link.diagram.n_crossings))
                if keep.issuperset(cs)]
-    slots = _arc_slots(sub)
+    slots = _arc_slots(sub.crossings)
     pieces, seen = [], set()
     for first in range(sub.n_crossings):
         if first in seen:
@@ -522,7 +509,7 @@ def attach_meridian(link: FramedLink, component: int, color: int) -> SurgeryPres
     if comp:
         alpha = comp[0]
         a2, a3 = ("mer", "mid"), ("mer", "tail")
-        (c2, s2) = link.arc_ends(alpha)[1]
+        (c2, s2) = link._slots[alpha][1]
         crossings = list(diag.crossings)
         c = crossings[c2]
         fields = list(c[:4])
@@ -608,7 +595,7 @@ def cable(link: FramedLink, widths) -> PlanarDiagram:
         Crossing(*(_find(parent, (g, k)) for k in (NW, NE, SW, SE)), c.over)
         for c, (o, u, v) in zip(diag.crossings, grids) for g in range(o, o + u * v)
     )
-    slots = _arc_slots(PlanarDiagram(crossings))
+    slots = _arc_slots(crossings)
     sites = []
     cut: set = set()  # components with an arc site
     for ci, c in enumerate(diag.crossings):
@@ -621,9 +608,9 @@ def cable(link: FramedLink, widths) -> PlanarDiagram:
             cut.add(k)
             ins = tuple(end(ci, corner, q) for q in range(widths[k]))
             outs = tuple(_mate(crossings, slots, g, x) for g, x in ins)
-            sites.append(Site(kind="arc", width=widths[k], slots=ins + outs[::-1]))
+            sites.append(Site(widths[k], ins + outs[::-1]))
     loops = [w for k, w in enumerate(widths) if w and k not in cut]
-    sites += [Site(kind="loop", width=w) for w in loops]
+    sites += [Site(w) for w in loops]
     return PlanarDiagram(crossings, sum(loops), tuple(sites))
 
 
@@ -643,7 +630,7 @@ def _box_legs(diag: PlanarDiagram) -> list:
     fresh = len(names)
     for site in diag.sites:
         w = site.width
-        if site.kind == "loop":
+        if not site.slots:
             legs.append([fresh + min(p, 2 * w - 1 - p) for p in range(2 * w)])
             fresh += w
         else:
@@ -667,7 +654,7 @@ def splice(diag: PlanarDiagram, assignments) -> PlanarDiagram:
     rows = [list(c[:4]) for c in diag.crossings]
     free = diag.free_loops
     for i, (site, pairs) in enumerate(assignments):
-        if site.kind == "arc":
+        if site.slots:
             for j, chord in enumerate(pairs):
                 for p in chord:
                     ci, corner = site.slots[p]

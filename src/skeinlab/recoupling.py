@@ -26,7 +26,6 @@ from .algebra import (
     CycloNum,
     EvalPoint,
     LaurentPoly,
-    RatFunc,
     _dense,
     _exact_div,
     _kron_digits,
@@ -53,7 +52,7 @@ def hopf_eval(i: int, a: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def meridian_eigenvalue(i: int, a: int) -> RatFunc:
+def meridian_eigenvalue(i: int, a: int) -> LaurentPoly:
     """Scalar action of an a-colored meridian on a color-i strand.
 
     hopf_eval(i, a) / delta_color(i), a Laurent polynomial: [(i+1)(a+1)]
@@ -65,7 +64,7 @@ def meridian_eigenvalue(i: int, a: int) -> RatFunc:
     num, den = hopf_eval(i, a), delta_color(i)
     q = _exact_div(_dense(num, 4), _dense(den, 4))
     lo = num.min_exponent() - den.min_exponent()
-    return RatFunc(_poly({lo + 4 * j: c for j, c in enumerate(q) if c}))
+    return _poly({lo + 4 * j: c for j, c in enumerate(q) if c})
 
 
 @lru_cache(maxsize=None)
@@ -80,12 +79,12 @@ def meridian_series(a: int, p: EvalPoint) -> CycloNum:
         raise ColorRangeError(f"meridian color must be nonnegative, got {a}")
     total: dict[int, int] = {}
     for i in range(p.d):
-        for e, c in meridian_eigenvalue(i, a).num.items():
+        for e, c in meridian_eigenvalue(i, a).items():
             total[e] = total.get(e, 0) + c
     return evaluate_at(_poly({e: c for e, c in total.items() if c}), p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OmegaData:
     """Surgery weights and normalization at one level.
 
@@ -94,7 +93,8 @@ class OmegaData:
     weight is palindromic, so its value is real and the sum is a
     positive real fixed by conjugation: one OmegaData serves both signs
     of the evaluation point.  ``eta(precision)``, the positive real
-    square root of ``eta_sq``, is computed with mpmath once per precision.
+    square root of ``eta_sq``, is computed with mpmath once per precision,
+    cached on the record itself: ``omega_data`` makes one per level.
     """
 
     d: int

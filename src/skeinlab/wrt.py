@@ -32,7 +32,6 @@ from .algebra import (
     CycloNum,
     EvalPoint,
     cyclo_to_complex,
-    delta_color,
     evaluate_at,
 )
 from .bracket import _check_colors, colored_bracket
@@ -41,7 +40,7 @@ from .diagrams import (
     _signature,
     attach_meridian,
     borromean_fixture,
-    linking_and_signature,
+    linking_matrix,
     unknot_fixture,
 )
 from .errors import (
@@ -80,7 +79,7 @@ def wrt_invariant(pres: SurgeryPresentation, p: EvalPoint, mode: str = "auto",
     surgery = tuple(pres.surgery_components)
     n = len(surgery)
     if link.n_components:
-        mat, _ = linking_and_signature(link)
+        mat = linking_matrix(link)
         sub = [[mat[i][j] for j in surgery] for i in surgery]
         sigma = _signature(sub)
         if sigma != 0:
@@ -108,7 +107,8 @@ def wrt_invariant(pres: SurgeryPresentation, p: EvalPoint, mode: str = "auto",
     # the widest coloring meets the projector cap before any field work
     colors = [pres.extra_colors.get(j, p.d - 1) for j in range(link.n_components)]
     _check_colors(link, tuple(colors))
-    loop_values = [evaluate_at(delta_color(c), p) for c in range(p.d)]
+    om = omega_data(p.d)
+    loop_values = [evaluate_at(w, p) for w in om.weights]
     total = CycloNum.zero(p.d)
     for combo in product(range(p.d - 1, -1, -1), repeat=n):
         weight = CycloNum.one(p.d)
@@ -118,17 +118,15 @@ def wrt_invariant(pres: SurgeryPresentation, p: EvalPoint, mode: str = "auto",
         total = total + weight * colored_bracket(link, colors, point=p)
 
     if use_exact:
-        eta_sq = omega_data(p.d).eta_sq
         out = total
         for _ in range((1 + n) // 2):
-            out = out * eta_sq
+            out = out * om.eta_sq
         return out
     import mpmath
 
     digits = max(precision, 15)
     with mpmath.workdps(digits):
-        eta = omega_data(p.d).eta(precision)
-        return mpmath.mpf(eta) ** (1 + n) * cyclo_to_complex(total, digits)
+        return mpmath.mpf(om.eta(precision)) ** (1 + n) * cyclo_to_complex(total, digits)
 
 
 @lru_cache(maxsize=None)

@@ -45,3 +45,10 @@ def test_a_crashed_run_counts_as_failed(tmp_path):
     crashed = {"attempted": 0, "failed": 1, "exit": 3}
     pairs = [{"parent": {"failed": 0, "exit": 0}, "change": crashed} for _ in range(3)]
     assert benchpair.summarize(pairs, [])["failed"] == {"parent": 0, "change": 3}
+
+
+def test_calls_differ_names_the_counters_that_moved():
+    parent = {"a.calls": 3, "b.calls": 5, "b.total_s": 0.1, "c.calls": 1, "failed": 0}
+    change = {"a.calls": 3, "b.calls": 6, "b.total_s": 0.2, "d.calls": 1, "failed": 1}
+    assert benchpair.calls_differ(parent, change) == ["b.calls", "c.calls", "d.calls"]
+    assert benchpair.calls_differ(parent, dict(parent, **{"b.total_s": 9})) == []

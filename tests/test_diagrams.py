@@ -9,6 +9,7 @@ from skeinlab.diagrams import (
     FramedLink,
     PlanarDiagram,
     _box_legs,
+    _signature,
     attach_meridian,
     braid_closure,
     cable,
@@ -17,7 +18,7 @@ from skeinlab.diagrams import (
     canonical_form,
     link_from_json,
     link_to_json,
-    linking_and_signature,
+    linking_matrix,
     splice,
     unknot_fixture,
 )
@@ -54,19 +55,32 @@ def test_planarity_rejects_genus_one():
 def test_kink_signs():
     # the self-writhe is the diagonal entry of the linking matrix
     for kinks in (1, -1, 3):
-        assert linking_and_signature(unknot_fixture(kinks))[0] == ((kinks,),)
+        assert linking_matrix(unknot_fixture(kinks)) == ((kinks,),)
 
 
 def test_borromean_linking_matrix(borromean):
-    mat, sig = linking_and_signature(borromean)
+    mat = linking_matrix(borromean)
     assert mat == ((0, 0, 0), (0, 0, 0), (0, 0, 0))
-    assert sig == 0
+    assert _signature(mat) == 0
 
 
 def test_hopf_linking_matrix(hopf):
-    mat, sig = linking_and_signature(hopf)
+    mat = linking_matrix(hopf)
     assert mat == ((0, 1), (1, 0))
-    assert sig == 0
+    assert _signature(mat) == 0
+
+
+def test_borromean_walk_is_pinned(borromean):
+    # the strand walk fixes the component order, each component's arc
+    # order and direction, and the crossing signs; link_to_json prints them
+    assert borromean.components == (
+        (("x", 0), ("x", 5), ("y", 3), ("y", 2)),
+        (("y", 0), ("x", 4), ("x", 3), ("y", 1)),
+        (("x", 1), ("y", 5), ("y", 4), ("x", 2)),
+    )
+    assert [borromean.crossing_components(ci) for ci in range(6)] == [
+        (1, 0), (1, 2), (0, 2), (0, 1), (2, 1), (2, 0)]
+    assert [sign for _, _, sign in borromean._crossing_data] == [1, -1, 1, -1, 1, -1]
 
 
 def test_braid_closure_components():
@@ -104,7 +118,7 @@ def test_meridian_presentation(borromean):
     assert sorted(pres.surgery_components) == [0, 1, 2]
     (mer, color), = pres.extra_colors.items()
     assert color == 2 and mer not in pres.surgery_components
-    mat, _ = linking_and_signature(link)
+    mat = linking_matrix(link)
     assert mat[mer][mer] == 0
     assert abs(mat[mer][1]) == 1
     assert mat[mer][0] == 0 and mat[mer][2] == 0
@@ -116,7 +130,7 @@ def test_meridian_on_free_loop(unknot):
     pres = attach_meridian(unknot, 0, 1)
     assert pres.link.n_components == 2
     assert pres.link.diagram.n_crossings == 2
-    mat, _ = linking_and_signature(pres.link)
+    mat = linking_matrix(pres.link)
     assert abs(mat[0][1]) == 1
 
 
@@ -141,7 +155,7 @@ def test_delete_components(hopf, borromean):
     # removing one Borromean component frees the other two into a clasp
     rest = cable(borromean, [0, 1, 1])
     assert rest.n_crossings == 2
-    mat, _ = linking_and_signature(FramedLink(rest))
+    mat = linking_matrix(FramedLink(rest))
     assert mat[0][1] == 0  # still pairwise unlinked after the clasp cancels
 
 
@@ -153,7 +167,7 @@ def test_cable_zero_width_deletes(hopf, borromean):
     assert [s.width for s in cable(borromean, [2, 1, 3]).sites] == [2, 1, 3]
     # then loop sites in component order, a free loop last
     unlinked = cable(FramedLink(braid_closure([1, 1], 3)), [0, 2, 3])
-    assert [(s.kind, s.width) for s in unlinked.sites] == [("loop", 2), ("loop", 3)]
+    assert [(s.slots, s.width) for s in unlinked.sites] == [((), 2), ((), 3)]
 
 
 def _delete_components(link, widths):

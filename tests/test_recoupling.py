@@ -35,9 +35,8 @@ def test_meridian_eigenvalue_closed_form():
     # H(i,1)/delta_i collapses to a two-term Laurent polynomial
     for i in range(31):
         ev = meridian_eigenvalue(i, 1)
-        assert ev.den == LaurentPoly.one()
-        assert ev.num == -(LaurentPoly.monomial(2 * i + 2)
-                           + LaurentPoly.monomial(-2 * i - 2))
+        assert isinstance(ev, LaurentPoly)
+        assert ev == -(LaurentPoly.monomial(2 * i + 2) + LaurentPoly.monomial(-2 * i - 2))
 
 
 def test_meridian_eigenvalue_examples():
@@ -132,6 +131,17 @@ def test_omega_exact_work_runs_once_per_level():
     with mpmath.workdps(60):
         target = 2 * mpmath.sin(2 * mpmath.pi / 7) / mpmath.sqrt(7)
         assert abs(eta - target) < mpmath.mpf(10) ** -45
+
+
+def test_eta_lookup_keys_on_the_record(monkeypatch):
+    # one record per level, so a warm eta lookup hashes no field element
+    eta = omega_data(3).eta(30)
+
+    def refuse(self):
+        raise AssertionError("a CycloNum was hashed")
+
+    monkeypatch.setattr(CycloNum, "__hash__", refuse)
+    assert omega_data(3).eta(30) == eta
 
 
 def test_omega_level_two_closed_form():

@@ -15,7 +15,8 @@ For every workload of ``BENCHMARK.json``, pair i runs
 sides with seed S = N + 100*w + i, where w is the workload's place in
 ``BENCHMARK.json`` and T its ``run_seconds``.  The side that runs first
 alternates, parent first in even pairs.  Then one ``--trace 1`` run per
-side gives the per-layer counters, at seed N + 100*w + 99.
+side gives the per-layer counters, at seed N + 100*w + 99, and
+``calls_differ`` lists the ``.calls`` counters whose two values differ.
 
 ``BENCH_<TAG>.json`` at the repository root gets every run's end-to-end
 metrics, and per workload and metric the medians, the inclusive quartiles
@@ -123,6 +124,13 @@ def summarize(pairs: list, end_to_end: list) -> dict:
     return out
 
 
+def calls_differ(parent: dict, change: dict) -> list:
+    """The sorted ``.calls`` metrics whose parent and change values differ;
+    one that only one side reports differs too."""
+    names = {k for k in (*parent, *change) if k.endswith(".calls")}
+    return sorted(k for k in names if parent.get(k) != change.get(k))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tag", required=True, help="writes BENCH_<TAG>.json")
@@ -166,10 +174,12 @@ def main(argv=None) -> int:
             report["workloads"][w] = runs
             report["summary"][w] = summarize(runs, bench["end_to_end"])
             trace_seed = seeds[w] + 99
+            traced = {side: _run(trees[side], w, trace_seed, seconds, 1) for side in trees}
             report["trace_" + w.replace("-", "_")] = {
                 "command": (f"python3 perfbench/run.py --workload {w} --seed {trace_seed} "
                             f"--seconds {seconds} --trace 1"),
-                **{side: _run(trees[side], w, trace_seed, seconds, 1) for side in trees},
+                **traced,
+                "calls_differ": calls_differ(traced["parent"], traced["change"]),
             }
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(report, indent=1, ensure_ascii=False) + "\n")
