@@ -780,6 +780,11 @@ class CycloNum(_Field):
         return CycloNum(self.d, tuple(_div(den * x, c) for x in s) + (0,) * (len(mod) - 1 - len(s)))
 
     def _div(self, other: "CycloNum") -> "CycloNum":
+        r = other.as_rational()
+        if r:  # a nonzero rational p/q: each numerator times q / (den p)
+            ints, den = _cleared(self.coeffs)
+            q, p = r.denominator, den * r.numerator
+            return CycloNum(self.d, tuple(_div(x * q, p) for x in ints))
         return self * other.inverse()
 
     def __str__(self) -> str:

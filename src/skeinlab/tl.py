@@ -7,26 +7,31 @@ counterclockwise, so "noncrossing" is the usual chord condition).  The
 identity pairs q with 2n-1-q.
 
 ``_walk`` joins chords of noncrossing matchings and counts the closed
-loops.  It is the one strand walk of the package: ``TLElement.__mul__``
-and ``closure_count`` run it here, and the box sweep of ``bracket`` runs
-it for every local state of a box.
+loops.  It is the one strand walk of the package: ``_middle`` (for
+``TLElement.__mul__``) and ``closure_count`` run it here, and the box
+sweep of ``bracket`` runs it for every local state of a box.
 
 ``TLElement`` is a formal sum of diagrams with int Laurent-polynomial
 coefficients over one shared polynomial denominator.  ``normalized`` is
 ``RatFunc``'s canonical quotient (``algebra._reduce``).  Multiplication
 stacks the second factor on top of the first and weights b closed
 bubbles by delta^b, delta = -A^2 - A^-2, from ``algebra.loop_weight``,
-as ``closure`` weights its circles.  It packs each numerator into one
-int by Kronecker substitution (``algebra._kron_pack``),
-so a pair of diagrams costs one strand walk and two int products, and
-each numerator of the product is decoded once, with no division.
+as ``closure`` weights its circles.  A product of two diagrams depends
+on their inner halves (``TLDiagram.halves``) only through one middle
+composition (the cellular structure of TL; Graham-Lehrer 1996), so a
+product walks each pair of inner halves once, not each pair of diagrams.
+Numerators are packed into ints by Kronecker substitution
+(``algebra._kron_pack``).  A -> 2^k is a ring homomorphism, so partial
+sums are exact however their digits carry, and only the final
+numerators, which the digit width bounds, are decoded: each once, with
+no division.
 ``jones_wenzl`` sums its recursion over [n] den(e)^2, then reduces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .algebra import (
@@ -58,6 +63,20 @@ class TLDiagram:
                 if a < c < b < d:
                     raise ValueError(f"chords ({a},{b}) and ({c},{d}) cross")
         return TLDiagram(n, norm)
+
+    @cached_property
+    def halves(self) -> tuple:
+        """(lower half, upper half).  A half has one entry per position
+        0..n-1 on its side, left to right: ~p where a cap joins it to
+        position p, else the rank of its through-strand end on that side."""
+        n, m = self.n, 2 * self.n - 1
+        low, up = [0] * n, [0] * n
+        for a, b in self.pairs:
+            if b < n:
+                low[a], low[b] = ~b, ~a
+            elif a >= n:
+                up[m - a], up[m - b] = ~(m - b), ~(m - a)
+        return _cap_off(tuple(low)), _cap_off(tuple(up))
 
     def __str__(self):
         return "TL" + str(list(map(list, self.pairs)))
@@ -118,22 +137,45 @@ def _partner(d: TLDiagram) -> list:
     return out
 
 
-def _stacked(d: TLDiagram) -> tuple:
-    """(link, top pairs) of d stacked on top of an n-strand diagram.
+@lru_cache(maxsize=None)
+def _middle(up, low) -> tuple:
+    """An upper half stacked under a lower half: (closed bubbles, rank
+    pairs of the upper half's through ends that the middle caps off, the
+    same for the lower half).
 
-    ``link`` is for the walk over the points of the lower diagram:
-    bottom point q ends at label q, and top point k meets bottom point
-    2n-1-k of d, whose chord leads on to another top point of the lower
-    diagram or ends at a top point of d.  The chords among d's top
-    points pass through unchanged.
+    One ``_walk`` over the 2n middle legs: leg q is the upper half's
+    position q and meets leg n + q, the lower half's position q.
     """
-    n = d.n
-    up = _partner(d)
-    link = list(range(n))
-    for k in range(n, 2 * n):
-        p = up[2 * n - 1 - k]
-        link.append(~(2 * n - 1 - p) if p < n else p)
-    return link, [(a, b) for a, b in d.pairs if a >= n]
+    n = len(up)
+    link = [*up, *(x + n if x >= 0 else x - n for x in low)]
+    pairs, bubbles = _walk(link, [*range(n, 2 * n), *range(n)])
+    return (bubbles, tuple(sorted(p for p in pairs if p[1] < n)),
+            tuple(sorted((a - n, b - n) for a, b in pairs if a >= n)))
+
+
+@lru_cache(maxsize=None)
+def _cap_off(half, caps=()) -> tuple:
+    """The half with the through ends (entries >= 0) of each rank pair in
+    caps joined by a cap, and the others ranked 0, 1, ... left to right."""
+    pos = [q for q, x in enumerate(half) if x >= 0]
+    out = list(half)
+    for r, s in caps:
+        out[pos[r]], out[pos[s]] = ~pos[s], ~pos[r]
+    rank = 0
+    for q in pos:
+        if out[q] >= 0:
+            out[q], rank = rank, rank + 1
+    return tuple(out)
+
+
+def _glue(n: int, low, up) -> TLDiagram:
+    """The diagram with these halves: their through ends of equal rank
+    are joined."""
+    m = 2 * n - 1
+    pairs = [(q, ~x) for q, x in enumerate(low) if ~x > q]
+    pairs += [(m - ~x, m - q) for q, x in enumerate(up) if ~x > q]
+    pairs += zip((q for q, x in enumerate(low) if x >= 0), (m - q for q, x in enumerate(up) if x >= 0))
+    return TLDiagram(n, tuple(sorted(pairs)))
 
 
 def closure_count(d: TLDiagram) -> int:
@@ -181,20 +223,26 @@ class TLElement:
         A -> 2^k (``algebra._kron_pack``) from the factor's lowest
         exponent, one digit per step of g in the exponent: g = 2 when
         every exponent offset is even, as in every Jones-Wenzl projector,
-        else 1.  The walk data of each diagram is worked out once per
-        product, so a pair of diagrams costs one ``_walk`` and two int
-        products: the numerators, then delta^b for its b closed bubbles,
-        pre-packed for b = 0..n from the exponent -2n.  Each numerator of
-        the product is decoded once.
+        else 1.  delta^b is pre-packed for b = 0..n from the exponent -2n.
+
+        The right terms are grouped by lower half, and each left upper
+        half meets each of those once: ``_middle`` gives the b closed
+        bubbles and the through-strand ends capped off on each side.  The
+        left numerators times delta^b are summed per (right lower half,
+        its cap pattern, new lower half); each sum times the numerators of
+        the right terms with that lower half, their upper halves capped
+        off by the pattern, gives the product.  Its nonzero terms come in
+        the order of their first (left term, right term) pair, as in a
+        loop over pairs.
 
         Digit width: with s and t the sums of the l1 norms of the
         numerators of the two factors, an output coefficient is a sum of
         coefficients of products c c' delta^b, so its absolute value is at
         most s t 2^n (||delta^b||_1 = 2^b and b <= n).  k is two bits more
         than the bit length of s t 2^n.  A -> 2^k is a ring homomorphism
-        Z[A] -> Z, so each packed sum is the image of the true numerator
-        however the digits of the partial sums carry: only the final
-        coefficients need the bound.
+        Z[A] -> Z, so each packed sum, partial or final, is the image of
+        its true numerator however its digits carry.  Partial sums are
+        never decoded, so only the final coefficients need the bound.
         """
         if self.n != other.n:
             raise ArityError(f"cannot compose on {self.n} and {other.n} strands")
@@ -207,21 +255,35 @@ class TLElement:
         def pack(terms):
             return _kron_pack(((j // g, c) for j, c in terms), k)
 
-        left = [(_partner(d), pack(c)) for d, c in zip(self.terms, nums_a)]
-        right = [(*_stacked(d), pack(c)) for d, c in zip(other.terms, nums_b)]
+        right: dict = {}  # lower half -> (index, upper half, packed numerator) per term
+        for j, (d, c) in enumerate(zip(other.terms, nums_b)):
+            low, up = d.halves
+            right.setdefault(low, []).append((j, up, pack(c)))
         # delta^b with its exponents shifted up by 2n
         deltas = [pack((2 * n + e, c) for e, c in loop_weight(b).items()) for b in range(n + 1)]
-        sums: dict = {}  # pairs of a product diagram -> its packed numerator
-        for partner, u in left:
-            for link, tops, v in right:
-                pairs, bubbles = _walk(link, partner)
-                key = tuple(sorted(pairs + tops))
-                sums[key] = sums.get(key, 0) + u * v * deltas[bubbles]
+        by_up: dict = {}  # upper half -> (lower half, _middle of the two) per right lower half
+        mid: dict = {}  # (right lower half, its caps, new lower half) -> [first i, packed sum]
+        for i, (d, c) in enumerate(zip(self.terms, nums_a)):
+            low_a, up = d.halves
+            if up not in by_up:
+                by_up[up] = [(low, *_middle(up, low)) for low in right]
+            u = pack(c)
+            for low, bubbles, caps_a, caps_b in by_up[up]:
+                key = (low, caps_b, _cap_off(low_a, caps_a))
+                mid.setdefault(key, [i, 0])[1] += u * deltas[bubbles]
+        sums: dict = {}  # halves of a product diagram -> [first pair i * width + j, numerator]
+        width = len(other.terms)
+        for (low, caps_b, new_low), (i, s) in mid.items():
+            for j, up_b, v in right[low]:
+                first = i * width + j
+                entry = sums.setdefault((new_low, _cap_off(up_b, caps_b)), [first, 0])
+                entry[0] = min(entry[0], first)
+                entry[1] += s * v
         lo = lo_a + lo_b - 2 * n
         terms = {}
-        for key, v in sums.items():
+        for _, v, key in sorted((first, v, key) for key, (first, v) in sums.items() if v):
             digits = _kron_digits(v, k)
-            terms[TLDiagram(n, key)] = _poly({lo + g * j: c for j, c in enumerate(digits) if c})
+            terms[_glue(n, *key)] = _poly({lo + g * j: c for j, c in enumerate(digits) if c})
         return TLElement(n, terms, self.den * other.den)
 
     def closure(self) -> RatFunc:

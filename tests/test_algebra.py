@@ -596,6 +596,25 @@ def test_cyclo_mul_of_zeros_and_units(d, shift):
     assert CycloNum.root_power(d, 2 * d + 1 + shift) == -CycloNum.root_power(d, shift)
 
 
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_cyclo_division_by_a_rational_needs_no_inverse(data):
+    d = data.draw(st.integers(min_value=1, max_value=12))
+    m = len(CycloNum.one(d).coeffs)
+    x = CycloNum(d, data.draw(st.lists(cyclo_coeffs, min_size=m, max_size=m).map(tuple)))
+    r = data.draw(cyclo_coeffs.filter(bool))
+    y = CycloNum.from_rational(d, r)
+    want = x * y.inverse()
+    inverse, CycloNum.inverse = CycloNum.inverse, None  # a call would raise TypeError
+    try:
+        got = x / y
+    finally:
+        CycloNum.inverse = inverse
+    assert got.coeffs == want.coeffs
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+    _assert_normalized(got)
+
+
 def test_cyclo_mul_rejects_mixed_levels():
     with pytest.raises(ValueError, match="cannot mix cyclotomic numbers of different levels"):
         CycloNum.one(2) * CycloNum.one(3)

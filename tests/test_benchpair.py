@@ -52,3 +52,29 @@ def test_calls_differ_names_the_counters_that_moved():
     change = {"a.calls": 3, "b.calls": 6, "b.total_s": 0.2, "d.calls": 1, "failed": 1}
     assert benchpair.calls_differ(parent, change) == ["b.calls", "c.calls", "d.calls"]
     assert benchpair.calls_differ(parent, dict(parent, **{"b.total_s": 9})) == []
+
+
+def test_gain_resolved_needs_nine_wins_in_ten_and_a_gap_past_the_iqr():
+    def summary(parent, change):
+        pairs = [_pair({"wall_s": p, "rate": 1.0}, {"wall_s": c, "rate": 1.0})
+                 for p, c in zip(parent, change)]
+        return benchpair.summarize(pairs, METRICS)
+
+    parent = [1.0 + i / 100 for i in range(10)]  # IQR 0.045
+    clear = summary(parent, [0.7 + i / 100 for i in range(10)])["wall_s"]
+    assert clear["change_better_in"] == 10 and clear["gain_resolved"]
+    # nine wins in ten are enough, eight are not
+    nine = summary(parent, [0.7] * 9 + [2.0])["wall_s"]
+    assert nine["change_better_in"] == 9 and nine["gain_resolved"]
+    eight = summary(parent, [0.7] * 8 + [2.0] * 2)["wall_s"]
+    assert eight["change_better_in"] == 8 and not eight["gain_resolved"]
+    # ten wins, but the medians differ by less than the parent's IQR
+    close = summary(parent, [p - 0.01 for p in parent])["wall_s"]
+    assert close["change_better_in"] == 10 and not close["gap_exceeds_parent_iqr"]
+    assert not close["gain_resolved"]
+    # a clear gap the wrong way is no gain; "higher" metrics gain upwards
+    worse = summary(parent, [1.5 + i / 100 for i in range(10)])["wall_s"]
+    assert worse["gap_exceeds_parent_iqr"] and not worse["gain_resolved"]
+    pairs = [_pair({"wall_s": 1.0, "rate": 10.0 + i}, {"wall_s": 1.0, "rate": 30.0 + i})
+             for i in range(10)]
+    assert benchpair.summarize(pairs, METRICS)["rate"]["gain_resolved"]

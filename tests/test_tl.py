@@ -10,14 +10,32 @@ from skeinlab.errors import ArityError
 from skeinlab.tl import (
     TLDiagram,
     TLElement,
+    _glue,
     _partner,
-    _stacked,
     _walk,
     closure_count,
     hook,
     identity,
     jones_wenzl,
 )
+
+
+def _stacked(d: TLDiagram) -> tuple:
+    """(link, top pairs) of d stacked on top of an n-strand diagram.
+
+    ``link`` is for the walk over the points of the lower diagram:
+    bottom point q ends at label q, and top point k meets bottom point
+    2n-1-k of d, whose chord leads on to another top point of the lower
+    diagram or ends at a top point of d.  The chords among d's top
+    points pass through unchanged.
+    """
+    n = d.n
+    up = _partner(d)
+    link = list(range(n))
+    for k in range(n, 2 * n):
+        p = up[2 * n - 1 - k]
+        link.append(~(2 * n - 1 - p) if p < n else p)
+    return link, [(a, b) for a, b in d.pairs if a >= n]
 
 
 def compose(d1: TLDiagram, d2: TLDiagram):
@@ -104,7 +122,25 @@ def _matchings(points: tuple) -> list:
     return out
 
 
-BASIS = {n: [TLDiagram.make(n, m) for m in _matchings(tuple(range(2 * n)))] for n in range(6)}
+BASIS = {n: [TLDiagram.make(n, m) for m in _matchings(tuple(range(2 * n)))] for n in range(8)}
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_halves_glue_back_to_the_diagram(n):
+    for d in BASIS[n]:
+        low, up = d.halves
+        assert len(low) == len(up) == n
+        assert sum(x >= 0 for x in low) == sum(x >= 0 for x in up)
+        assert _glue(n, low, up) == d
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_product_of_basis_diagrams_matches_compose(n):
+    for x in BASIS[n]:
+        for y in BASIS[n]:
+            xy, bubbles = compose(x, y)
+            got = TLElement.from_diagram(x) * TLElement.from_diagram(y)
+            assert got.terms == {xy: loop_weight(bubbles)}
 
 coeffs = st.one_of(
     st.integers(min_value=-30, max_value=30),
@@ -118,7 +154,7 @@ even_polys = st.dictionaries(
 
 @st.composite
 def tl_pairs(draw):
-    n = draw(st.integers(min_value=0, max_value=5))
+    n = draw(st.integers(min_value=0, max_value=7))
     coeff = draw(st.sampled_from([polys, even_polys]))
 
     def element():
@@ -148,13 +184,30 @@ def test_packed_product_matches_reference(pair):
     _assert_same(x * y, _tl_mul_reference(x, y))
 
 
-@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("n", range(7))
 def test_packed_product_on_projectors_and_hooks(n):
     e = jones_wenzl(n)
     factors = [e] + [TLElement.hook_element(n, i) for i in range(1, n)]
     for x in factors:
         for y in factors:
             _assert_same(x * y, _tl_mul_reference(x, y))
+
+
+def test_packed_product_keeps_the_first_pair_order():
+    # x y1 = x y3, and y3 shares its lower half with y0, which the product
+    # meets first: x y1 must still come before x y2, as in the pair loop
+    x = TLDiagram.make(4, [(0, 1), (2, 5), (3, 4), (6, 7)])
+    ys = [
+        TLDiagram.make(4, [(0, 1), (2, 3), (4, 5), (6, 7)]),
+        TLDiagram.make(4, [(0, 3), (1, 2), (4, 7), (5, 6)]),
+        x,
+        TLDiagram.make(4, [(0, 1), (2, 3), (4, 7), (5, 6)]),
+    ]
+    left = TLElement.from_diagram(x)
+    right = TLElement(4, {y: LaurentPoly({j: 1}) for j, y in enumerate(ys)}, LaurentPoly.one())
+    got = left * right
+    assert len(got.terms) == 3
+    _assert_same(got, _tl_mul_reference(left, right))
 
 
 def test_packed_product_of_empty_elements():
@@ -189,8 +242,10 @@ def _jw_record(e: TLElement) -> str:
     return "\n".join(rows)
 
 
-# sha256 of _jw_record(jones_wenzl(n)) as built by the dict-loop product:
-# the terms in key order, each coefficient with its type, and the den
+# sha256 of _jw_record(jones_wenzl(n)) as built by the dict-loop product
+# (n = 8 by the pair-by-pair packed product that the half-diagram product
+# replaced): the terms in key order, each coefficient with its type, and
+# the den
 JW_RECORDS = {
     0: "ac8eb2b560d2cd183570bccde152d727e12863439d2a9147e4b89afd89a1a507",
     1: "18efc9c104c21d4c35be198d1de8de176496107b0fc62410e50631e3130fcf6d",
@@ -200,6 +255,7 @@ JW_RECORDS = {
     5: "6412a44dc787a50c71e82d9de7219ce2a9c29fffe3857545320ab1611215f306",
     6: "58b92c71e80aa172744d1023d2b879840ebb55a76e13831566b1bce1400617b9",
     7: "951434cde52cacd72a17dfa09280184508db0840b12ce277fbb3dfa6ccd8a7f9",
+    8: "fd44e0b326b9ad8b644d5191fd3296c27d37b015f770d8a781a558f521b2c990",
 }
 
 

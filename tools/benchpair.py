@@ -23,9 +23,11 @@ metrics, and per workload and metric the medians, the inclusive quartiles
 (``statistics.quantiles(n=4, method="inclusive")``, first and third), the
 number of pairs in which the change reads better in the metric's
 ``better`` direction, the relative change of the median, whether the
-change's median is within the metric's bound of ``BENCHMARK.json``, and
-whether the medians differ by more than the parent's interquartile range;
-per side, the failed items, where a run that crashed counts at least one.
+change's median is within the metric's bound of ``BENCHMARK.json``,
+whether the medians differ by more than the parent's interquartile range,
+and whether a gain is resolved: the change reads better in at least 9 of
+10 pairs and its median is better by more than that range; per side, the
+failed items, where a run that crashed counts at least one.
 Claims and notes are for the reader to add.  Progress goes to standard
 error.
 """
@@ -109,15 +111,18 @@ def summarize(pairs: list, end_to_end: list) -> dict:
         pm, cm = statistics.median(parent), statistics.median(change)
         pq = _quartiles(parent)
         sign = 1 if metric["better"] == "lower" else -1
+        wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+        gap = abs(cm - pm) > pq[1] - pq[0]
         out[name] = {
             "parent_median": round(pm, 4),
             "parent_quartiles": pq,
             "change_median": round(cm, 4),
             "change_quartiles": _quartiles(change),
-            "change_better_in": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
+            "change_better_in": wins,
             "relative": round(cm / pm - 1, 4),
             "within_bound": sign * (cm - pm) <= metric["bound"] * pm,
-            "gap_exceeds_parent_iqr": abs(cm - pm) > pq[1] - pq[0],
+            "gap_exceeds_parent_iqr": gap,
+            "gain_resolved": 10 * wins >= 9 * len(pairs) and sign * (pm - cm) > 0 and gap,
         }
     out["failed"] = {side: sum(p[side]["failed"] for p in pairs)
                      for side in ("parent", "change")}
