@@ -119,7 +119,7 @@ def _presentation(args) -> SurgeryPresentation:
     link, _ = _load_link(args)
     if args.color is not None:
         return attach_meridian(link, 1 if args.fixture == "borromean" else 0, args.color)
-    return SurgeryPresentation(link, tuple(range(link.n_components)), {})
+    return SurgeryPresentation(link, {})
 
 
 def cmd_wrt(args) -> int:

@@ -81,7 +81,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ArcCountError, NotPlanarError, SchemaError, SkeinError
@@ -301,38 +300,25 @@ def linking_matrix(link: FramedLink) -> tuple:
 
 
 def _signature(mat) -> int:
-    """Signature of a symmetric integer matrix by rational congruence."""
-    m = [[Fraction(x) for x in row] for row in mat]
-    active = list(range(len(m)))
-    sig = 0
-    while active:
-        pivot = next((i for i in active if m[i][i] != 0), None)
-        if pivot is None:
-            ij = next(
-                ((i, j) for i in active for j in active if i != j and m[i][j] != 0),
-                None,
-            )
-            if ij is None:
-                break  # remaining block is zero
-            i, j = ij
-            for k in active:
-                m[i][k] += m[j][k]
-            for k in active:
-                m[k][i] += m[k][j]
-            pivot = i
-        p = m[pivot][pivot]
-        sig += 1 if p > 0 else -1
-        for k in active:
-            if k == pivot:
-                continue
-            f = m[k][pivot] / p
-            if f:
-                for l in active:
-                    m[k][l] -= f * m[pivot][l]
-                for l in active:
-                    m[l][k] -= f * m[l][pivot]
-        active.remove(pivot)
-    return sig
+    """Signature of a symmetric integer matrix M, by Descartes' rule of
+    signs on p(x) = det(xI - M) = sum_k c_k x^(n-k).
+
+    p has only real roots, so the rule is exact: the sign changes of the
+    c_k count the positive eigenvalues, and those of (-1)^k c_k (p(-x)
+    up to sign) the negative ones.  The c_k come from the
+    Faddeev-LeVerrier recursion M_1 = I, c_k = -tr(M M_k) / k,
+    M_(k+1) = M M_k + c_k I in ints: the c_k are integers, so k divides
+    the trace exactly.
+    """
+    n = len(mat)
+    coeffs, mk = [1], [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        prod = [[sum(a * b for a, b in zip(row, col)) for col in zip(*mk)] for row in mat]
+        coeffs.append(-sum(prod[i][i] for i in range(n)) // k)
+        mk = [[x + coeffs[k] * (i == j) for j, x in enumerate(row)] for i, row in enumerate(prod)]
+    pos = [c > 0 for c in coeffs if c]
+    neg = [(c > 0) != k % 2 for k, c in enumerate(coeffs) if c]
+    return sum(map(bool.__ne__, pos, pos[1:])) - sum(map(bool.__ne__, neg, neg[1:]))
 
 
 # -- the key of a colored sublink ---------------------------------------------
@@ -475,23 +461,22 @@ def unknot_fixture(kinks: int = 0) -> FramedLink:
 class SurgeryPresentation:
     """Surgery data plus a residual colored link in the same diagram.
 
-    ``link`` holds every component; ``surgery_components`` indexes the
-    ones to be surgered (weighted by the full color set downstream);
-    ``extra_colors`` maps each remaining component to its fixed color.
+    ``link`` holds every component; ``extra_colors`` maps some of them to
+    a fixed color.  The rest, ``surgery_components``, are the ones to be
+    surgered (weighted by the full color set downstream).
     """
 
     link: FramedLink
-    surgery_components: tuple[int, ...]
     extra_colors: dict
 
     def __post_init__(self):
-        n = self.link.n_components
-        surg = set(self.surgery_components)
-        extra = set(self.extra_colors)
-        if surg & extra:
-            raise ValueError("surgery and extra components overlap")
-        if (surg | extra) != set(range(n)):
-            raise ValueError("every component must be surgery or extra")
+        if not set(self.extra_colors) <= set(range(self.link.n_components)):
+            raise ValueError("a fixed color names no component of the link")
+
+    @property
+    def surgery_components(self) -> tuple[int, ...]:
+        """The components with no fixed color, in ascending order."""
+        return tuple(k for k in range(self.link.n_components) if k not in self.extra_colors)
 
 
 def attach_meridian(link: FramedLink, component: int, color: int) -> SurgeryPresentation:
@@ -531,8 +516,7 @@ def attach_meridian(link: FramedLink, component: int, color: int) -> SurgeryPres
     mer_comp = new_link.component_of(mt)
     if new_link.component_of(marker) == mer_comp:
         raise SkeinError("the meridian merged with the component it encircles")
-    surgery = tuple(i for i in range(new_link.n_components) if i != mer_comp)
-    return SurgeryPresentation(new_link, surgery, {mer_comp: color})
+    return SurgeryPresentation(new_link, {mer_comp: color})
 
 
 # -- cabling -----------------------------------------------------------------

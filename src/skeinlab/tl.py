@@ -340,11 +340,8 @@ def jones_wenzl(n: int) -> TLElement:
     """
     if n < 0:
         raise ValueError("negative strand count")
-    if n == 0:
-        empty = TLDiagram.make(0, ())
-        return TLElement(0, {empty: LaurentPoly.one()}, LaurentPoly.one())
-    if n == 1:
-        return TLElement.identity_element(1)
+    if n <= 1:
+        return TLElement.identity_element(n)
     e = extend(jones_wenzl(n - 1))
     eue = e * TLElement.hook_element(n, n - 1) * e
     qn, mix = quantum_integer(n), quantum_integer(n - 1)

@@ -202,7 +202,7 @@ def check_eta_normalization(window, mode: str):
     if mode == "exact":
         return "skipped: eta^1 has no exact form", "E_ETA_ODD_POWER", "SKIPPED"
     ds = _window_range(window, 2, 5)
-    empty = SurgeryPresentation(FramedLink(PlanarDiagram((), 0)), (), {})
+    empty = SurgeryPresentation(FramedLink(PlanarDiagram((), 0)), {})
     expected = f"eta at every level {ds.start}..{ds.stop - 1}"
     for d in ds:
         v = wrt_invariant(empty, EvalPoint(d, 1), mode="float")
@@ -298,10 +298,7 @@ def check_colored_closed_forms(window):
             if colored_bracket(hopf, (i, a)) != RatFunc(hopf_eval(i, a)):
                 return expected, f"hopf colors ({i},{a})"
             pres = attach_meridian(unknot_fixture(0), 0, a)
-            colors = [0, 0]
-            colors[pres.surgery_components[0]] = i
-            for j, c in pres.extra_colors.items():
-                colors[j] = c
+            colors = [pres.extra_colors.get(k, i) for k in range(2)]
             if colored_bracket(pres.link, colors) != RatFunc(hopf_eval(i, a)):
                 return expected, f"encirclement colors ({i},{a})"
     return expected, expected

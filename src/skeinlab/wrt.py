@@ -63,10 +63,12 @@ def wrt_invariant(pres: SurgeryPresentation, p: EvalPoint, mode: str = "auto",
                   precision: int = 30):
     """Invariant of the surgered manifold with its residual colored link.
 
-    Returns an exact CycloNum when the eta power 1+n is even (n = number
-    of surgery components) and ``mode`` is "auto" or "exact"; otherwise
-    a 30-digit mpmath complex.  Presentations must have zero-signature
-    surgery linking and zero self-writhe on every surgery component
+    The surgery components are those ``pres.extra_colors`` leaves
+    uncolored.  Returns an exact CycloNum when the eta power 1+n is even
+    (n = number of surgery components) and ``mode`` is "auto" or
+    "exact"; otherwise a 30-digit mpmath complex.  Presentations must
+    have zero-signature surgery linking (an empty link's matrix is empty,
+    of signature 0) and zero self-writhe on every surgery component
     (apply twist corrections first if not), and the residual colors must
     fit the level.  The widest coloring, every surgery component at d-1,
     meets the projector cap before the level's field is built, and the
@@ -76,27 +78,18 @@ def wrt_invariant(pres: SurgeryPresentation, p: EvalPoint, mode: str = "auto",
     if mode not in ("auto", "exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
     link = pres.link
-    surgery = tuple(pres.surgery_components)
+    surgery = pres.surgery_components
     n = len(surgery)
-    if link.n_components:
-        mat = linking_matrix(link)
-        sub = [[mat[i][j] for j in surgery] for i in surgery]
-        sigma = _signature(sub)
-        if sigma != 0:
-            raise NonzeroSignatureError(
-                f"surgery linking matrix has signature {sigma}"
-            )
-        for j in surgery:
-            if mat[j][j] != 0:
-                raise FramingError(
-                    f"surgery component {j} has self-writhe {mat[j][j]}"
-                )
-    for j in sorted(pres.extra_colors):
-        c = pres.extra_colors[j]
+    mat = linking_matrix(link)
+    sigma = _signature([[mat[i][j] for j in surgery] for i in surgery])
+    if sigma != 0:
+        raise NonzeroSignatureError(f"surgery linking matrix has signature {sigma}")
+    for j in surgery:
+        if mat[j][j] != 0:
+            raise FramingError(f"surgery component {j} has self-writhe {mat[j][j]}")
+    for j, c in sorted(pres.extra_colors.items()):
         if not 0 <= c <= 2 * p.d - 2:
-            raise ColorRangeError(
-                f"color {c} on component {j} outside 0..{2 * p.d - 2}"
-            )
+            raise ColorRangeError(f"color {c} on component {j} outside 0..{2 * p.d - 2}")
     even_power = (1 + n) % 2 == 0
     if mode == "exact" and not even_power:
         raise OddEtaPowerError(
@@ -137,7 +130,7 @@ def _torus_presentation(a: int) -> SurgeryPresentation:
 
 @lru_cache(maxsize=None)
 def _s1xs2_presentation() -> SurgeryPresentation:
-    return SurgeryPresentation(unknot_fixture(0), (0,), {})
+    return SurgeryPresentation(unknot_fixture(0), {})
 
 
 def torus_invariant(a: int, p: EvalPoint, mode: str = "auto"):
@@ -182,8 +175,6 @@ def independence_certificate(d1: int, d2: int) -> tuple[int, bool]:
     """
     if d1 == d2:
         raise SameParameterError(f"need two distinct levels, got {d1} twice")
-    if d1 < 1 or d2 < 1:
-        raise ValueError("levels must be >= 1")
     rows = []
     for d in (d1, d2):
         pt = EvalPoint(d, 1)

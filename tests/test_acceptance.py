@@ -72,7 +72,7 @@ def test_criterion_04_s1xs2_normalization():
 
     with Timer() as t:
         for d in range(2, 6):
-            pres = SurgeryPresentation(unknot_fixture(0), (0,), {})
+            pres = SurgeryPresentation(unknot_fixture(0), {})
             value = wrt_invariant(pres, EvalPoint(d, 1), mode="float")
             assert abs(value - 1) < 1e-9, d
     assert_within(t, 1.0)

@@ -123,6 +123,8 @@ def test_ratfunc_canonical_examples():
 def test_ratfunc_zero_denominator():
     with pytest.raises(ZeroDenominatorError):
         RatFunc(one, LaurentPoly.zero())
+    with pytest.raises(ZeroDenominatorError):
+        RatFunc(1) / RatFunc(0)
 
 
 def test_ratfunc_field_ops():

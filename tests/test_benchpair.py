@@ -78,3 +78,13 @@ def test_gain_resolved_needs_nine_wins_in_ten_and_a_gap_past_the_iqr():
     pairs = [_pair({"wall_s": 1.0, "rate": 10.0 + i}, {"wall_s": 1.0, "rate": 30.0 + i})
              for i in range(10)]
     assert benchpair.summarize(pairs, METRICS)["rate"]["gain_resolved"]
+
+
+def test_src_lines_counts_the_package_modules(tmp_path):
+    pkg = tmp_path / "src" / "skeinlab"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n\n")
+    (pkg / "b.py").write_text("z = 3")  # no final newline, as wc -l counts
+    (pkg / "notes.txt").write_text("not\ncode\n")
+    assert benchpair.src_lines(tmp_path) == 3
+    assert benchpair.src_lines(benchpair.ROOT) > 0

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations, product
 
 import pytest
@@ -8,6 +9,7 @@ from skeinlab.diagrams import (
     Crossing,
     FramedLink,
     PlanarDiagram,
+    SurgeryPresentation,
     _box_legs,
     _signature,
     attach_meridian,
@@ -16,6 +18,7 @@ from skeinlab.diagrams import (
     _find,
     _sublink,
     canonical_form,
+    hopf_fixture,
     link_from_json,
     link_to_json,
     linking_matrix,
@@ -68,6 +71,26 @@ def test_hopf_linking_matrix(hopf):
     mat = linking_matrix(hopf)
     assert mat == ((0, 1), (1, 0))
     assert _signature(mat) == 0
+
+
+def test_signature_obeys_sylvester_inertia():
+    # M = P^T D P with P unimodular has the signature of D; zeros in D
+    # make M singular and zero pivots, which no surgery workload reaches
+    rng = random.Random(31)
+    for _ in range(400):
+        n = rng.randint(0, 6)
+        diag = [rng.choice((-2, -1, 0, 1, 3)) for _ in range(n)]
+        p = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(4 * n):  # elementary row operations
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i == j:
+                p[i] = [-x for x in p[i]]
+            else:
+                c = rng.randint(-2, 2)
+                p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+        mat = [[sum(p[k][i] * diag[k] * p[k][j] for k in range(n)) for j in range(n)]
+               for i in range(n)]
+        assert _signature(mat) == sum(x > 0 for x in diag) - sum(x < 0 for x in diag)
 
 
 def test_borromean_walk_is_pinned(borromean):
@@ -124,6 +147,15 @@ def test_meridian_presentation(borromean):
     assert mat[mer][0] == 0 and mat[mer][2] == 0
     # host framings are untouched
     assert all(mat[j][j] == 0 for j in pres.surgery_components)
+
+
+def test_surgery_components_are_the_uncolored_ones():
+    for a in (0, 1, 2):
+        pres = _torus_presentation(a)
+        assert pres.surgery_components == (0, 1, 2) and pres.extra_colors == {3: a}
+    assert attach_meridian(unknot_fixture(0), 0, 2).surgery_components == (1,)
+    with pytest.raises(ValueError):
+        SurgeryPresentation(hopf_fixture(), {2: 1})
 
 
 def test_meridian_on_free_loop(unknot):

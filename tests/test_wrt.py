@@ -42,7 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def s1xs2():
-    return SurgeryPresentation(unknot_fixture(0), (0,), {})
+    return SurgeryPresentation(unknot_fixture(0), {})
 
 
 def test_s1xs2_is_one_exactly():
@@ -74,7 +74,7 @@ for a in (0, 1, 2):
 for d in range(1, 6):
     omega_data(d).eta_sq
 assert "mpmath" not in sys.modules, "an exact run imported mpmath"
-empty = SurgeryPresentation(FramedLink(PlanarDiagram((), 0)), (), {})
+empty = SurgeryPresentation(FramedLink(PlanarDiagram((), 0)), {})
 assert abs(wrt_invariant(empty, EvalPoint(3, 1), mode="float") - omega_data(3).eta()) < 1e-25
 """
 
@@ -87,7 +87,7 @@ def test_exact_runs_never_import_mpmath():
 
 
 def test_empty_presentation_gives_eta():
-    empty = SurgeryPresentation(FramedLink(PlanarDiagram((), 0)), (), {})
+    empty = SurgeryPresentation(FramedLink(PlanarDiagram((), 0)), {})
     p = EvalPoint(3, 1)
     assert abs(wrt_invariant(empty, p, mode="float") - omega_data(3).eta()) < 1e-25
     with pytest.raises(OddEtaPowerError):
@@ -146,7 +146,7 @@ def test_preflight_projector_cap(no_sweep_step, monkeypatch):
 
 
 def test_signature_rejection():
-    kinked = SurgeryPresentation(unknot_fixture(1), (0,), {})
+    kinked = SurgeryPresentation(unknot_fixture(1), {})
     with pytest.raises(NonzeroSignatureError):
         wrt_invariant(kinked, EvalPoint(2, 1))
 
@@ -157,7 +157,7 @@ def test_framing_rejection():
         Crossing("a", "a", "b", "b", OVER_BACK),
         Crossing("c", "c", "e", "e", OVER_SLASH),
     ), 0)
-    pres = SurgeryPresentation(FramedLink(two_kinks), (0, 1), {})
+    pres = SurgeryPresentation(FramedLink(two_kinks), {})
     with pytest.raises(FramingError):
         wrt_invariant(pres, EvalPoint(2, 1))
 
@@ -208,6 +208,8 @@ def test_independence_certificate():
     assert det == -13 and independent
     with pytest.raises(SameParameterError):
         independence_certificate(5, 5)
+    with pytest.raises(ValueError):
+        independence_certificate(0, 2)
 
 
 def test_gamma_tabulate_series():

@@ -28,6 +28,7 @@ whether the medians differ by more than the parent's interquartile range,
 and whether a gain is resolved: the change reads better in at least 9 of
 10 pairs and its median is better by more than that range; per side, the
 failed items, where a run that crashed counts at least one.
+``src_lines`` gives each side's line count of ``src/skeinlab/*.py``.
 Claims and notes are for the reader to add.  Progress goes to standard
 error.
 """
@@ -69,6 +70,11 @@ def _checkout(rev: str | None, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(_git("archive", rev))) as tar:
         tar.extractall(dest, filter="data")
     return _git("rev-parse", "--short", rev).decode().strip()
+
+
+def src_lines(tree: Path) -> int:
+    """The lines of ``src/skeinlab/*.py`` in ``tree``, as ``wc -l`` counts them."""
+    return sum(f.read_bytes().count(b"\n") for f in (tree / "src" / "skeinlab").glob("*.py"))
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -152,6 +158,7 @@ def main(argv=None) -> int:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         report["parent"] = _checkout(args.parent, trees["parent"])
         report["change"] = _checkout(None, trees["change"])
+        report["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
         report["command"] = (f"python3 perfbench/run.py --workload W --seed N "
                              f"--seconds {seconds} --trace 0")
         seeds = {w: args.seed + 100 * i for i, w in enumerate(names)}
