@@ -807,8 +807,6 @@ def evaluate_at(value, point: EvalPoint) -> CycloNum:
     when its denominator vanishes at the point.
     """
     if isinstance(value, RatFunc):
-        if value.den.is_one():
-            return evaluate_at(value.num, point)
         den = evaluate_at(value.den, point)
         if den.is_zero():
             raise PoleError(f"denominator {value.den} vanishes at {point}")

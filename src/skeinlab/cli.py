@@ -287,9 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "d", None) is not None and args.d < 1:
-        print("error: --d must be >= 1", file=sys.stderr)
-        return 2
     if "precision" in args and args.precision < 15:
         print("error: precision must be >= 15 digits", file=sys.stderr)
         return 2

@@ -81,6 +81,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import ArcCountError, NotPlanarError, SchemaError, SkeinError
@@ -182,8 +183,6 @@ def _trace_components(crossings, slots: dict):
 
 def _check_planar(diag: PlanarDiagram, slots: dict):
     n = len(diag.crossings)
-    if n == 0:
-        return
     # connected components of the underlying 4-valent graph
     parent: dict = {}
     for occ in slots.values():
@@ -231,7 +230,6 @@ class FramedLink:
         self.diagram = diag
         self.components = tuple(comps) + ((),) * diag.free_loops
         self._slots = slots
-        self._sublinks: dict = {}  # support -> (pieces, loose) of ``_sublink``
         self._comp_of_arc = {a: i for i, comp in enumerate(comps) for a in comp}
         self._crossing_data = []
         for ci, c in enumerate(diag.crossings):
@@ -260,12 +258,9 @@ class FramedLink:
         of any link, whose sublinks on the nonzero colors are one diagram
         up to an orientation-preserving map of the sphere or a half turn
         of R^3 about a line in the plane (see the module docstring).  The
-        sublink is cached per support."""
+        sublink data is cached per (diagram, support)."""
         support = tuple(k for k, c in enumerate(colors) if c)
-        found = self._sublinks.get(support)
-        if found is None:
-            found = self._sublinks[support] = _sublink(self, support)
-        pieces, loose = found
+        pieces, loose = _sublink(self.diagram, support)
         key = (tuple(sorted((code, min(tuple(colors[k] for k in order) for order in orders))
                             for code, orders in pieces)),
                tuple(sorted(colors[k] for k in loose)))
@@ -324,10 +319,13 @@ def _signature(mat) -> int:
 # -- the key of a colored sublink ---------------------------------------------
 
 
-def _sublink(link: FramedLink, support: tuple) -> tuple:
-    """(pieces, loose) of the sublink on ``support``: for each connected
-    piece of its crossings, the least code and the component orders of
-    the starts that give it; then the crossing-free components."""
+@lru_cache(maxsize=None)
+def _sublink(diagram: PlanarDiagram, support: tuple) -> tuple:
+    """(pieces, loose) of the sublink of ``diagram``'s link on ``support``:
+    for each connected piece of its crossings, the least code and the
+    component orders of the starts that give it; then the crossing-free
+    components."""
+    link = FramedLink(diagram)
     keep = set(support)
     sub = cable(link, [int(k in keep) for k in range(link.n_components)])
     # sublink crossing g is the g-th crossing of the link with both strands kept
@@ -483,38 +481,26 @@ def attach_meridian(link: FramedLink, component: int, color: int) -> SurgeryPres
     """Encircle one strand of ``component`` with a 0-framed colored circle.
 
     The circle clasps the component once (linking number +-1, self
-    writhe 0), adding two crossings to the diagram.  The original
-    components become the surgery components of the result.
+    writhe 0), adding two crossings to the diagram.  The strand enters
+    the clasp on the component's first arc and leaves it on a fresh arc
+    that takes over that arc's second end; a crossing-free component is
+    the case where both ends are that fresh arc, one free loop fewer.
+    The original components become the surgery components of the result.
     """
     if not 0 <= component < link.n_components:
         raise ValueError(f"no component {component}")
-    diag = link.diagram
-    mt, mb = ("mer", "t"), ("mer", "b")
+    mt, mb, a2, a3 = ("mer", "t"), ("mer", "b"), ("mer", "mid"), ("mer", "tail")
     comp = link.components[component]
+    crossings = list(link.diagram.crossings)
+    alpha = comp[0] if comp else a3
     if comp:
-        alpha = comp[0]
-        a2, a3 = ("mer", "mid"), ("mer", "tail")
-        (c2, s2) = link._slots[alpha][1]
-        crossings = list(diag.crossings)
-        c = crossings[c2]
-        fields = list(c[:4])
-        fields[s2] = a3
-        crossings[c2] = Crossing(*fields, c.over)
-        crossings.append(Crossing(nw=mt, ne=a2, sw=alpha, se=mb, over=OVER_BACK))
-        crossings.append(Crossing(nw=mt, ne=a3, sw=a2, se=mb, over=OVER_SLASH))
-        new_diag = PlanarDiagram(tuple(crossings), diag.free_loops)
-        marker = alpha
-    else:
-        s1, s2 = ("mer", "s1"), ("mer", "s2")
-        crossings = list(diag.crossings) + [
-            Crossing(nw=mt, ne=s2, sw=s1, se=mb, over=OVER_BACK),
-            Crossing(nw=mt, ne=s1, sw=s2, se=mb, over=OVER_SLASH),
-        ]
-        new_diag = PlanarDiagram(tuple(crossings), diag.free_loops - 1)
-        marker = s1
-    new_link = FramedLink(new_diag)
+        ci, corner = link._slots[alpha][1]
+        crossings[ci] = crossings[ci]._replace(**{Crossing._fields[corner]: a3})
+    crossings.append(Crossing(nw=mt, ne=a2, sw=alpha, se=mb, over=OVER_BACK))
+    crossings.append(Crossing(nw=mt, ne=a3, sw=a2, se=mb, over=OVER_SLASH))
+    new_link = FramedLink(PlanarDiagram(tuple(crossings), link.diagram.free_loops - (not comp)))
     mer_comp = new_link.component_of(mt)
-    if new_link.component_of(marker) == mer_comp:
+    if new_link.component_of(alpha) == mer_comp:
         raise SkeinError("the meridian merged with the component it encircles")
     return SurgeryPresentation(new_link, {mer_comp: color})
 

@@ -127,8 +127,7 @@ def omega_data(d: int) -> OmegaData:
     of their squared l1 norms bounds its coefficients and sets the digit
     width.  It is decoded, evaluated and inverted once.
     """
-    if d < 1:
-        raise ValueError("level d must be >= 1")
+    point = EvalPoint(d)
     weights = tuple(delta_color(i) for i in range(d))
     for w in weights:
         if any(w.coefficient(-e) != c for e, c in w.items()):
@@ -137,7 +136,7 @@ def omega_data(d: int) -> OmegaData:
     k = sum(sum(abs(c) for _, c in w.items()) ** 2 for w in weights).bit_length() + 1
     packed = sum(_kron_pack(((e - lo, c) for e, c in w.items()), k) ** 2 for w in weights)
     squares = _poly({2 * lo + j: c for j, c in enumerate(_kron_digits(packed, k)) if c})
-    return OmegaData(d=d, weights=weights, eta_sq=evaluate_at(squares, EvalPoint(d)).inverse())
+    return OmegaData(d=d, weights=weights, eta_sq=evaluate_at(squares, point).inverse())
 
 
 def twist_coefficient(i: int) -> LaurentPoly:

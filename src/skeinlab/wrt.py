@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 import cmath
@@ -41,7 +40,6 @@ from .diagrams import (
     attach_meridian,
     borromean_fixture,
     linking_matrix,
-    unknot_fixture,
 )
 from .errors import (
     BranchCutError,
@@ -122,15 +120,9 @@ def wrt_invariant(pres: SurgeryPresentation, p: EvalPoint, mode: str = "auto",
         return mpmath.mpf(om.eta(precision)) ** (1 + n) * cyclo_to_complex(total, digits)
 
 
-@lru_cache(maxsize=None)
 def _torus_presentation(a: int) -> SurgeryPresentation:
     """0-framed Borromean rings with an a-colored meridian on component 1."""
     return attach_meridian(borromean_fixture(), 1, a)
-
-
-@lru_cache(maxsize=None)
-def _s1xs2_presentation() -> SurgeryPresentation:
-    return SurgeryPresentation(unknot_fixture(0), {})
 
 
 def torus_invariant(a: int, p: EvalPoint, mode: str = "auto"):

@@ -80,6 +80,25 @@ def test_gain_resolved_needs_nine_wins_in_ten_and_a_gap_past_the_iqr():
     assert benchpair.summarize(pairs, METRICS)["rate"]["gain_resolved"]
 
 
+def test_unresolved_when_the_parent_spreads_past_the_bound():
+    def summary(parent, change):
+        pairs = [_pair({"wall_s": p, "rate": 1.0}, {"wall_s": c, "rate": 1.0})
+                 for p, c in zip(parent, change)]
+        return benchpair.summarize(pairs, METRICS)["wall_s"]
+
+    narrow = [1.0 + i / 100 for i in range(10)]  # IQR 0.045 < 0.2 * median
+    wide = [0.6 + i / 10 for i in range(10)]  # IQR 0.45 > 0.2 * median
+    assert not summary(narrow, narrow)["unresolved"]
+    assert not summary(narrow, [5.0] * 10)["unresolved"]
+    assert summary(wide, wide)["unresolved"]
+    # unless every change run reads better than every parent run
+    assert not summary(wide, [0.5] * 10)["unresolved"]
+    assert summary(wide, [0.5] * 9 + [0.6])["unresolved"]
+    pairs = [_pair({"wall_s": 1.0, "rate": 1.0 + i}, {"wall_s": 1.0, "rate": 11.0 + i})
+             for i in range(10)]
+    assert not benchpair.summarize(pairs, METRICS)["rate"]["unresolved"]
+
+
 def test_src_lines_counts_the_package_modules(tmp_path):
     pkg = tmp_path / "src" / "skeinlab"
     pkg.mkdir(parents=True)

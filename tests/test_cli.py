@@ -237,6 +237,16 @@ def test_wrt_needs_d():
     assert "--d" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("wrt", "--fixture", "hopf", "--d", "0"),
+    ("colored-bracket", "--fixture", "hopf", "--colors", "1,1", "--d", "-1"),
+])
+def test_level_below_one_exits_2(argv):
+    rc, out, err = run_cli(*argv)
+    assert rc == 2 and out == ""
+    assert err == "error: level d must be >= 1\n"
+
+
 def test_wrt_needs_input():
     rc, _, err = run_cli("wrt", "--d", "2")
     assert rc == 2

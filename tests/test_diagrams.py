@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import permutations, product
 
@@ -13,6 +14,7 @@ from skeinlab.diagrams import (
     _box_legs,
     _signature,
     attach_meridian,
+    borromean_fixture,
     braid_closure,
     cable,
     _find,
@@ -166,6 +168,44 @@ def test_meridian_on_free_loop(unknot):
     assert abs(mat[0][1]) == 1
 
 
+# link_to_json and linking_matrix of attach_meridian(link, k, 2), recorded
+# on the tree that still built the clasp of a crossing-free component by a
+# branch of its own: the arc clasp and the free-loop clasp, one free loop
+# of a link with more than one, must keep giving these diagrams.
+MERIDIAN_PINS = [
+    (borromean_fixture(), 1, 3,
+     [[0, 1, 2, 3, 0], [4, 5, 6, 7, 1], [8, 9, 0, 4, 0], [10, 11, 9, 5, 1],
+      [2, 12, 8, 10, 0], [3, 7, 12, 11, 1], [13, 14, 1, 15, 1], [13, 6, 14, 15, 0]], 0,
+     [[0, 3, 11, 9], [1, 2, 10, 5, 6, 14], [4, 7, 12, 8], [13, 15]],
+     ((0, 0, 0, 0), (0, 0, 0, -1), (0, 0, 0, 0), (0, -1, 0, 0))),
+    (hopf_fixture(), 0, 2,
+     [[0, 1, 2, 3, 0], [2, 3, 4, 1, 0], [5, 6, 0, 7, 1], [5, 4, 6, 7, 0]], 0,
+     [[0, 3, 4, 6], [1, 2], [5, 7]],
+     ((0, 1, -1), (1, 0, 0), (-1, 0, 0))),
+    (unknot_fixture(0), 0, 0,
+     [[0, 1, 2, 3, 1], [0, 2, 1, 3, 0]], 0,
+     [[0, 3], [1, 2]],
+     ((0, -1), (-1, 0))),
+    (unknot_fixture(2), 0, 1,
+     [[0, 1, 2, 3, 1], [4, 4, 3, 2, 1], [5, 6, 0, 7, 1], [5, 1, 6, 7, 0]], 0,
+     [[0, 3, 4, 2, 1, 6], [5, 7]],
+     ((2, -1), (-1, 0))),
+    (FramedLink(braid_closure([1, 1, -1], 4)), 1, 1,
+     [[0, 1, 2, 3, 0], [4, 5, 0, 1, 0], [2, 3, 4, 5, 1], [6, 7, 8, 9, 1], [6, 8, 7, 9, 0]], 1,
+     [[0, 3, 4, 1, 2, 5], [6, 9], [7, 8]],
+     ((1, 0, 0, 0), (0, 0, -1, 0), (0, -1, 0, 0), (0, 0, 0, 0))),
+]
+
+
+@pytest.mark.parametrize("link, k, mer, crossings, free_loops, components, mat", MERIDIAN_PINS)
+def test_attach_meridian_is_pinned(link, k, mer, crossings, free_loops, components, mat):
+    pres = attach_meridian(link, k, 2)
+    assert pres.extra_colors == {mer: 2}
+    assert json.loads(link_to_json(pres.link)) == {
+        "crossings": crossings, "free_loops": free_loops, "components": components}
+    assert linking_matrix(pres.link) == mat
+
+
 def test_cable_width_one_is_identity(borromean, hopf):
     for link in (borromean, hopf):
         cabled = cable(link, [1] * link.n_components)
@@ -278,8 +318,18 @@ def test_orbit_keys(borromean, hopf):
     # on the sphere the closure of (s1 s2)^3 can also swap its inner and
     # outer strands, and a half turn about the braid's axis, which reads
     # each s_i as s_(3-i), takes it to the closure of (s2 s1)^3, itself
-    (piece,), loose = _sublink(FramedLink(braid_closure([1, 2] * 3, 3)), (0, 1, 2))
+    (piece,), loose = _sublink(braid_closure([1, 2] * 3, 3), (0, 1, 2))
     assert len(piece[1]) == 12 and loose == ()
+
+
+def test_sublink_cache_keys_on_the_diagram():
+    # three separately built torus presentations share one diagram, since
+    # the meridian's color lives only in extra_colors
+    _sublink.cache_clear()
+    for a in (1, 2, 1):
+        _torus_presentation(a).link.orbit((1, 1, 1, 2))
+    info = _sublink.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_orbit_key_of_a_split_sublink():

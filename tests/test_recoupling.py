@@ -92,6 +92,8 @@ def test_omega_level_one_is_trivial():
     assert om.weights == (LaurentPoly.one(),)
     assert om.eta() == 1
     assert om.eta_sq.is_one()
+    with pytest.raises(ValueError, match="level d must be >= 1"):
+        omega_data(0)
 
 
 def test_omega_defining_identity():

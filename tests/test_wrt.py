@@ -29,6 +29,7 @@ from skeinlab.errors import (
 from skeinlab.recoupling import meridian_series, omega_data
 from skeinlab.wrt import (
     GammaFunction,
+    _torus_presentation,
     f_mobius,
     gamma_tabulate,
     independence_certificate,
@@ -55,6 +56,15 @@ def test_s1xs2_float_mode():
     for d in (2, 3):
         value = wrt_invariant(s1xs2(), EvalPoint(d, 1), mode="float")
         assert abs(value - 1) < 1e-9
+
+
+def test_torus_presentations_are_not_shared():
+    # a caller that edits the presentation it was given changes nothing
+    # that a later torus_invariant computes
+    _torus_presentation(0).extra_colors[3] = 2
+    assert _torus_presentation(0).extra_colors == {3: 0}
+    p = EvalPoint(2, 1)
+    assert torus_invariant(0, p) == meridian_series(0, p)
 
 
 # Exact runs load no floating point: mpmath is imported by the float

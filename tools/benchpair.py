@@ -26,8 +26,11 @@ number of pairs in which the change reads better in the metric's
 change's median is within the metric's bound of ``BENCHMARK.json``,
 whether the medians differ by more than the parent's interquartile range,
 and whether a gain is resolved: the change reads better in at least 9 of
-10 pairs and its median is better by more than that range; per side, the
-failed items, where a run that crashed counts at least one.
+10 pairs and its median is better by more than that range, and whether the
+metric is unresolved: the parent's interquartile range is wider than the
+bound times the parent's median, and not every change run reads better
+than every parent run; per side, the failed items, where a run that
+crashed counts at least one.
 ``src_lines`` gives each side's line count of ``src/skeinlab/*.py``.
 Claims and notes are for the reader to add.  Progress goes to standard
 error.
@@ -129,6 +132,8 @@ def summarize(pairs: list, end_to_end: list) -> dict:
             "within_bound": sign * (cm - pm) <= metric["bound"] * pm,
             "gap_exceeds_parent_iqr": gap,
             "gain_resolved": 10 * wins >= 9 * len(pairs) and sign * (pm - cm) > 0 and gap,
+            "unresolved": pq[1] - pq[0] > metric["bound"] * pm
+            and not all(sign * (p - c) > 0 for p in parent for c in change),
         }
     out["failed"] = {side: sum(p[side]["failed"] for p in pairs)
                      for side in ("parent", "change")}
