@@ -11,7 +11,7 @@ there and refuse to start without them), ``tl``
 (Temperley-Lieb elements, projectors and the strand walk), ``bracket``
 (state sum, one box sweep for plain and cabled diagrams, colored brackets
 of a ``FramedLink`` and one color per component), ``recoupling`` (closed-form
-colored-unknot data), ``wrt`` (surgery invariants and d-sweeps), with
+colored-unknot data), ``wrt`` (surgery invariants and their checks), with
 ``verify``/``cli`` on top.  ``bracket.bracket``, the unmemoized sweep
 that the ``bracket`` command calls, is not re-exported, so
 ``skeinlab.bracket`` is the submodule.
@@ -48,9 +48,7 @@ from .recoupling import (
 )
 from .tl import TLDiagram, TLElement, jones_wenzl
 from .wrt import (
-    GammaFunction,
     f_mobius,
-    gamma_tabulate,
     independence_certificate,
     recolor_check,
     torus_invariant,

@@ -100,6 +100,7 @@ from .algebra import (
     loop_weight,
 )
 from .diagrams import (
+    FREE_LOOP_CAP,
     NE,
     NW,
     OVER_SLASH,
@@ -131,7 +132,6 @@ _SMOOTHINGS = {
 STATE_SUM_MAX_CROSSINGS = 20
 SWEEP_MAX_COST = 10**7
 JW_CAP = 8
-FREE_LOOP_CAP = 4000
 
 
 # the states of a crossing box with legs (nw, ne, sw, se)

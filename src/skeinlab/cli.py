@@ -3,7 +3,8 @@
 Subcommands: ``bracket`` and ``colored-bracket`` evaluate diagrams from
 JSON files or built-in fixtures; ``wrt`` evaluates one surgery
 presentation at one point; ``recoupling`` dumps closed-form tables;
-``report`` tabulates the window quantities as CSV/markdown/JSON;
+``report`` tabulates one table of quantities and their closed forms
+over a window as CSV/markdown/JSON;
 ``verify-paper`` runs the whole check registry and gates on it.
 
 Each subcommand registers only the options its handler reads, so a flag
@@ -21,6 +22,7 @@ are byte-identical and golden files stay golden.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import re
 import sys
@@ -39,9 +41,20 @@ from .diagrams import (
 from .errors import ColorRangeError, SkeinError
 from .recoupling import hopf_eval, meridian_series
 from .verify import build_report, run_checks
-from .wrt import GAMMA_QUANTITIES, gamma_tabulate, wrt_invariant
+from .wrt import f_mobius, wrt_invariant
 
 REPORT_HEADER = "quantity,d,sign,value_re,value_im,prediction,mode,status"
+
+# quantity -> (its value at an EvalPoint, the closed form it must equal there)
+_QUANTITIES = {
+    "empty": (lambda p: meridian_series(0, p), lambda p: Fraction(p.d)),
+    "k1": (lambda p: meridian_series(1, p), lambda p: Fraction(1)),
+    "k2": (lambda p: meridian_series(2, p), lambda p: Fraction(p.d - 1)),
+    "ratio": (lambda p: meridian_series(2, p) / meridian_series(0, p),
+              lambda p: Fraction(p.d - 1, p.d)),
+    "f": (lambda p: f_mobius(cmath.exp(complex(0, p.sign * cmath.pi / (2 * p.d + 1)))),
+          lambda p: (p.d - 1) / p.d if p.sign == 1 else (p.d + 2) / (p.d + 1)),
+}
 
 _FIXTURES = {
     "borromean": borromean_fixture,
@@ -162,39 +175,26 @@ def cmd_recoupling(args) -> int:
 
 
 def _report_rows(window: tuple, precision: int) -> list:
-    """One row per (quantity, d, sign): a POLE, a float ``f`` or an exact value."""
+    """One row per (quantity, d, sign): exact for a CycloNum value, float for ``f``."""
+    lo, hi = window
     rows = []
-    for quantity in GAMMA_QUANTITIES:
-        gamma = gamma_tabulate(quantity, window)
-        lo, hi = gamma.window
+    for quantity, (value_at, closed_form) in _QUANTITIES.items():
         for d in range(lo, hi + 1):
-            for idx, tag in ((0, "+"), (1, "-")):
-                row = {
-                    "quantity": quantity, "d": d, "sign": tag,
-                    "value_re": "", "value_im": "",
-                    "prediction": "", "mode": "exact", "status": "POLE",
-                }
-                rows.append(row)
-                if d in gamma.exceptions:
-                    continue
-                value = gamma.values[d][idx]
-                if quantity == "f":
-                    pred = (d - 1) / d if tag == "+" else (d + 2) / (d + 1)
-                    approx, ok = value, abs(value - pred) < 1e-12
-                    row.update(prediction=_fmt_real(pred), mode="float")
+            for sign, tag in ((1, "+"), (-1, "-")):
+                p = EvalPoint(d, sign)
+                value, pred = value_at(p), closed_form(p)
+                if isinstance(value, CycloNum):
+                    ok, approx = value.as_rational() == pred, cyclo_to_complex(value, precision)
+                    prediction, mode = str(pred), "exact"
                 else:
-                    pred = {
-                        "empty": Fraction(d),
-                        "k1": Fraction(1),
-                        "k2": Fraction(d - 1),
-                        "ratio": Fraction(d - 1, d),
-                    }[quantity]
-                    ok = value.as_rational() == pred
-                    approx = cyclo_to_complex(value, precision)
-                    row["prediction"] = str(pred)
-                row.update(value_re=_fmt_real(approx.real),
-                           value_im=_fmt_real(approx.imag),
-                           status="PASS" if ok else "FAIL")
+                    ok, approx = abs(value - pred) < 1e-12, value
+                    prediction, mode = _fmt_real(pred), "float"
+                rows.append({
+                    "quantity": quantity, "d": d, "sign": tag,
+                    "value_re": _fmt_real(approx.real), "value_im": _fmt_real(approx.imag),
+                    "prediction": prediction, "mode": mode,
+                    "status": "PASS" if ok else "FAIL",
+                })
     return rows
 
 

@@ -82,15 +82,25 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
-from .errors import ArcCountError, NotPlanarError, SchemaError, SkeinError
+from .errors import (
+    ArcCountError,
+    DiagramTooLargeError,
+    NotPlanarError,
+    SchemaError,
+    SkeinError,
+)
 
 # corner indices
 NW, NE, SW, SE = 0, 1, 2, 3
 
 OVER_SLASH = 0  # the (sw, ne) strand is on top
 OVER_BACK = 1  # the (nw, se) strand is on top
+
+# the JSON reader and both bracket paths refuse a diagram with more free loops
+FREE_LOOP_CAP = 4000
 
 # strand continuation through a crossing
 PARTNER = {NW: SE, SE: NW, SW: NE, NE: SW}
@@ -459,17 +469,22 @@ def unknot_fixture(kinks: int = 0) -> FramedLink:
 class SurgeryPresentation:
     """Surgery data plus a residual colored link in the same diagram.
 
-    ``link`` holds every component; ``extra_colors`` maps some of them to
-    a fixed color.  The rest, ``surgery_components``, are the ones to be
-    surgered (weighted by the full color set downstream).
+    ``link`` holds every component; ``extra_colors``, a read-only copy of
+    the mapping passed in, maps some of them to a fixed color.  The rest,
+    ``surgery_components``, are the ones to be surgered (weighted by the
+    full color set downstream).
     """
 
     link: FramedLink
-    extra_colors: dict
+    extra_colors: Mapping
 
     def __post_init__(self):
         if not set(self.extra_colors) <= set(range(self.link.n_components)):
             raise ValueError("a fixed color names no component of the link")
+        object.__setattr__(self, "extra_colors", MappingProxyType(dict(self.extra_colors)))
+
+    def __hash__(self):
+        return hash((self.link, frozenset(self.extra_colors.items())))
 
     @property
     def surgery_components(self) -> tuple[int, ...]:
@@ -667,7 +682,8 @@ def link_from_json(text):
     a JSON object whose ``crossings`` lists [nw, ne, sw, se, over] rows
     with int or str labels and over 0 or 1, whose ``free_loops`` (default
     0) is a non-negative int, and whose ``colors``, if present, maps
-    component-index strings to non-negative ints.
+    component-index strings to non-negative ints; DiagramTooLargeError
+    when ``free_loops`` is above ``FREE_LOOP_CAP``, before any loop is built.
     """
     try:
         data = json.loads(text)
@@ -687,6 +703,8 @@ def link_from_json(text):
     free = data.get("free_loops", 0)
     if not _is_count(free):
         raise SchemaError("free_loops must be a non-negative int")
+    if free > FREE_LOOP_CAP:
+        raise DiagramTooLargeError(f"{free} free loops exceeds the cap of {FREE_LOOP_CAP}")
     link = FramedLink(PlanarDiagram(tuple(Crossing(*c) for c in rows), free))
     if "colors" not in data:
         return link, None

@@ -1,4 +1,4 @@
-"""Surgery invariants at the odd roots of unity, and their d-sweeps.
+"""Surgery invariants at the odd roots of unity, and the checks built on them.
 
 ``wrt_invariant`` evaluates a surgery presentation by coloring every
 surgery component with each color 0 .. d-1, weighting by the loop
@@ -11,17 +11,14 @@ eta power is an exact field element and the whole computation stays in
 CycloNum; odd powers force the 30-digit float path, the only one that
 imports mpmath.
 
-The rest of the module materializes functions on the evaluation-point
-family (one value per level and sign, poles recorded as exceptions) and
-packages the cross-checks the test suite leans on: the torus pipeline
-(``verify`` compares it with its closed form), the recoloring identity,
-the Mobius function of the dimension argument, and the 2x2 independence
-certificate.
+The rest of the module packages the cross-checks that ``verify`` and
+the ``report`` table lean on: the torus pipeline (compared with its
+closed form), the recoloring identity, the Mobius function of the
+dimension argument, and the 2x2 independence certificate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -47,7 +44,6 @@ from .errors import (
     FramingError,
     NonzeroSignatureError,
     OddEtaPowerError,
-    PoleError,
     SameParameterError,
     SkeinError,
 )
@@ -180,77 +176,3 @@ def independence_certificate(d1: int, d2: int) -> tuple[int, bool]:
     if det.denominator != 1:
         raise SkeinError(f"certificate determinant {det} is not an integer")
     return int(det), det != 0
-
-
-# -- functions on the parameter family ---------------------------------------
-
-
-@dataclass(eq=False)
-class GammaFunction:
-    """A quantity tabulated over a window of levels, almost everywhere.
-
-    ``values[d]`` is the (sign +, sign -) pair; levels where the
-    quantity is undefined go to ``exceptions`` instead.  Two tabulations
-    are equal when they share the window and agree at every level that
-    is exceptional in neither.
-    """
-
-    quantity: str
-    window: tuple[int, int]
-    values: dict
-    exceptions: frozenset = field(default_factory=frozenset)
-
-    def __eq__(self, other):
-        if not isinstance(other, GammaFunction):
-            return NotImplemented
-        if self.window != other.window:
-            return False
-        skip = self.exceptions | other.exceptions
-        lo, hi = self.window
-        return all(
-            self.values[d] == other.values[d]
-            for d in range(lo, hi + 1)
-            if d not in skip
-        )
-
-
-GAMMA_QUANTITIES = ("empty", "k1", "k2", "ratio", "f")
-
-_SERIES_COLOR = {"empty": 0, "k1": 1, "k2": 2}
-
-
-def _gamma_value(quantity: str, d: int):
-    if quantity in _SERIES_COLOR:
-        a = _SERIES_COLOR[quantity]
-        return tuple(meridian_series(a, EvalPoint(d, s)) for s in (1, -1))
-    if quantity == "ratio":
-        out = []
-        for s in (1, -1):
-            pt = EvalPoint(d, s)
-            den = meridian_series(0, pt)
-            if den.is_zero():
-                raise PoleError(f"empty-diagram value vanishes at d={d}")
-            out.append(meridian_series(2, pt) / den)
-        return tuple(out)
-    if quantity == "f":
-        return tuple(
-            f_mobius(cmath.exp(complex(0, s * cmath.pi / (2 * d + 1))))
-            for s in (1, -1)
-        )
-    raise ValueError(f"unknown quantity {quantity!r}")
-
-
-def gamma_tabulate(quantity: str, window: tuple[int, int]) -> GammaFunction:
-    """Tabulate one named quantity over ``window`` = (lo, hi), both signs."""
-    lo, hi = window
-    if lo < 1 or hi < lo:
-        raise ValueError(f"bad window {window}")
-
-    values = {}
-    exceptions = set()
-    for d in range(lo, hi + 1):
-        try:
-            values[d] = _gamma_value(quantity, d)
-        except PoleError:
-            exceptions.add(d)
-    return GammaFunction(quantity, (lo, hi), values, frozenset(exceptions))

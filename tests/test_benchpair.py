@@ -107,3 +107,17 @@ def test_src_lines_counts_the_package_modules(tmp_path):
     (pkg / "notes.txt").write_text("not\ncode\n")
     assert benchpair.src_lines(tmp_path) == 3
     assert benchpair.src_lines(benchpair.ROOT) > 0
+
+
+def test_cli_differ_names_the_commands_whose_output_or_status_moved(tmp_path):
+    echo = "import sys\nargs = sys.argv[1:]\nprint(*args)\n"
+    # the change prints one more line for "report" and exits 1 on "bracket"
+    changed = echo + 'if args == ["report"]:\n    print()\nsys.exit(args[0] == "bracket")\n'
+    for side, body in (("parent", echo), ("change", changed)):
+        pkg = tmp_path / side / "src" / "skeinlab"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text("")
+        (pkg / "cli.py").write_text(body)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    assert benchpair.cli_differ(parent, change) == ["report", "bracket --fixture borromean"]
+    assert benchpair.cli_differ(parent, parent) == []

@@ -12,10 +12,18 @@ from hypothesis import given, settings, strategies as st
 
 from skeinlab.algebra import EvalPoint
 from skeinlab.cli import REPORT_HEADER, _build_parser, main
-from skeinlab.diagrams import attach_meridian, hopf_fixture, link_to_json, unknot_fixture
+from skeinlab.diagrams import (
+    attach_meridian,
+    hopf_fixture,
+    link_from_json,
+    link_to_json,
+    unknot_fixture,
+)
+from skeinlab.errors import DiagramTooLargeError
 from skeinlab.wrt import wrt_invariant
 
 GOLDEN_VERIFY_PAPER = Path(__file__).parent / "golden" / "verify-paper-window-1-2.json"
+GOLDEN_REPORT = Path(__file__).parent / "golden" / "report-window-1-4.json"
 
 
 def run_cli(*argv):
@@ -119,13 +127,17 @@ def test_malformed_link_json_exits_2(tmp_path, text):
 
 
 def test_bracket_free_loop_cap_exits_2_at_once(tmp_path):
+    # the reader refuses before it builds one component per loop
+    assert link_from_json('{"crossings": [], "free_loops": 4000}')[0].n_components == 4000
+    with pytest.raises(DiagramTooLargeError, match="4001 free loops exceeds the cap of 4000"):
+        link_from_json('{"crossings": [], "free_loops": 4001}')
     path = tmp_path / "loops.json"
-    path.write_text(json.dumps({"crossings": [], "free_loops": 100000}))
+    path.write_text(json.dumps({"crossings": [], "free_loops": 10**9}))
     start = time.perf_counter()
     rc, out, err = run_cli("bracket", str(path))
     assert time.perf_counter() - start < 0.5
     assert rc == 2 and out == ""
-    assert "E_TOO_LARGE" in err
+    assert "E_TOO_LARGE: 1000000000 free loops exceeds the cap of 4000" in err
 
 
 def test_wrt_projector_cap_exits_2_before_the_field():
@@ -276,6 +288,7 @@ def test_report_md_format():
 def test_report_json_format():
     rc, out, _ = run_cli("report", "--window", "1..4", "--format", "json")
     assert rc == 0
+    assert out.encode() == GOLDEN_REPORT.read_bytes()
     rows = json.loads(out)
     assert len(rows) == 5 * 4 * 2
     assert {row["status"] for row in rows} == {"PASS"}

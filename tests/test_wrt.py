@@ -28,10 +28,8 @@ from skeinlab.errors import (
 )
 from skeinlab.recoupling import meridian_series, omega_data
 from skeinlab.wrt import (
-    GammaFunction,
     _torus_presentation,
     f_mobius,
-    gamma_tabulate,
     independence_certificate,
     recolor_check,
     torus_invariant,
@@ -59,12 +57,28 @@ def test_s1xs2_float_mode():
 
 
 def test_torus_presentations_are_not_shared():
-    # a caller that edits the presentation it was given changes nothing
-    # that a later torus_invariant computes
-    _torus_presentation(0).extra_colors[3] = 2
+    # a caller cannot edit the colors of the presentation it was given,
+    # so nothing a later torus_invariant computes can change
+    with pytest.raises(TypeError):
+        _torus_presentation(0).extra_colors[3] = 2
     assert _torus_presentation(0).extra_colors == {3: 0}
     p = EvalPoint(2, 1)
     assert torus_invariant(0, p) == meridian_series(0, p)
+
+
+
+def test_presentation_copies_its_colors():
+    colors = {1: 2}
+    pres = SurgeryPresentation(FramedLink(PlanarDiagram((), 2)), colors)
+    colors[1], colors[0] = 3, 1
+    assert pres.extra_colors == {1: 2} and pres.surgery_components == (0,)
+
+
+def test_equal_presentations_hash_equal():
+    link = FramedLink(PlanarDiagram((), 2))
+    first, second = SurgeryPresentation(link, {1: 2}), SurgeryPresentation(link, {1: 2})
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second, SurgeryPresentation(link, {})}) == 2
 
 
 # Exact runs load no floating point: mpmath is imported by the float
@@ -221,25 +235,3 @@ def test_independence_certificate():
     with pytest.raises(ValueError):
         independence_certificate(0, 2)
 
-
-def test_gamma_tabulate_series():
-    g = gamma_tabulate("empty", (1, 10))
-    assert g.exceptions == frozenset()
-    assert [g.values[d][0].as_rational() for d in range(1, 11)] == list(range(1, 11))
-    ratio = gamma_tabulate("ratio", (1, 10))
-    from fractions import Fraction
-
-    assert ratio.values[4][1].as_rational() == Fraction(3, 4)
-
-
-def test_gamma_equality_ignores_exceptions():
-    g = gamma_tabulate("k1", (1, 8))
-    punctured = GammaFunction("k1", (1, 8), dict(g.values), frozenset({3}))
-    assert g == punctured
-    other_window = gamma_tabulate("k1", (1, 7))
-    assert g != other_window
-
-
-def test_gamma_unknown_quantity():
-    with pytest.raises(ValueError):
-        gamma_tabulate("nonsense", (1, 3))

@@ -31,7 +31,10 @@ metric is unresolved: the parent's interquartile range is wider than the
 bound times the parent's median, and not every change run reads better
 than every parent run; per side, the failed items, where a run that
 crashed counts at least one.
-``src_lines`` gives each side's line count of ``src/skeinlab/*.py``.
+``src_lines`` gives each side's line count of ``src/skeinlab/*.py``, and
+``cli_differ`` the commands of ``CLI_COMMANDS`` whose standard output bytes
+or exit status differ between the two sides; each runs as
+``python -m skeinlab.cli`` with ``PYTHONPATH=<side>/src``.
 Claims and notes are for the reader to add.  Progress goes to standard
 error.
 """
@@ -52,6 +55,26 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# command lines whose output must not move unless a change means it to
+CLI_COMMANDS = (
+    "verify-paper",
+    "verify-paper --mode exact",
+    "verify-paper --window 1..2",
+    "report",
+    "report --window 1..6",
+    "report --format json --window 3..7 --precision 40",
+    "report --format md --window 2..3",
+    "wrt --fixture borromean --color 1 --d 3",
+    "wrt --fixture borromean --color 2 --d 4 --sign -",
+    "wrt --fixture unknot --d 4 --mode float",
+    "wrt --fixture hopf --d 4000",
+    "colored-bracket --fixture hopf --colors 2,3",
+    "colored-bracket --fixture borromean --colors 2,1,3 --d 4 --sign -",
+    "bracket --fixture borromean",
+    "recoupling --table series --color 2 --window 1..10",
+    "recoupling --table hopf",
+)
 
 
 def _git(*args: str) -> bytes:
@@ -78,6 +101,21 @@ def _checkout(rev: str | None, dest: Path) -> str:
 def src_lines(tree: Path) -> int:
     """The lines of ``src/skeinlab/*.py`` in ``tree``, as ``wc -l`` counts them."""
     return sum(f.read_bytes().count(b"\n") for f in (tree / "src" / "skeinlab").glob("*.py"))
+
+
+def _cli(tree: Path, command: str) -> tuple:
+    """(exit status, standard output bytes) of one ``skeinlab.cli`` command in ``tree``."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "skeinlab.cli", *command.split()], cwd=tree,
+        env={**os.environ, "PYTHONPATH": str(tree / "src")}, stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+    )
+    return proc.returncode, proc.stdout
+
+
+def cli_differ(parent: Path, change: Path) -> list:
+    """The commands of ``CLI_COMMANDS`` whose output or exit status differ."""
+    return [c for c in CLI_COMMANDS if _cli(parent, c) != _cli(change, c)]
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -164,6 +202,7 @@ def main(argv=None) -> int:
         report["parent"] = _checkout(args.parent, trees["parent"])
         report["change"] = _checkout(None, trees["change"])
         report["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
+        report["cli_differ"] = cli_differ(trees["parent"], trees["change"])
         report["command"] = (f"python3 perfbench/run.py --workload W --seed N "
                              f"--seconds {seconds} --trace 0")
         seeds = {w: args.seed + 100 * i for i, w in enumerate(names)}
