@@ -4,9 +4,13 @@ The bracket of a diagram is the state sum over the two smoothings of
 each crossing, with a crossing contributing A or A^-1 and every closed
 circle a factor of -A^2 - A^-2; the empty diagram evaluates to 1.
 ``bracket_state_sum`` is the reference for plain diagrams: a
-depth-first walk over the crossings joins each prefix of smoothings
-once in a union-find over the arcs, counts the 2^n states by loops and
-A-exponent, and adds one exponent row times delta^loops per loop count.
+depth-first walk over the crossings labels each arc with its loop class,
+one byte per arc, joins each prefix of smoothings once, counts the last
+crossing's two states in place, tallies the 2^n states by loops and
+A-smoothings, and adds one exponent row times delta^loops per loop
+count.  A diagram within the cap of ``STATE_SUM_MAX_CROSSINGS`` = 20
+crossings has 4n <= 80 corners, so at most 40 arcs of two ends each,
+and every class label fits in one byte.
 
 The one fast evaluator, ``bracket_tangle_sweep``, sweeps over boxes.  A
 box has legs (arc ids) and local states, each a perfect matching of the
@@ -144,12 +148,16 @@ _CROSSING_STATES = {
 def bracket_state_sum(diag: PlanarDiagram) -> LaurentPoly:
     """Reference bracket by brute-force state enumeration.
 
-    A depth-first walk over the crossings on a stack: a child copies its
-    parent's union-find over the arcs and applies its smoothing's two
-    joins, so each prefix is joined once.  Every arc has two ends, so
-    loops are arcs minus successful unions.  Leaves count states by
-    loops, then A-exponent; each loop count adds its row times
-    ``loop_weight`` of its loops.
+    A depth-first walk over the crossings on a stack.  A node holds one
+    class label per arc, as ``bytes``; a join of two arcs with different
+    labels relabels one class by one ``bytes.replace``, and a child that
+    merges nothing shares its parent's labels.  Every arc has two ends,
+    so loops are arcs minus merges.  A node above the last crossing
+    counts that crossing's two states in place from its children's
+    labels: after a merging first join, a label of the second join equal
+    to the merged one reads as the one it merged into.  States are
+    counted in a flat list at ``loops * (n + 1) + A-smoothings`` and
+    each loop count adds its row times ``loop_weight`` of its loops.
     """
     n = len(diag.crossings)
     if n > STATE_SUM_MAX_CROSSINGS:
@@ -160,31 +168,49 @@ def bracket_state_sum(diag: PlanarDiagram) -> LaurentPoly:
         raise DiagramTooLargeError(
             f"{diag.free_loops} free loops exceeds the cap of {FREE_LOOP_CAP}"
         )
+    if not n:
+        return loop_weight(diag.free_loops)
     names = _arc_numbers(diag)
-    # joins[ci][s]: the two (arc, arc) joins of smoothing s
-    joins = [[[(names[c[x]], names[c[y]]) for x, y in pairs] for pairs in _SMOOTHINGS[c.over]]
-             for c in diag.crossings]
-    counts: dict = {}  # loops -> {A-exponent: states}
-    stack = [(0, list(range(len(names))), len(names), 0)]
+    m, step = len(names), n + 1
+    # joins[ci]: per smoothing (A-smoothings added, arc, arc, arc, arc)
+    joins = [[(shift, *(names[c[k]] for pair in pairs for k in pair))
+              for shift, pairs in zip((1, 0), _SMOOTHINGS[c.over])] for c in diag.crossings]
+    final = joins[-1]
+    if n == 1:  # one no-op smoothing above the last crossing
+        joins.insert(0, [(0,) * 5])
+    byte = [bytes((k,)) for k in range(m)]
+    counts = [0] * ((m + 1) * step)
+    last = len(joins) - 2  # the depth whose children are counted in place
+    stack = [(0, bytes(range(m)), m * step)]
     while stack:
-        i, parent, loops, exponent = stack.pop()
-        if i == n:
-            row = counts.setdefault(loops, {})
-            row[exponent] = row.get(exponent, 0) + 1
-            continue
-        for shift, pairs in zip((1, -1), joins[i]):
-            child, left = parent[:], loops
-            for x, y in pairs:
-                while child[x] != x:
-                    x = child[x]
-                while child[y] != y:
-                    y = child[y]
-                if x != y:
-                    child[x] = y
-                    left -= 1
-            stack.append((i + 1, child, left, exponent + shift))
+        i, labels, index = stack.pop()
+        for shift, x1, y1, x2, y2 in joins[i]:
+            child, at = labels, index + shift
+            a, b = child[x1], child[y1]
+            if a != b:
+                child, at = child.replace(byte[a], byte[b]), at - step
+            a, b = child[x2], child[y2]
+            if a != b:
+                child, at = child.replace(byte[a], byte[b]), at - step
+            if i < last:
+                stack.append((i + 1, child, at))
+                continue
+            for shift, u1, v1, u2, v2 in final:  # the last crossing, in place
+                k = at + shift
+                a, b, c, d = child[u1], child[v1], child[u2], child[v2]
+                if a != b:
+                    k -= step
+                    c, d = b if c == a else c, b if d == a else d
+                if c != d:
+                    k -= step
+                counts[k] += 1
+    rows: dict = {}  # loops -> {A-exponent: states}
+    for at, states in enumerate(counts):
+        if states:
+            loops, a_count = divmod(at, step)
+            rows.setdefault(loops, {})[2 * a_count - n] = states
     return sum((LaurentPoly(row) * loop_weight(loops + diag.free_loops)
-                for loops, row in counts.items()), LaurentPoly.zero())
+                for loops, row in rows.items()), LaurentPoly.zero())
 
 
 def _sweep_order(arcs):

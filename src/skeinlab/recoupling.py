@@ -67,21 +67,28 @@ def meridian_eigenvalue(i: int, a: int) -> LaurentPoly:
     return _poly({lo + 4 * j: c for j, c in enumerate(q) if c})
 
 
-@lru_cache(maxsize=None)
 def meridian_series(a: int, p: EvalPoint) -> CycloNum:
     """Sum of the meridian eigenvalues over colors 0 .. d-1 at ``p``.
 
     The d eigenvalues are Laurent polynomials, so they have no pole; their
-    sum is formed in Z[A, A^-1] and evaluated once.  A negative ``a``
-    raises ``ColorRangeError`` before any of that.
+    sum is formed in Z[A, A^-1] and evaluated once.  Each eigenvalue
+    [(i+1)(a+1)]/[i+1] is palindromic in A, so the sum is real, and its
+    values at the two signs, complex conjugates, are equal: both signs
+    share one value, computed at sign +.  A negative ``a`` raises
+    ``ColorRangeError`` before any of that.
     """
     if a < 0:
         raise ColorRangeError(f"meridian color must be nonnegative, got {a}")
+    return _series(a, p.d)
+
+
+@lru_cache(maxsize=None)
+def _series(a: int, d: int) -> CycloNum:
     total: dict[int, int] = {}
-    for i in range(p.d):
+    for i in range(d):
         for e, c in meridian_eigenvalue(i, a).items():
             total[e] = total.get(e, 0) + c
-    return evaluate_at(_poly({e: c for e, c in total.items() if c}), p)
+    return evaluate_at(_poly({e: c for e, c in total.items() if c}), EvalPoint(d))
 
 
 @dataclass(frozen=True, eq=False)

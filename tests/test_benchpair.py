@@ -47,6 +47,28 @@ def test_a_crashed_run_counts_as_failed(tmp_path):
     assert benchpair.summarize(pairs, [])["failed"] == {"parent": 0, "change": 3}
 
 
+def test_fastest_pass_of_each_run(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "print('# oracle: 3 timed passes of 260 items, wall_s 0.300 0.250 0.410')\n"
+        "print('# oracle: 15 set-up samples, setup_s 0.1000 0.1100')\n"
+        "print('{\"attempted\": 780, \"failed\": 0, \"metrics\": "
+        "{\"wall_s\": {\"value\": 0.3, \"unit\": \"s\"}}}')\n")
+    run = benchpair._run(tmp_path, "oracle", 1, 1, 0)
+    assert run["wall_s"] == 0.3 and run["wall_s_passes"] == [0.3, 0.25, 0.41]
+
+    # medians say nothing here; the fastest passes favour the change in 2 of 3
+    pairs = [_pair({"wall_s": 1.0, "rate": 1.0, "wall_s_passes": [1.0, p]},
+                   {"wall_s": 1.0, "rate": 1.0, "wall_s_passes": [1.0, c]})
+             for p, c in ((0.8, 0.7), (0.9, 0.6), (0.5, 0.55))]
+    out = benchpair.summarize(pairs, METRICS)["wall_s"]
+    assert out["parent_fastest_median"] == 0.8 and out["change_fastest_median"] == 0.6
+    assert out["change_fastest_better_in"] == 2
+    # a run with no passes leaves the fastest-pass figures out
+    pairs[0]["change"].pop("wall_s_passes")
+    assert "change_fastest_median" not in benchpair.summarize(pairs, METRICS)["wall_s"]
+
+
 def test_calls_differ_names_the_counters_that_moved():
     parent = {"a.calls": 3, "b.calls": 5, "b.total_s": 0.1, "c.calls": 1, "failed": 0}
     change = {"a.calls": 3, "b.calls": 6, "b.total_s": 0.2, "d.calls": 1, "failed": 1}

@@ -130,6 +130,30 @@ def test_state_sum_closed_values(word, strands, want, over_delta):
     assert got == delta * LaurentPoly(over_delta)
 
 
+# 0-3 crossings: the walk counts the last crossing in place below the
+# second-to-last, so these are its edges; a kink joins two ends of one arc
+@pytest.mark.parametrize("free", [0, 1, 2])
+@pytest.mark.parametrize(
+    "diag",
+    [
+        PlanarDiagram((), 0),
+        unknot_fixture(1).diagram,
+        unknot_fixture(-1).diagram,
+        unknot_fixture(2).diagram,
+        braid_closure([1, 1], 2),
+        braid_closure([1, -1], 2),
+        unknot_fixture(-3).diagram,
+        braid_closure([1, 1, 1], 2),
+        braid_closure([1, -2, 1], 3),
+    ],
+    ids=["empty", "kink+", "kink-", "kinks2", "hopf", "unlink2", "kinks-3", "trefoil",
+         "braid3"],
+)
+def test_state_sum_small_diagrams(diag, free):
+    diag = PlanarDiagram(diag.crossings, diag.free_loops + free)
+    assert bracket_state_sum(diag) == _state_sum_by_slots(diag)
+
+
 def test_sweep_matches_state_sum_on_random_diagrams(rng):
     for _ in range(150):
         link = random_braid_closure(rng)

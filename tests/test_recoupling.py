@@ -73,6 +73,20 @@ def test_meridian_series_matches_the_sum_of_evaluated_terms():
                 assert meridian_series(a, p) == total, (d, sign, a)
 
 
+def test_meridian_series_evaluates_once_for_both_signs(monkeypatch):
+    # the sum is real, so sign - is served from the value at sign +
+    calls = []
+
+    def counting(value, point):
+        calls.append(point)
+        return evaluate_at(value, point)
+
+    monkeypatch.setattr("skeinlab.recoupling.evaluate_at", counting)
+    a, d = 7, 17  # a pair no other test evaluates
+    plus, minus = meridian_series(a, EvalPoint(d, 1)), meridian_series(a, EvalPoint(d, -1))
+    assert plus == minus and len(calls) == 1
+
+
 def test_meridian_series_rejects_a_negative_color():
     with pytest.raises(ColorRangeError, match="got -1$"):
         meridian_series(-1, EvalPoint(3))

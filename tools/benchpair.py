@@ -30,7 +30,10 @@ and whether a gain is resolved: the change reads better in at least 9 of
 metric is unresolved: the parent's interquartile range is wider than the
 bound times the parent's median, and not every change run reads better
 than every parent run; per side, the failed items, where a run that
-crashed counts at least one.
+crashed counts at least one.  A run's fastest pass is less moved by a slow
+phase of a shared host than its median, so ``wall_s`` also gets each
+side's median over runs of the run's fastest pass, and the number of pairs
+in which the change's fastest pass is the faster.
 ``src_lines`` gives each side's line count of ``src/skeinlab/*.py``, and
 ``cli_differ`` the commands of ``CLI_COMMANDS`` whose standard output bytes
 or exit status differ between the two sides; each runs as
@@ -121,8 +124,10 @@ def cli_differ(parent: Path, change: Path) -> list:
 def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
     """One ``perfbench/run.py`` run: its metric values, counts and exit status.
 
-    A run that prints no result line, or exits non-zero, counts at least
-    one failed item.
+    ``wall_s_passes`` lists the wall time of each timed pass, read from
+    the run's ``# W: N timed passes ... wall_s ...`` note.  A run that
+    prints no result line, or exits non-zero, counts at least one failed
+    item.
     """
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -137,6 +142,9 @@ def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict
     out = {name: m["value"] for name, m in result["metrics"].items()}
     out.update(attempted=result["attempted"], exit=proc.returncode,
                failed=max(result["failed"], int(proc.returncode != 0)))
+    for line in lines:
+        if line.startswith(f"# {workload}: ") and " timed passes " in line:
+            out["wall_s_passes"] = [float(w) for w in line.split(" wall_s ")[1].split()]
     return out
 
 
@@ -173,6 +181,14 @@ def summarize(pairs: list, end_to_end: list) -> dict:
             "unresolved": pq[1] - pq[0] > metric["bound"] * pm
             and not all(sign * (p - c) > 0 for p in parent for c in change),
         }
+        passes = [[p[side].get(name + "_passes") for p in pairs] for side in ("parent", "change")]
+        if all(map(all, passes)):
+            fastest = [[min(run) for run in side] for side in passes]
+            out[name].update(
+                parent_fastest_median=round(statistics.median(fastest[0]), 4),
+                change_fastest_median=round(statistics.median(fastest[1]), 4),
+                change_fastest_better_in=sum(c < p for p, c in zip(*fastest)),
+            )
     out["failed"] = {side: sum(p[side]["failed"] for p in pairs)
                      for side in ("parent", "change")}
     return out
