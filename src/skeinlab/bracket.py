@@ -18,9 +18,7 @@ legs with a weight: a crossing is the 4-leg box A*(A-smoothing) +
 A^-1*(B-smoothing), and a width-w Jones-Wenzl projector is the 2w-leg
 box whose states are its terms, numerators over the projector's common
 denominator.  ``diagrams._box_legs`` gives each projector site a box in
-TL point order: leg p of an arc site ends at the corner ``slots[p]``,
-and leg q of a loop site (w crossing-free circles) shares one arc with
-leg 2w-1-q, so a projector's closure is one more box of the same sweep.
+TL point order: leg p ends at the corner ``slots[p]``.
 Taking the boxes in a greedy order, the sweep carries a weight for every
 way the processed part can connect the open arcs, so its cost is
 governed by the frontier width.  Each open arc holds a slot, which the
@@ -68,7 +66,10 @@ coloring, of any link, whose sublink on the nonzero colors is the same
 up to an orientation-preserving map of the sphere or a half turn of R^3
 about a line in the plane, and only on a miss cables the link at the
 least coloring ``orbit`` gives and sweeps it with
-``bracket_tangle_sweep``.  Every memo that can skip a sweep lives
+``bracket_tangle_sweep``.  That coloring sets each crossing-free
+component to 0, and the sweep's numerator is multiplied by the numerator
+of its projector's closure (``TLElement.closure_numerator``; Kauffman-Lins
+1994).  Every memo that can skip a sweep lives
 in ``_sweep_memo``, so emptying it makes the next call check the caps
 again.  The memo is process-global and unbounded: it lives as long as
 the process, as one CLI run or one benchmark pass does, and a caller
@@ -361,15 +362,14 @@ def _unpack(e0: int, value: int, slot: int) -> dict:
 def bracket_tangle_sweep(diag: PlanarDiagram) -> LaurentPoly:
     """Bracket by one frontier sweep over the crossing and projector boxes.
 
-    With projector sites this is the colored-bracket numerator over the
-    product of the projector denominators.  The free loops and the
-    sweep order's predicted cost are checked against their caps before
-    any projector is built.
+    With projector sites this is the numerator of the crossed part of a
+    colored bracket over the product of its projector denominators.  The
+    free loops and the sweep order's predicted cost are checked against
+    their caps before any projector is built.
     """
-    free = diag.free_loops - sum(s.width for s in diag.sites if not s.slots)
-    if free > FREE_LOOP_CAP:
+    if diag.free_loops > FREE_LOOP_CAP:
         raise DiagramTooLargeError(
-            f"{free} free loops exceeds the cap of {FREE_LOOP_CAP}"
+            f"{diag.free_loops} free loops exceeds the cap of {FREE_LOOP_CAP}"
         )
     legs = _box_legs(diag)
     order = _sweep_order(legs)
@@ -378,7 +378,7 @@ def bracket_tangle_sweep(diag: PlanarDiagram) -> LaurentPoly:
         terms = jones_wenzl(site.width).terms.items()
         states.append([(t.pairs, tuple(c.items())) for t, c in terms])
     num = _sweep(legs, states, order)
-    return LaurentPoly(num) * loop_weight(free)
+    return LaurentPoly(num) * loop_weight(diag.free_loops)
 
 
 # colored-bracket numerators keyed by FramedLink.orbit
@@ -403,7 +403,10 @@ def colored_bracket(link, colors, point: EvalPoint | None = None):
     key, least = link.orbit(colors)
     num = _sweep_memo.get(key)
     if num is None:
-        num = _sweep_memo[key] = bracket_tangle_sweep(cable(link, list(least)))
+        num = bracket_tangle_sweep(cable(link, list(least)))
+        for c in key[1]:  # the crossing-free components' colors
+            num = num * jones_wenzl(c).closure_numerator()
+        _sweep_memo[key] = num
     widths = tuple(sorted(c for c in colors if c))
     if point is None:
         return RatFunc(num, _projector_den(widths))

@@ -42,13 +42,14 @@ the grid is empty and the surviving strand's copies pass straight
 through it by the same joins, so width 0 deletes a component.  The arcs
 of the result are the union-find classes of the copy ends.
 
-Each surviving component gets one site.  One that reaches a grid corner
-gets an arc site, cut at the first grid corner it reaches in (crossing,
-nw, ne, sw, se) order; arc sites come in the order of their cuts.  Loop
-sites, which have no slots, follow in component order for the surviving
-components that reach no grid corner.  A site's slots follow the point
-order of a TL diagram, so ``_box_legs`` (the sweep's boxes) and
-``splice`` read a projector term's matching straight off it.
+Each surviving component that reaches a grid corner gets one site, cut
+at the first grid corner it reaches in (crossing, nw, ne, sw, se) order;
+sites come in the order of their cuts.  A surviving component that
+reaches no grid corner becomes w plain free loops and gets no site:
+``colored_bracket`` never cables one, it multiplies in its projector's
+closure instead.  A site's slots follow the point order of a TL diagram,
+so ``_box_legs`` (the sweep's boxes) and ``splice`` read a projector
+term's matching straight off it.
 ``_arc_numbers`` is the one integer numbering of the arcs, by first
 occurrence.
 
@@ -74,7 +75,8 @@ split pieces multiply, and a projector may sit anywhere on its
 component.  The least-code starts of one piece are its
 automorphisms, which take the first start's component order to each
 other's.  The coloring ``orbit`` gives to cable is the least image of the
-colors under them when the sublink has one piece, else the colors.
+colors under them when the sublink has one piece, else the colors, with
+every crossing-free component at 0: the key holds its color.
 """
 
 from __future__ import annotations
@@ -126,11 +128,13 @@ class Site:
 
     ``slots[q]`` (q < w) is copy q's slot at the cut corner and
     ``slots[2w-1-q]`` the other end of that copy's arc: TL point order.
-    A site with no slots is a loop site: it marks w crossing-free circles.
     """
 
-    width: int
-    slots: tuple = ()
+    slots: tuple
+
+    @property
+    def width(self) -> int:
+        return len(self.slots) // 2
 
 
 @dataclass(frozen=True)
@@ -268,12 +272,15 @@ class FramedLink:
         of any link, whose sublinks on the nonzero colors are one diagram
         up to an orientation-preserving map of the sphere or a half turn
         of R^3 about a line in the plane (see the module docstring).  The
-        sublink data is cached per (diagram, support)."""
+        key ends with the sorted colors of the sublink's crossing-free
+        components, which the coloring to cable sets to 0.  The sublink
+        data is cached per (diagram, support)."""
         support = tuple(k for k, c in enumerate(colors) if c)
         pieces, loose = _sublink(self.diagram, support)
         key = (tuple(sorted((code, min(tuple(colors[k] for k in order) for order in orders))
                             for code, orders in pieces)),
                tuple(sorted(colors[k] for k in loose)))
+        colors = tuple(0 if k in loose else c for k, c in enumerate(colors))
         orders = pieces[0][1] if len(pieces) == 1 else ((),)
         perms = (dict(zip(orders[0], order)) for order in orders)  # first[i] -> order[i]
         return key, min(tuple(colors[p.get(j, j)] for j in range(len(colors))) for p in perms)
@@ -527,11 +534,12 @@ def cable(link: FramedLink, widths) -> PlanarDiagram:
     """Replace each component by parallel blackboard push-offs.
 
     ``widths[k]`` is the number of copies of component k; width 0
-    deletes the component.  The result carries one marked Site per
-    surviving component, the transversal cut where its projector sits.
-    Validity (in particular planarity) is preserved.  The grid numbering,
-    the pass-through at an empty grid and the site rule are those of the
-    module docstring.
+    deletes the component.  The result carries one marked Site, the
+    transversal cut where its projector sits, per surviving component
+    that reaches a grid corner; one that reaches none becomes w plain
+    free loops.  Validity (in particular planarity) is preserved.  The
+    grid numbering, the pass-through at an empty grid and the site rule
+    are those of the module docstring.
     """
     if len(widths) != link.n_components:
         raise ValueError(f"{len(widths)} widths for {link.n_components} components")
@@ -582,7 +590,7 @@ def cable(link: FramedLink, widths) -> PlanarDiagram:
     )
     slots = _arc_slots(crossings)
     sites = []
-    cut: set = set()  # components with an arc site
+    cut: set = set()  # components with a site
     for ci, c in enumerate(diag.crossings):
         if not grids[ci][1] * grids[ci][2]:
             continue
@@ -593,10 +601,9 @@ def cable(link: FramedLink, widths) -> PlanarDiagram:
             cut.add(k)
             ins = tuple(end(ci, corner, q) for q in range(widths[k]))
             outs = tuple(_mate(crossings, slots, g, x) for g, x in ins)
-            sites.append(Site(widths[k], ins + outs[::-1]))
-    loops = [w for k, w in enumerate(widths) if w and k not in cut]
-    sites += [Site(w) for w in loops]
-    return PlanarDiagram(crossings, sum(loops), tuple(sites))
+            sites.append(Site(ins + outs[::-1]))
+    loops = sum(w for k, w in enumerate(widths) if k not in cut)
+    return PlanarDiagram(crossings, loops, tuple(sites))
 
 
 # -- boxes and splices at the sites ---------------------------------------------
@@ -606,23 +613,17 @@ def _box_legs(diag: PlanarDiagram) -> list:
     """Int arc ids at the legs of each box: the (nw, ne, sw, se) corners
     of every crossing, then one box of 2w legs per site.
 
-    Leg p of an arc site's box is a fresh arc that ends at ``slots[p]``,
-    so each cut arc splits into two halves.  Circle q of a loop site is
-    one fresh arc from leg q to leg 2w-1-q.
+    Leg p of a site's box is a fresh arc that ends at ``slots[p]``, so
+    each cut arc splits into two halves.
     """
     names = _arc_numbers(diag)
     legs = [[names[a] for a in c[:4]] for c in diag.crossings]
     fresh = len(names)
     for site in diag.sites:
-        w = site.width
-        if not site.slots:
-            legs.append([fresh + min(p, 2 * w - 1 - p) for p in range(2 * w)])
-            fresh += w
-        else:
-            legs.append(list(range(fresh, fresh + 2 * w)))
-            for p, (ci, corner) in enumerate(site.slots):
-                legs[ci][corner] = fresh + p
-            fresh += 2 * w
+        legs.append(list(range(fresh, fresh + len(site.slots))))
+        for p, (ci, corner) in enumerate(site.slots):
+            legs[ci][corner] = fresh + p
+        fresh += len(site.slots)
     return legs
 
 
@@ -631,27 +632,18 @@ def splice(diag: PlanarDiagram, assignments) -> PlanarDiagram:
 
     ``assignments`` lists (site, pairs), ``pairs`` a TL matching of the
     site's 2w points (``TLDiagram.pairs``); the identity restores the
-    uncut diagram.  At an arc site each chord joins its two slots by one
-    new arc; at a loop site the chords and the circles q -- 2w-1-q close
-    into free loops.  ``colored_bracket`` sweeps the projectors as boxes
-    instead; splicing every projector term is its slow reference.
+    uncut diagram.  Each chord joins its two slots by one new arc.
+    ``colored_bracket`` sweeps the projectors as boxes instead; splicing
+    every projector term is its slow reference.
     """
     rows = [list(c[:4]) for c in diag.crossings]
-    free = diag.free_loops
     for i, (site, pairs) in enumerate(assignments):
-        if site.slots:
-            for j, chord in enumerate(pairs):
-                for p in chord:
-                    ci, corner = site.slots[p]
-                    rows[ci][corner] = ("spliced", i, j)
-            continue
-        w = site.width
-        parent: dict = {}
-        for a, b in [*pairs, *((q, 2 * w - 1 - q) for q in range(w))]:
-            parent[_find(parent, a)] = _find(parent, b)
-        free += len({_find(parent, p) for p in range(2 * w)}) - w
+        for j, chord in enumerate(pairs):
+            for p in chord:
+                ci, corner = site.slots[p]
+                rows[ci][corner] = ("spliced", i, j)
     out = tuple(Crossing(*row, c.over) for row, c in zip(rows, diag.crossings))
-    return PlanarDiagram(out, free)
+    return PlanarDiagram(out, diag.free_loops)
 
 
 # -- JSON serialization -------------------------------------------------------

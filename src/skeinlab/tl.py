@@ -286,11 +286,14 @@ class TLElement:
             terms[_glue(n, *key)] = _poly({lo + g * j: c for j, c in enumerate(digits) if c})
         return TLElement(n, terms, self.den * other.den)
 
+    def closure_numerator(self) -> LaurentPoly:
+        """The closure's numerator over ``den``: the sum of each term's
+        numerator times delta^(``closure_count`` of its diagram)."""
+        return sum((c * loop_weight(closure_count(d)) for d, c in self.terms.items()),
+                   LaurentPoly.zero())
+
     def closure(self) -> RatFunc:
-        total = LaurentPoly.zero()
-        for d, c in self.terms.items():
-            total = total + c * loop_weight(closure_count(d))
-        return RatFunc(total, self.den)
+        return RatFunc(self.closure_numerator(), self.den)
 
     def coefficient(self, d: TLDiagram) -> RatFunc:
         return RatFunc(self.terms.get(d, LaurentPoly.zero()), self.den)

@@ -25,6 +25,7 @@ import functools
 import random
 
 from .algebra import (
+    CycloNum,
     EvalPoint,
     LaurentPoly,
     RatFunc,
@@ -65,6 +66,13 @@ def _tolerance(digits: int):
     import mpmath
 
     return mpmath.mpf(10) ** -digits
+
+
+def _matches(got, want: CycloNum) -> bool:
+    """An exact result equals ``want``; a float one is within 10^-9 of it."""
+    if isinstance(got, CycloNum):
+        return got == want
+    return abs(got - cyclo_to_complex(want)) < _tolerance(9)
 
 
 class _OutsideWindow(Exception):
@@ -164,18 +172,11 @@ def check_torus_pipeline(window, mode: str):
     expected = (
         f"surgery value = meridian series for a in 0..2, d in {ds}, both signs"
     )
-    run_mode = "float" if mode == "float" else "exact"
     for a in (0, 1, 2):
         for d in ds:
             for sign in (1, -1):
                 p = EvalPoint(d, sign)
-                got = torus_invariant(a, p, mode=run_mode)
-                want = meridian_series(a, p)
-                if run_mode == "exact":
-                    ok = got == want
-                else:
-                    ok = abs(got - cyclo_to_complex(want)) < _tolerance(9)
-                if not ok:
+                if not _matches(torus_invariant(a, p, mode=mode), meridian_series(a, p)):
                     return expected, f"mismatch at a={a} d={d} sign={sign:+d}"
     return expected, expected
 
@@ -187,12 +188,7 @@ def check_s1xs2(window, mode: str):
     pres = SurgeryPresentation(unknot_fixture(0), {})
     for d in ds:
         p = EvalPoint(d, 1)
-        if mode == "exact":
-            ok = wrt_invariant(pres, p, mode="exact").is_one()
-        else:
-            v = wrt_invariant(pres, p, mode="float")
-            ok = abs(v - 1) < _tolerance(9)
-        if not ok:
+        if not _matches(wrt_invariant(pres, p, mode=mode), CycloNum.one(d)):
             return expected, f"mismatch at d={d}"
     return expected, expected
 

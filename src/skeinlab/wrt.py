@@ -8,8 +8,8 @@ before any work in the level's field, and the sum starts there, so its
 first colored bracket is the check against the sweep-cost cap: a run
 that cannot finish fails before any other sweep.  When 1+n is even the
 eta power is an exact field element and the whole computation stays in
-CycloNum; odd powers force the 30-digit float path, the only one that
-imports mpmath.
+CycloNum; odd powers force the float path, the only one that imports
+mpmath, which works at ``max(precision, 15)`` digits (30 by default).
 
 The rest of the module packages the cross-checks that ``verify`` and
 the ``report`` table lean on: the torus pipeline (compared with its
@@ -60,7 +60,8 @@ def wrt_invariant(pres: SurgeryPresentation, p: EvalPoint, mode: str = "auto",
     The surgery components are those ``pres.extra_colors`` leaves
     uncolored.  Returns an exact CycloNum when the eta power 1+n is even
     (n = number of surgery components) and ``mode`` is "auto" or
-    "exact"; otherwise a 30-digit mpmath complex.  Presentations must
+    "exact"; otherwise an mpmath complex computed at
+    ``max(precision, 15)`` digits (30 by default).  Presentations must
     have zero-signature surgery linking (an empty link's matrix is empty,
     of signature 0) and zero self-writhe on every surgery component
     (apply twist corrections first if not), and the residual colors must

@@ -131,6 +131,26 @@ def test_src_lines_counts_the_package_modules(tmp_path):
     assert benchpair.src_lines(benchpair.ROOT) > 0
 
 
+def test_src_code_lines_skips_docstrings_comments_and_blanks(tmp_path):
+    pkg = tmp_path / "src" / "skeinlab"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text(
+        '"""Module\ndocstring."""\n'
+        "\n"
+        "# a comment\n"
+        "class C:\n"
+        '    """One line."""\n'
+        "\n"
+        "    def f(self):\n"
+        '        """Two\n        lines."""\n'
+        "        s = \"\"\"a string\n        that is not a docstring\"\"\"\n"
+        "        return s  # a trailing comment\n")
+    (pkg / "notes.txt").write_text("not\ncode\n")
+    # class C, def f, both lines of s and the return
+    assert benchpair.src_code_lines(tmp_path) == 5
+    assert 0 < benchpair.src_code_lines(benchpair.ROOT) < benchpair.src_lines(benchpair.ROOT)
+
+
 def test_cli_differ_names_the_commands_whose_output_or_status_moved(tmp_path):
     echo = "import sys\nargs = sys.argv[1:]\nprint(*args)\n"
     # the change prints one more line for "report" and exits 1 on "bracket"

@@ -2,7 +2,15 @@ from itertools import product
 
 import pytest
 
-from skeinlab.algebra import EvalPoint, LaurentPoly, RatFunc, delta_color, loop_weight, quantum_integer
+from skeinlab.algebra import (
+    EvalPoint,
+    LaurentPoly,
+    RatFunc,
+    delta_color,
+    evaluate_at,
+    loop_weight,
+    quantum_integer,
+)
 from skeinlab.bracket import (
     _CROSSING_STATES,
     _SMOOTHINGS,
@@ -163,11 +171,31 @@ def test_sweep_matches_state_sum_on_random_diagrams(rng):
         assert _state_sum_by_slots(diag) == want
 
 
+def _without_loose(link, colors):
+    """(``colors`` with each colored component that crosses no colored
+    strand set to 0, the product of ``delta_color`` of the colors so
+    removed): a crossing-free colored circle is its projector's closure,
+    and cabling it gives plain free loops."""
+    crossed = set()
+    for ci in range(link.diagram.n_crossings):
+        pair = link.crossing_components(ci)
+        if all(colors[k] for k in pair):
+            crossed.update(pair)
+    factor = LaurentPoly.one()
+    for k, c in enumerate(colors):
+        if k not in crossed:
+            factor = factor * delta_color(c)
+    return [c if k in crossed else 0 for k, c in enumerate(colors)], factor
+
+
 def _colored_bracket_by_splicing(link, colors):
-    """Slow reference for ``colored_bracket``: expand every projector,
-    splice each combination of terms into a plain diagram, sweep it, and
-    sum over the product of the projector denominators."""
-    cabled = cable(link, list(colors))
+    """Slow reference for ``colored_bracket``: expand every projector of
+    the crossed part, splice each combination of terms into a plain
+    diagram, sweep it, sum over the product of the projector
+    denominators, and multiply by the closed form of each crossing-free
+    colored circle."""
+    colors, loose = _without_loose(link, colors)
+    cabled = cable(link, colors)
     projectors = [jones_wenzl(s.width) for s in cabled.sites]
     den = LaurentPoly.one()
     for p in projectors:
@@ -179,7 +207,7 @@ def _colored_bracket_by_splicing(link, colors):
             num = num * coeff
         assignments = [(s, t.pairs) for s, (t, _) in zip(cabled.sites, combo)]
         total = total + num * bracket(splice(cabled, assignments))
-    return RatFunc(total, den)
+    return RatFunc(loose * total, den)
 
 
 def _torus_splices(max_crossings=12):
@@ -473,6 +501,18 @@ def test_color_zero_deletes(hopf):
     assert colored_bracket(hopf, (0, 2)) == RatFunc(delta_color(2))
 
 
+def test_colored_hopf_beside_a_free_circle():
+    # components 0 and 1 clasp; component 2 crosses nothing, so its
+    # projector closes on itself beside the swept clasp
+    link = FramedLink(braid_closure([1, 1], 3))
+    for i, a, c in product(range(3), repeat=3):
+        want = hopf_eval(i, a) * delta_color(c)
+        assert colored_bracket(link, (i, a, c)) == RatFunc(want), (i, a, c)
+        for sign in (1, -1):
+            p = EvalPoint(3, sign)
+            assert colored_bracket(link, (i, a, c), point=p) == evaluate_at(want, p)
+
+
 def test_colored_bracket_at_point(unknot):
     v = colored_bracket(unknot, (2,), point=EvalPoint(2, 1))
     assert v == colored_bracket(unknot, (2,), point=EvalPoint(2, 1))
@@ -505,13 +545,15 @@ def test_colored_bracket_width_cap_after_a_hit(borromean, request):
 
 
 def _swept_colored_bracket(link, colors):
-    """``colored_bracket`` by one unmemoized sweep of the cabled link, over
-    the product of its projector denominators."""
-    cabled = cable(link, list(colors))
+    """``colored_bracket`` by one unmemoized sweep of the cabled crossed
+    part, over the product of its projector denominators, times the
+    closed form of each crossing-free colored circle."""
+    colors, loose = _without_loose(link, colors)
+    cabled = cable(link, colors)
     den = LaurentPoly.one()
     for site in cabled.sites:
         den = den * jones_wenzl(site.width).den
-    return RatFunc(bracket_tangle_sweep(cabled), den)
+    return RatFunc(loose * bracket_tangle_sweep(cabled), den)
 
 
 def test_colored_bracket_is_one_sweep_per_orbit(borromean, hopf, monkeypatch):

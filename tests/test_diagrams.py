@@ -234,12 +234,12 @@ def test_delete_components(hopf, borromean):
 def test_cable_zero_width_deletes(hopf, borromean):
     gone = cable(hopf, [0, 1])
     assert gone.n_crossings == 0 and gone.free_loops == 1
-    # arc sites in the order of each component's first grid corner
+    # sites in the order of each component's first grid corner
     assert [s.width for s in cable(borromean, [0, 2, 3]).sites] == [3, 2]
     assert [s.width for s in cable(borromean, [2, 1, 3]).sites] == [2, 1, 3]
-    # then loop sites in component order, a free loop last
+    # a component that reaches no grid corner is plain free loops, no site
     unlinked = cable(FramedLink(braid_closure([1, 1], 3)), [0, 2, 3])
-    assert [(s.slots, s.width) for s in unlinked.sites] == [((), 2), ((), 3)]
+    assert unlinked.free_loops == 5 and unlinked.sites == ()
 
 
 def _delete_components(link, widths):
@@ -351,8 +351,8 @@ def test_cable_sites_cover_components(borromean):
 
 def test_splice_identity_restores_cable(hopf):
     # the Hopf link at (2, 2), every torus coloring with colors <= 2, and
-    # the round unknot at 3, a loop site; the canonical form holds the
-    # crossings and the free-loop count
+    # the round unknot at 3, three free loops and no site; the canonical
+    # form holds the crossings and the free-loop count
     cases = [(hopf, [2, 2]), (unknot_fixture(0), [3])]
     for a in range(3):
         link = _torus_presentation(a).link

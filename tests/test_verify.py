@@ -7,7 +7,9 @@ from skeinlab.verify import (
     check_independence,
     check_mobius_values,
     check_oracle_sweep,
+    check_s1xs2,
     check_series_one,
+    check_torus_pipeline,
     run_checks,
 )
 
@@ -25,6 +27,18 @@ def test_eta_check_skipped_in_exact_mode():
     assert rec["status"] == "SKIPPED"
     assert rec["got"] == "E_ETA_ODD_POWER"
     assert check_eta_normalization((2, 3), "float")["status"] == "PASS"
+
+
+def test_auto_mode_is_exact_wherever_the_invariant_is(monkeypatch):
+    # S^1 x S^2 and the torus both have an even eta power, so auto runs
+    # exact and never reads a float tolerance
+    def no_float(digits):
+        raise AssertionError("a float comparison in auto mode")
+
+    monkeypatch.setattr("skeinlab.verify._tolerance", no_float)
+    assert check_s1xs2((2, 2), "auto")["status"] == "PASS"
+    assert check_torus_pipeline((2, 2), "auto")["status"] == "PASS"
+    assert check_s1xs2((2, 3), "exact")["status"] == "PASS"
 
 
 def test_windowed_checks_respect_window():

@@ -34,7 +34,9 @@ crashed counts at least one.  A run's fastest pass is less moved by a slow
 phase of a shared host than its median, so ``wall_s`` also gets each
 side's median over runs of the run's fastest pass, and the number of pairs
 in which the change's fastest pass is the faster.
-``src_lines`` gives each side's line count of ``src/skeinlab/*.py``, and
+``src_lines`` gives each side's line count of ``src/skeinlab/*.py``,
+``src_code_lines`` its lines of code there (not blank, not comment-only
+and not inside a module, class or function docstring), and
 ``cli_differ`` the commands of ``CLI_COMMANDS`` whose standard output bytes
 or exit status differ between the two sides; each runs as
 ``python -m skeinlab.cli`` with ``PYTHONPATH=<side>/src``.
@@ -45,6 +47,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import json
 import os
@@ -104,6 +107,22 @@ def _checkout(rev: str | None, dest: Path) -> str:
 def src_lines(tree: Path) -> int:
     """The lines of ``src/skeinlab/*.py`` in ``tree``, as ``wc -l`` counts them."""
     return sum(f.read_bytes().count(b"\n") for f in (tree / "src" / "skeinlab").glob("*.py"))
+
+
+def src_code_lines(tree: Path) -> int:
+    """The lines of ``src/skeinlab/*.py`` in ``tree`` that are not blank,
+    not comment-only and not inside a module, class or function docstring."""
+    total = 0
+    for f in (tree / "src" / "skeinlab").glob("*.py"):
+        text = f.read_text()
+        docs: set = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and ast.get_docstring(node, clean=False) is not None:
+                docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        total += sum(1 for i, line in enumerate(text.splitlines(), 1)
+                     if i not in docs and line.strip() and not line.lstrip().startswith("#"))
+    return total
 
 
 def _cli(tree: Path, command: str) -> tuple:
@@ -218,6 +237,7 @@ def main(argv=None) -> int:
         report["parent"] = _checkout(args.parent, trees["parent"])
         report["change"] = _checkout(None, trees["change"])
         report["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
+        report["src_code_lines"] = {side: src_code_lines(tree) for side, tree in trees.items()}
         report["cli_differ"] = cli_differ(trees["parent"], trees["change"])
         report["command"] = (f"python3 perfbench/run.py --workload W --seed N "
                              f"--seconds {seconds} --trace 0")
